@@ -1,0 +1,550 @@
+"""Semantic rule engine for resolved models.
+
+Thirteen rules, V1 through V13, each with a fixed diagnostic code. Error
+codes (E1xx) make a model invalid; warning codes (W1xx) flag documentation
+quality problems. The rule list is append-only: codes never change meaning
+across releases.
+
+Cascade suppression keeps mutation diagnostics sharp: V4 only judges
+consumers reachable from start, and V5 is skipped for a body whose end is
+unreachable, since the reachability breakage itself is already reported
+under V6's code space.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import model as m
+from .analysis import (
+    control_adjacency,
+    loop_facts,
+    reachable,
+    strongly_connected,
+    task_display,
+)
+from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
+from .resolver import ResolvedModel, call_graph, call_graph_roots
+
+
+@dataclass(frozen=True)
+class Rule:
+    id: str
+    code: str
+    severity: Severity
+    description: str
+
+
+RULES: tuple[Rule, ...] = (
+    Rule("V1", "E101", Severity.ERROR, "TaskCall target task missing on callee agent"),
+    Rule("V2", "E102", Severity.ERROR, "recursive task decomposition cycle"),
+    Rule("V3", "E103", Severity.ERROR, "leaf task has neither tool call nor prompt"),
+    Rule("V4", "E104", Severity.ERROR,
+         "artifact consumed but not a task input, produced upstream, or read from a datastore"),
+    Rule("V5", "W105", Severity.WARNING, "declared output produced on no path to end"),
+    Rule("V6", "E106", Severity.ERROR,
+         "malformed decision, unbalanced fork/join, or unreachable body node"),
+    Rule("V7", "E107", Severity.ERROR, "element-wise call without collection-typed input"),
+    Rule("V8", "E108", Severity.ERROR, "tool call to undeclared tool"),
+    Rule("V9", "W109", Severity.WARNING, "agent has no resolvable llm binding"),
+    Rule("V10", "E110", Severity.ERROR, "agent unhosted or cross-node call without a link"),
+    Rule("V11", "W111", Severity.WARNING,
+         "context flow artifact missing from every root task signature"),
+    Rule("V12", "W112", Severity.WARNING, "datastore never written or never read"),
+    Rule("V13", "W113", Severity.WARNING, "control-flow cycle with no guarded exit"),
+)
+
+RULES_BY_ID = {r.id: r for r in RULES}
+
+
+def check(rm: ResolvedModel) -> list[Diagnostic]:
+    """Run every rule; diagnostics come back sorted by file, span, code."""
+    diags: list[Diagnostic] = []
+    diags.extend(_v1_call_targets(rm))
+    diags.extend(_v2_recursion(rm))
+    diags.extend(_v3_leaf_substance(rm))
+    diags.extend(_v4_consumption(rm))
+    diags.extend(_v5_outputs_on_final_paths(rm))
+    diags.extend(_v6_graph_shape(rm))
+    diags.extend(_v7_element_wise(rm))
+    diags.extend(_v8_tools(rm))
+    diags.extend(_v9_llm_binding(rm))
+    diags.extend(_v10_deployment(rm))
+    diags.extend(_v11_flow_signatures(rm))
+    diags.extend(_v12_datastores(rm))
+    diags.extend(_v13_unguarded_cycles(rm))
+    return sort_diagnostics(diags)
+
+
+def is_valid(rm: ResolvedModel) -> bool:
+    return not any(d.severity is Severity.ERROR for d in check(rm))
+
+
+# --- V1 ------------------------------------------------------------------------
+
+def _v1_call_targets(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        for call in task.graph.call_nodes():
+            callee_agent = rm.agents.get(rm.callee_agent_name(agent, call))
+            if callee_agent is None:
+                continue  # unresolved agent name was already E001
+            if callee_agent.task(call.task) is None:
+                yield error(
+                    "E101",
+                    f"agent '{callee_agent.name}' has no task '{call.task}'",
+                    call.span,
+                )
+
+
+# --- V2 ------------------------------------------------------------------------
+
+def _v2_recursion(rm: ResolvedModel):
+    graph = call_graph(rm)
+    existing = set(graph)
+    adj = {
+        task_display(*key): sorted(
+            task_display(*callee) for callee in callees if callee in existing
+        )
+        for key, callees in graph.items()
+    }
+    decl_order = {task_display(a.name, t.name): i
+                  for i, (a, t) in enumerate(m.iter_tasks(rm.model))}
+    for scc in strongly_connected(sorted(adj), adj):
+        cyclic = len(scc) > 1 or scc[0] in adj.get(scc[0], ())
+        if not cyclic:
+            continue
+        members = sorted(scc, key=lambda q: decl_order[q])
+        first = members[0]
+        agent_name, task_name = first.split(".", 1)
+        task = rm.task(agent_name, task_name)
+        assert task is not None
+        cycle_text = " -> ".join(members + [first])
+        yield error("E102", f"recursive task decomposition: {cycle_text}", task.span)
+
+
+# --- V3 ------------------------------------------------------------------------
+
+def _v3_leaf_substance(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.is_composite:
+            continue
+        has_invoke = task.graph is not None and len(task.graph.invoke_nodes()) > 0
+        if not has_invoke and task.prompt is None:
+            yield error(
+                "E103",
+                f"leaf task '{task_display(agent.name, task.name)}' has neither a tool"
+                " call nor a prompt",
+                task.span,
+            )
+
+
+# --- V4 ------------------------------------------------------------------------
+
+def _consumptions(node: m.ActivityNode) -> tuple[str, ...]:
+    if isinstance(node, (m.CallNode, m.InvokeNode)):
+        return node.inputs
+    if isinstance(node, m.DecisionNode):
+        return (node.subject,)
+    return ()
+
+
+def _v4_consumption(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        graph = task.graph
+        adj = control_adjacency(graph)
+        from_start = reachable(adj, m.INITIAL_ID)
+        store_reads: dict[str, set[str]] = {}
+        for edge in graph.edges:
+            if edge.kind is m.EdgeKind.STORE_READ:
+                store = agent.datastore(m.store_name_of(edge.source))
+                if store is not None:
+                    store_reads.setdefault(edge.target, set()).add(store.artifact)
+        producers_of: dict[str, set[str]] = {}
+        for node in graph.nodes:
+            if isinstance(node, (m.CallNode, m.InvokeNode)):
+                for art in node.outputs:
+                    producers_of.setdefault(art, set()).add(node.id)
+        # production counts when it can precede the consumption on some run,
+        # including around a loop (path of length >= 1 from producer)
+        downstream: dict[str, set[str]] = {}
+        for prod_ids in producers_of.values():
+            for pid in prod_ids:
+                if pid not in downstream:
+                    hit: set[str] = set()
+                    for succ in adj.get(pid, ()):
+                        hit |= reachable(adj, succ)
+                    downstream[pid] = hit
+        for node in graph.nodes:
+            if node.id not in from_start:
+                continue  # unreachable nodes are V6's finding, not V4's
+            for art in _consumptions(node):
+                if art in task.inputs:
+                    continue
+                if art in store_reads.get(node.id, ()):
+                    continue
+                if any(p in from_start and node.id in downstream[p]
+                       for p in producers_of.get(art, ())):
+                    continue
+                yield error(
+                    "E104",
+                    f"'{art}' is consumed by '{node.id}' but is neither a task input,"
+                    " produced upstream, nor read from a datastore",
+                    node.span,
+                )
+
+
+# --- V5 ------------------------------------------------------------------------
+
+def _v5_outputs_on_final_paths(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None or task.prompt is not None:
+            continue
+        graph = task.graph
+        adj = control_adjacency(graph)
+        from_start = reachable(adj, m.INITIAL_ID)
+        if m.FINAL_ID not in from_start:
+            continue  # unreachable end is reported under V6
+        reverse: dict[str, list[str]] = {}
+        for src, targets in adj.items():
+            for dst in targets:
+                reverse.setdefault(dst, []).append(src)
+        reaches_end = reachable(reverse, m.FINAL_ID)
+        for art in task.outputs:
+            ok = False
+            for node in graph.nodes:
+                if isinstance(node, (m.CallNode, m.InvokeNode)) and art in node.outputs:
+                    if node.id in from_start and node.id in reaches_end:
+                        ok = True
+                        break
+            if not ok:
+                yield warning(
+                    "W105",
+                    f"declared output '{art}' of task"
+                    f" '{task_display(agent.name, task.name)}' is produced on no"
+                    " path from start to end",
+                    task.span,
+                )
+
+
+# --- V6 ------------------------------------------------------------------------
+
+def _v6_graph_shape(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        graph = task.graph
+        adj = control_adjacency(graph)
+        control_edges = [e for e in graph.edges
+                         if e.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT)]
+        decisions = {n.id: n for n in graph.nodes if isinstance(n, m.DecisionNode)}
+
+        for node_id, decision in sorted(decisions.items()):
+            outgoing = [e for e in control_edges if e.source == node_id]
+            if len(outgoing) < 2:
+                yield error(
+                    "E106",
+                    f"decision '{node_id}' has {len(outgoing)} outgoing edge(s);"
+                    " at least 2 are required",
+                    decision.span,
+                )
+            literals: set[str] = set()
+            else_seen = False
+            for edge in outgoing:
+                if edge.guard is None:
+                    continue
+                if edge.guard.is_else:
+                    if else_seen:
+                        yield error(
+                            "E106",
+                            f"decision '{node_id}' has more than one [else] guard",
+                            edge.guard.span,
+                        )
+                    else_seen = True
+                    continue
+                if edge.guard.literal in literals:
+                    yield error(
+                        "E106",
+                        f"duplicate guard literal '{edge.guard.literal}' on decision"
+                        f" '{node_id}'",
+                        edge.guard.span,
+                    )
+                literals.add(edge.guard.literal)
+                if edge.guard.subject != decision.subject:
+                    yield error(
+                        "E106",
+                        f"guard subject '{edge.guard.subject}' does not match decision"
+                        f" subject '{decision.subject}'",
+                        edge.guard.span,
+                    )
+
+        for edge in control_edges:
+            if edge.guard is not None and edge.source not in decisions:
+                yield error(
+                    "E106",
+                    "guard on an edge that does not leave a decision",
+                    edge.guard.span,
+                )
+
+        for node in graph.nodes:
+            if isinstance(node, m.ForkNode):
+                out_degree = sum(1 for e in control_edges if e.source == node.id)
+                if out_degree < 2:
+                    yield error(
+                        "E106",
+                        f"fork '{node.id}' has {out_degree} outgoing edge(s);"
+                        " at least 2 are required",
+                        node.span,
+                    )
+            elif isinstance(node, m.JoinNode):
+                in_degree = sum(1 for e in control_edges if e.target == node.id)
+                if in_degree < 2:
+                    yield error(
+                        "E106",
+                        f"join '{node.id}' has {in_degree} incoming edge(s);"
+                        " at least 2 are required",
+                        node.span,
+                    )
+
+        # joins must only be reachable through fork branches
+        fork_ids = {n.id for n in graph.nodes if isinstance(n, m.ForkNode)}
+        adj_without_forks = {
+            src: [t for t in targets]
+            for src, targets in adj.items()
+            if src not in fork_ids
+        }
+        reachable_without_forks = reachable(adj_without_forks, m.INITIAL_ID)
+        for node in graph.nodes:
+            if isinstance(node, m.JoinNode) and node.id in reachable_without_forks:
+                yield error(
+                    "E106",
+                    f"join '{node.id}' is reachable without passing a fork",
+                    node.span,
+                )
+
+        from_start = reachable(adj, m.INITIAL_ID)
+        for node in graph.nodes:
+            if isinstance(node, (m.InitialNode, m.StoreNode)):
+                continue
+            if isinstance(node, m.FinalNode):
+                if node.id not in from_start:
+                    yield error("E106", "no path from start reaches end", graph.span)
+                continue
+            if node.id not in from_start:
+                yield error(
+                    "E106", f"node '{node.id}' is unreachable from start", node.span
+                )
+        if m.FINAL_ID in from_start:
+            reverse: dict[str, list[str]] = {}
+            for src, targets in adj.items():
+                for dst in targets:
+                    reverse.setdefault(dst, []).append(src)
+            reaches_end = reachable(reverse, m.FINAL_ID)
+            for node in graph.nodes:
+                if isinstance(node, (m.FinalNode, m.StoreNode)):
+                    continue
+                if node.id in from_start and node.id not in reaches_end:
+                    yield error(
+                        "E106", f"node '{node.id}' reaches no end node", node.span
+                    )
+
+
+# --- V7 ------------------------------------------------------------------------
+
+def _v7_element_wise(rm: ResolvedModel):
+    for _agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        for call in task.graph.call_nodes():
+            if not call.element_wise:
+                continue
+            has_collection_input = any(
+                rm.artifacts[a].is_collection
+                for a in call.inputs
+                if a in rm.artifacts
+            )
+            if not has_collection_input:
+                yield error(
+                    "E107",
+                    f"element-wise call '{call.id}' has no collection-typed input",
+                    call.span,
+                )
+
+
+# --- V8 ------------------------------------------------------------------------
+
+def _v8_tools(rm: ResolvedModel):
+    for _agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        for invoke in task.graph.invoke_nodes():
+            if invoke.tool not in rm.tools:
+                yield error(
+                    "E108", f"tool call to undeclared tool '{invoke.tool}'", invoke.span
+                )
+
+
+# --- V9 ------------------------------------------------------------------------
+
+def _v9_llm_binding(rm: ResolvedModel):
+    for agent in rm.model.agents:
+        if rm.llm_of(agent) is None:
+            yield warning(
+                "W109",
+                f"agent '{agent.name}' has no llm binding (no agent-level llm and"
+                " no model-level default)",
+                agent.span,
+            )
+
+
+# --- V10 -----------------------------------------------------------------------
+
+def _v10_deployment(rm: ResolvedModel):
+    deployment = rm.model.deployment
+    if deployment is None:
+        return
+    host_nodes: dict[str, list[m.DeploymentNode]] = {}
+    for node in deployment.nodes:
+        for hosted in node.hosts:
+            host_nodes.setdefault(hosted, []).append(node)
+
+    for agent in rm.model.agents:
+        nodes = host_nodes.get(agent.name, [])
+        if len(nodes) == 0:
+            yield error(
+                "E110",
+                f"agent '{agent.name}' is not hosted by any deployment node",
+                agent.span,
+            )
+        elif len(nodes) > 1:
+            yield error(
+                "E110",
+                f"agent '{agent.name}' is hosted by {len(nodes)} deployment nodes;"
+                " exactly one is required",
+                agent.span,
+            )
+    for tool in rm.model.tools:
+        nodes = host_nodes.get(tool.name, [])
+        if len(nodes) > 1:
+            yield error(
+                "E110",
+                f"tool '{tool.name}' is hosted by {len(nodes)} deployment nodes;"
+                " exactly one is required",
+                tool.span,
+            )
+
+    def unique_host(name: str) -> str | None:
+        nodes = host_nodes.get(name, [])
+        return nodes[0].name if len(nodes) == 1 else None
+
+    linked: set[frozenset[str]] = set()
+    for link in deployment.links:
+        linked.add(frozenset((link.source, link.target)))
+
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        caller_node = unique_host(agent.name)
+        if caller_node is None:
+            continue
+        for call in task.graph.call_nodes():
+            callee_agent = rm.callee_agent_name(agent, call)
+            callee_node = unique_host(callee_agent)
+            if callee_node is None or callee_node == caller_node:
+                continue
+            if frozenset((caller_node, callee_node)) not in linked:
+                yield error(
+                    "E110",
+                    f"call from agent '{agent.name}' (node '{caller_node}') to agent"
+                    f" '{callee_agent}' (node '{callee_node}') has no link between"
+                    " their nodes",
+                    call.span,
+                )
+        for invoke in task.graph.invoke_nodes():
+            tool_node = unique_host(invoke.tool)
+            if tool_node is None or tool_node == caller_node:
+                continue
+            if frozenset((caller_node, tool_node)) not in linked:
+                yield error(
+                    "E110",
+                    f"tool call from agent '{agent.name}' (node '{caller_node}') to"
+                    f" tool '{invoke.tool}' (node '{tool_node}') has no link between"
+                    " their nodes",
+                    invoke.span,
+                )
+
+
+# --- V11 -----------------------------------------------------------------------
+
+def _v11_flow_signatures(rm: ResolvedModel):
+    context = rm.model.context
+    if context is None:
+        return
+    root_signature: set[str] = set()
+    for agent_name, task_name in call_graph_roots(rm):
+        task = rm.task(agent_name, task_name)
+        if task is not None:
+            root_signature.update(task.inputs)
+            root_signature.update(task.outputs)
+    for flow in context.flows:
+        for art in flow.artifacts:
+            if art not in root_signature:
+                yield warning(
+                    "W111",
+                    f"flow artifact '{art}' appears in no root task signature",
+                    flow.span,
+                )
+
+
+# --- V12 -----------------------------------------------------------------------
+
+def _v12_datastores(rm: ResolvedModel):
+    for agent in rm.model.agents:
+        if not agent.datastores:
+            continue
+        written: set[str] = set()
+        read: set[str] = set()
+        for task in agent.tasks:
+            if task.graph is None:
+                continue
+            for edge in task.graph.edges:
+                if edge.kind is m.EdgeKind.STORE_WRITE:
+                    written.add(m.store_name_of(edge.target))
+                elif edge.kind is m.EdgeKind.STORE_READ:
+                    read.add(m.store_name_of(edge.source))
+        for store in agent.datastores:
+            missing = []
+            if store.name not in written:
+                missing.append("written")
+            if store.name not in read:
+                missing.append("read")
+            if missing:
+                yield warning(
+                    "W112",
+                    f"datastore '{store.name}' of agent '{agent.name}' is never"
+                    f" {' or '.join(missing)}",
+                    store.span,
+                )
+
+
+# --- V13 -----------------------------------------------------------------------
+
+def _v13_unguarded_cycles(rm: ResolvedModel):
+    for agent, task in m.iter_tasks(rm.model):
+        if task.graph is None:
+            continue
+        for fact in loop_facts(task):
+            if fact.exits:
+                continue
+            cycle_text = " -> ".join(fact.cycle + (fact.cycle[0],))
+            anchor = task.graph.node_by_id(fact.cycle[0])
+            span = anchor.span if anchor is not None else task.span
+            yield warning(
+                "W113",
+                f"control-flow cycle {cycle_text} in task"
+                f" '{task_display(agent.name, task.name)}' has no guarded exit",
+                span,
+            )
