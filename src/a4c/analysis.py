@@ -3,6 +3,9 @@
 * impact: transitive change-impact closure from a seed element, upward
   (what influences it), downward (what it influences), or both.
 * classify: interaction-pattern classification of a composite task.
+* control_facts: the control-flow facts of one task body (successors,
+  predecessors, reachability, SCCs, guarded out-edges), built once and
+  shared by the rules and the analyses below.
 * loop_facts: elementary control-flow circuits of a task body with their
   guarded exit edges.
 
@@ -333,16 +336,53 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
     )
 
 
-# --- control-flow helpers ------------------------------------------------------
+# --- control-flow facts ---------------------------------------------------------
 
-def control_adjacency(graph: m.ActivityGraph) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {}
+@dataclass(frozen=True)
+class ControlFacts:
+    """Control-flow facts of one task body, built once by ``control_facts``
+    and shared by the rules and analyses that walk the body.
+
+    Control flow follows CONTROL and OBJECT edges. Successor and predecessor
+    lists hold one entry per edge, so parallel edges repeat a node.
+    """
+
+    out_edges: dict[str, list[m.ActivityEdge]]  # by source, in body order
+    succ: dict[str, list[str]]  # sorted
+    pred: dict[str, list[str]]
+    from_start: set[str]
+    reaches_end: set[str]
+    sccs: list[list[str]]  # every SCC, sinks first (reverse topological order)
+    cyclic: list[list[str]]  # the SCCs that hold a cycle
+    guarded: dict[str, list[m.ActivityEdge]]  # guarded CONTROL out-edges by source
+
+
+def control_facts(graph: m.ActivityGraph) -> ControlFacts:
+    out_edges: dict[str, list[m.ActivityEdge]] = {}
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    guarded: dict[str, list[m.ActivityEdge]] = {}
     for edge in graph.edges:
         if edge.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
-            adj.setdefault(edge.source, []).append(edge.target)
-    for targets in adj.values():
+            out_edges.setdefault(edge.source, []).append(edge)
+            succ.setdefault(edge.source, []).append(edge.target)
+            pred.setdefault(edge.target, []).append(edge.source)
+            if edge.kind is m.EdgeKind.CONTROL and edge.guard is not None:
+                guarded.setdefault(edge.source, []).append(edge)
+    for targets in succ.values():
         targets.sort()
-    return adj
+    vertices = sorted(set(succ) | set(pred))
+    sccs = strongly_connected(vertices, succ)
+    return ControlFacts(
+        out_edges=out_edges,
+        succ=succ,
+        pred=pred,
+        from_start=reachable(succ, m.INITIAL_ID),
+        reaches_end=reachable(pred, m.FINAL_ID),
+        sccs=sccs,
+        cyclic=[scc for scc in sccs if _is_cyclic(scc, succ)],
+        guarded=guarded,
+    )
 
 
 def reachable(adj: dict[str, list[str]], start: str) -> set[str]:
@@ -356,10 +396,8 @@ def reachable(adj: dict[str, list[str]], start: str) -> set[str]:
     return seen
 
 
-# --- elementary circuits (Johnson's algorithm) ---------------------------------
-
 def strongly_connected(vertices: list[str], adj: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan SCC over the given vertex subset."""
+    """Tarjan SCC over the given vertex subset, sink components first."""
     allowed = set(vertices)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -411,60 +449,81 @@ def strongly_connected(vertices: list[str], adj: dict[str, list[str]]) -> list[l
     return sccs
 
 
-def elementary_circuits(adj: dict[str, list[str]]) -> list[tuple[str, ...]]:
-    """All elementary circuits, each rotated to start at its smallest vertex."""
-    vertices = sorted(set(adj) | {w for ws in adj.values() for w in ws})
+def _is_cyclic(scc: list[str], adj: dict[str, list[str]]) -> bool:
+    return len(scc) > 1 or scc[0] in adj.get(scc[0], ())
+
+
+# --- elementary circuits (Johnson's algorithm) ---------------------------------
+
+def elementary_circuits(adj: dict[str, list[str]],
+                        sccs: list[list[str]]) -> list[tuple[str, ...]]:
+    """All elementary circuits inside the given cyclic SCCs of ``adj``, each
+    rotated to start at its smallest vertex, in sorted order. A circuit over
+    parallel edges is listed once per choice of edges."""
     circuits: list[tuple[str, ...]] = []
-
-    start_index = 0
-    while start_index < len(vertices):
-        subset = vertices[start_index:]
-        sccs = [
-            scc
-            for scc in strongly_connected(subset, adj)
-            if len(scc) > 1 or (scc[0] in adj and scc[0] in adj.get(scc[0], ()))
-        ]
-        if not sccs:
-            break
-        least = min(min(scc) for scc in sccs)
-        component = set(next(scc for scc in sccs if min(scc) == least))
-
-        blocked: set[str] = set()
-        blocked_map: dict[str, set[str]] = {}
-        path: list[str] = []
-
-        def unblock(v: str) -> None:
-            blocked.discard(v)
-            for w in blocked_map.pop(v, set()):
-                if w in blocked:
-                    unblock(w)
-
-        def circuit(v: str, root: str) -> bool:
-            found = False
-            path.append(v)
-            blocked.add(v)
-            for w in sorted(adj.get(v, ())):
-                if w not in component:
-                    continue
-                if w == root:
-                    circuits.append(tuple(path))
-                    found = True
-                elif w not in blocked:
-                    if circuit(w, root):
-                        found = True
-            if found:
-                unblock(v)
-            else:
-                for w in sorted(adj.get(v, ())):
-                    if w in component:
-                        blocked_map.setdefault(w, set()).add(v)
-            path.pop()
-            return found
-
-        circuit(least, least)
-        start_index = vertices.index(least) + 1
-
+    pending = [set(scc) for scc in sccs]
+    while pending:
+        component = pending.pop()
+        least = min(component)
+        _circuits_through(least, component, adj, circuits)
+        component.discard(least)
+        pending.extend(
+            set(scc)
+            for scc in strongly_connected(sorted(component), adj)
+            if _is_cyclic(scc, adj)
+        )
     return sorted(circuits)
+
+
+def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
+                      circuits: list[tuple[str, ...]]) -> None:
+    """Johnson's CIRCUIT search from ``root`` (Johnson 1975), with explicit
+    stacks for CIRCUIT and UNBLOCK so that long loops cannot overflow the
+    interpreter's recursion limit."""
+    blocked = {root}
+    blocked_map: dict[str, set[str]] = {}
+    path = [root]
+    found = [False]  # per path vertex: has a circuit been closed below it?
+    successors = [iter(adj.get(root, ()))]
+    while successors:
+        w = next(successors[-1], None)
+        if w is not None:
+            if w not in component:
+                continue
+            if w == root:
+                circuits.append(tuple(path))
+                found[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                blocked.add(w)
+                found.append(False)
+                successors.append(iter(adj.get(w, ())))
+            continue
+        v = path.pop()
+        successors.pop()
+        v_found = found.pop()
+        if v_found:
+            unblock = [v]
+            while unblock:
+                u = unblock.pop()
+                blocked.discard(u)
+                unblock.extend(x for x in blocked_map.pop(u, ()) if x in blocked)
+            if found:
+                found[-1] = True
+        else:
+            for x in adj.get(v, ()):
+                if x in component:
+                    blocked_map.setdefault(x, set()).add(v)
+
+
+def _guarded_exits(facts: ControlFacts, cycle: tuple[str, ...]) -> tuple[m.ActivityEdge, ...]:
+    members = set(cycle)
+    return tuple(
+        sorted(
+            (e for v in cycle for e in facts.guarded.get(v, ()) if e.target not in members),
+            key=lambda e: (e.source, e.target),
+        )
+    )
 
 
 def loop_facts(task: m.Task) -> list[LoopFact]:
@@ -472,25 +531,35 @@ def loop_facts(task: m.Task) -> list[LoopFact]:
     edges that leave it; a cycle with no such exit risks never terminating."""
     if task.graph is None:
         return []
-    adj = control_adjacency(task.graph)
-    facts: list[LoopFact] = []
-    for cycle in elementary_circuits(adj):
-        members = set(cycle)
-        exits = tuple(
-            sorted(
-                (
-                    e
-                    for e in task.graph.edges
-                    if e.kind is m.EdgeKind.CONTROL
-                    and e.guard is not None
-                    and e.source in members
-                    and e.target not in members
-                ),
-                key=lambda e: (e.source, e.target),
-            )
-        )
-        facts.append(LoopFact(cycle, exits))
-    return facts
+    facts = control_facts(task.graph)
+    return [
+        LoopFact(cycle, _guarded_exits(facts, cycle))
+        for cycle in elementary_circuits(facts.succ, facts.cyclic)
+    ]
+
+
+def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
+    """The elementary circuits with no guarded exit, in sorted order.
+
+    A node with a guarded CONTROL edge to a target outside its own SCC, or
+    to a node already pruned, is pruned first: that edge is a guarded exit
+    of every circuit through the node. SCCs are recomputed until no such
+    node is left, and only the circuits of what remains are enumerated.
+    """
+    sccs = facts.cyclic
+    while sccs:
+        scc_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+        leaving = {
+            v
+            for v, i in scc_of.items()
+            if any(scc_of.get(e.target) != i for e in facts.guarded.get(v, ()))
+        }
+        if not leaving:
+            break
+        remaining = sorted(v for v in scc_of if v not in leaving)
+        sccs = [scc for scc in strongly_connected(remaining, facts.succ)
+                if _is_cyclic(scc, facts.succ)]
+    return [c for c in elementary_circuits(facts.succ, sccs) if not _guarded_exits(facts, c)]
 
 
 # --- interaction pattern classification ----------------------------------------
@@ -533,18 +602,18 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
             evidence.append(("sequential-delegation", delegating_calls))
         return PatternClass(Pattern.ORCHESTRATION, tuple(evidence))
 
-    adj = control_adjacency(graph)
-    chain = _call_chain_order(graph, adj, calls)
+    facts = control_facts(graph)
+    chain = _call_chain_order(graph, facts.succ, calls)
     if chain is not None:
-        forward, backward = _call_successions(graph, adj, chain)
+        forward, backward = _call_successions(graph, facts.succ, chain)
         consecutive = {(chain[i], chain[i + 1]) for i in range(len(chain) - 1)}
         chain_ok = forward == consecutive
-        cycles = elementary_circuits(adj)
         if chain_ok and backward:
             call_ids = {c.id for c in calls}
             decision_ids = {n.id for n in graph.nodes if isinstance(n, m.DecisionNode)}
             witness = [
-                cy for cy in cycles if set(cy) & call_ids and set(cy) & decision_ids
+                cy for cy in elementary_circuits(facts.succ, facts.cyclic)
+                if set(cy) & call_ids and set(cy) & decision_ids
             ]
             if witness:
                 return PatternClass(
@@ -555,7 +624,7 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
                         ("cycle-through-decision", witness[0]),
                     ),
                 )
-        if chain_ok and not backward and not cycles:
+        if chain_ok and not backward and not facts.cyclic:
             return PatternClass(Pattern.PIPELINE, (("chain", chain),))
 
     return PatternClass(Pattern.UNCLASSIFIED, ())

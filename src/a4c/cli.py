@@ -125,17 +125,24 @@ def _print_diagnostics(diags: list[Diagnostic], fmt: str, stream=None) -> None:
         stream.write(f"{errors} error(s), {warnings} warning(s)\n")
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read(path: str) -> Optional[str]:
+    """The text of one model file, or None once the reason it cannot be read
+    is printed on stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not valid UTF-8"
+    print(f"a4c: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic], int]:
     """Parse and resolve one file: (resolved, diagnostics, failing exit code)."""
-    try:
-        text = _read(path)
-    except OSError as exc:
-        print(f"a4c: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    text = _read(path)
+    if text is None:
         return None, [], EXIT_INPUT
     presult = parse(text, path)
     if presult.model is None:
@@ -312,10 +319,8 @@ def _cmd_docs(args) -> int:
 
 def _cmd_fmt(args) -> int:
     for path in args.files:
-        try:
-            text = _read(path)
-        except OSError as exc:
-            print(f"a4c: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        text = _read(path)
+        if text is None:
             return EXIT_INPUT
         try:
             formatted = canonical_format(text, path)

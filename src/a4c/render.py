@@ -117,27 +117,20 @@ def render_deployment(model: m.Model) -> DiagramText:
 
 # --- C3/C4: task activity --------------------------------------------------------
 
-def _object_node(model: m.Model, owner_id: str, artifact: str,
+def _object_node(artifacts: dict[str, m.ArtifactType], owner_id: str, artifact: str,
                  direction: str) -> tuple[str, str]:
     """Declare one per-action object node; returns (node id, declaration line).
 
     Collections render as a segmented record, a stack of element instances.
     """
     node_id = f"art:{owner_id}:{direction}:{artifact}"
-    decl = _find_artifact(model, artifact)
+    decl = artifacts.get(artifact)
     if decl is not None and decl.is_collection:
         label = "|".join([decl.element_type] * 3)
         line = f"{_quote(node_id)} [shape=record, label={_quote(label)}];"
     else:
         line = f"{_quote(node_id)} [shape=box, label={_quote(artifact)}];"
     return node_id, line
-
-
-def _find_artifact(model: m.Model, name: str):
-    for a in model.artifacts:
-        if a.name == name:
-            return a
-    return None
 
 
 def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText:
@@ -156,6 +149,9 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
         '  node [fontname="Helvetica"];',
         "",
     ]
+    artifacts: dict[str, m.ArtifactType] = {}
+    for art in model.artifacts:
+        artifacts.setdefault(art.name, art)  # the first declaration wins
     object_lines: list[str] = []
     object_edges: list[str] = []
     for node in graph.nodes:
@@ -172,14 +168,14 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
                 label = "* " + label
             lines.append(f"  {nid} [shape=box, style=rounded, label={_quote(label)}];")
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
-            _attach_objects(model, node, object_lines, object_edges)
+            _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.InvokeNode):
             lines.append(
                 f"  {nid} [shape=box, style=rounded,"
                 f" label={_quote(m.invoke_display(node))}];"
             )
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
-            _attach_objects(model, node, object_lines, object_edges)
+            _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.DecisionNode):
             lines.append(f"  {nid} [shape=diamond, label={_quote(node.subject + '?')}];")
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
@@ -213,14 +209,14 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     return DiagramText(kind, "\n".join(lines) + "\n", anchors)
 
 
-def _attach_objects(model: m.Model, node: m.ActivityNode,
+def _attach_objects(artifacts: dict[str, m.ArtifactType], node: m.ActivityNode,
                     object_lines: list[str], object_edges: list[str]) -> None:
     for art in node.inputs:
-        obj_id, decl = _object_node(model, node.id, art, "in")
+        obj_id, decl = _object_node(artifacts, node.id, art, "in")
         object_lines.append("  " + decl)
         object_edges.append(f"  {_quote(obj_id)} -> {_quote(node.id)} [style=dashed];")
     for art in node.outputs:
-        obj_id, decl = _object_node(model, node.id, art, "out")
+        obj_id, decl = _object_node(artifacts, node.id, art, "out")
         object_lines.append("  " + decl)
         object_edges.append(f"  {_quote(node.id)} -> {_quote(obj_id)} [style=dashed];")
 
@@ -432,7 +428,8 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
             except AnalysisError:
                 lines.append("Interaction pattern: unavailable")
             lines.append("")
-            for fact in loop_facts(task):
+            facts = loop_facts(task)
+            for fact in facts:
                 cycle = " -> ".join(fact.cycle)
                 if fact.exits:
                     exits = "; ".join(
@@ -443,7 +440,7 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
                     lines.append(f"- loop {cycle}: exits via {exits}")
                 else:
                     lines.append(f"- loop {cycle}: no guarded exit")
-            if loop_facts(task):
+            if facts:
                 lines.append("")
         if task.graph is not None:
             diagram = render_activity(model, agent, task)

@@ -13,15 +13,17 @@ under V6's code space.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import model as m
 from .analysis import (
-    control_adjacency,
-    loop_facts,
+    ControlFacts,
+    control_facts,
     reachable,
     strongly_connected,
     task_display,
+    unguarded_circuits,
 )
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
 from .resolver import ResolvedModel, call_graph, call_graph_roots
@@ -56,23 +58,31 @@ RULES: tuple[Rule, ...] = (
 
 RULES_BY_ID = {r.id: r for r in RULES}
 
+# a task with a body, and the control-flow facts of that body
+Body = tuple[m.Agent, m.Task, ControlFacts]
+
 
 def check(rm: ResolvedModel) -> list[Diagnostic]:
     """Run every rule; diagnostics come back sorted by file, span, code."""
+    bodies: list[Body] = [
+        (agent, task, control_facts(task.graph))
+        for agent, task in m.iter_tasks(rm.model)
+        if task.graph is not None
+    ]
     diags: list[Diagnostic] = []
     diags.extend(_v1_call_targets(rm))
     diags.extend(_v2_recursion(rm))
     diags.extend(_v3_leaf_substance(rm))
-    diags.extend(_v4_consumption(rm))
-    diags.extend(_v5_outputs_on_final_paths(rm))
-    diags.extend(_v6_graph_shape(rm))
+    diags.extend(_v4_consumption(bodies))
+    diags.extend(_v5_outputs_on_final_paths(bodies))
+    diags.extend(_v6_graph_shape(bodies))
     diags.extend(_v7_element_wise(rm))
     diags.extend(_v8_tools(rm))
     diags.extend(_v9_llm_binding(rm))
     diags.extend(_v10_deployment(rm))
     diags.extend(_v11_flow_signatures(rm))
     diags.extend(_v12_datastores(rm))
-    diags.extend(_v13_unguarded_cycles(rm))
+    diags.extend(_v13_unguarded_cycles(bodies))
     return sort_diagnostics(diags)
 
 
@@ -150,44 +160,32 @@ def _consumptions(node: m.ActivityNode) -> tuple[str, ...]:
     return ()
 
 
-def _v4_consumption(rm: ResolvedModel):
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+def _v4_consumption(bodies: list[Body]):
+    for agent, task, facts in bodies:
         graph = task.graph
-        adj = control_adjacency(graph)
-        from_start = reachable(adj, m.INITIAL_ID)
         store_reads: dict[str, set[str]] = {}
         for edge in graph.edges:
             if edge.kind is m.EdgeKind.STORE_READ:
                 store = agent.datastore(m.store_name_of(edge.source))
                 if store is not None:
                     store_reads.setdefault(edge.target, set()).add(store.artifact)
-        producers_of: dict[str, set[str]] = {}
+        # one bit per artifact that a call or invoke reachable from start produces
+        bit: dict[str, int] = {}
+        gen: dict[str, int] = {}
         for node in graph.nodes:
-            if isinstance(node, (m.CallNode, m.InvokeNode)):
+            if isinstance(node, (m.CallNode, m.InvokeNode)) and node.id in facts.from_start:
                 for art in node.outputs:
-                    producers_of.setdefault(art, set()).add(node.id)
-        # production counts when it can precede the consumption on some run,
-        # including around a loop (path of length >= 1 from producer)
-        downstream: dict[str, set[str]] = {}
-        for prod_ids in producers_of.values():
-            for pid in prod_ids:
-                if pid not in downstream:
-                    hit: set[str] = set()
-                    for succ in adj.get(pid, ()):
-                        hit |= reachable(adj, succ)
-                    downstream[pid] = hit
+                    gen[node.id] = gen.get(node.id, 0) | 1 << bit.setdefault(art, len(bit))
+        available = _available(facts, gen)
         for node in graph.nodes:
-            if node.id not in from_start:
+            if node.id not in facts.from_start:
                 continue  # unreachable nodes are V6's finding, not V4's
             for art in _consumptions(node):
                 if art in task.inputs:
                     continue
                 if art in store_reads.get(node.id, ()):
                     continue
-                if any(p in from_start and node.id in downstream[p]
-                       for p in producers_of.get(art, ())):
+                if art in bit and available.get(node.id, 0) >> bit[art] & 1:
                     continue
                 yield error(
                     "E104",
@@ -197,27 +195,50 @@ def _v4_consumption(rm: ResolvedModel):
                 )
 
 
+def _available(facts: ControlFacts, gen: dict[str, int]) -> dict[str, int]:
+    """Artifacts that may be available on entry to each node: the least
+    solution of avail[v] = OR of (avail[u] | gen[u]) over edges u -> v.
+
+    A bit is set when its artifact is produced on some path of length >= 1
+    into the node, including around a loop. This is reaching definitions
+    over bitsets (Kildall 1973), with a worklist seeded in topological order
+    so that an acyclic body settles in one pass.
+    """
+    if not gen:
+        return {}
+    order = [v for scc in reversed(facts.sccs) for v in scc if v in facts.from_start]
+    avail = dict.fromkeys(order, 0)
+    queue = deque(order)
+    queued = set(order)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        out = avail[u] | gen.get(u, 0)
+        if not out:
+            continue
+        for v in facts.succ.get(u, ()):
+            merged = avail[v] | out
+            if merged != avail[v]:
+                avail[v] = merged
+                if v not in queued:
+                    queued.add(v)
+                    queue.append(v)
+    return avail
+
+
 # --- V5 ------------------------------------------------------------------------
 
-def _v5_outputs_on_final_paths(rm: ResolvedModel):
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None or task.prompt is not None:
+def _v5_outputs_on_final_paths(bodies: list[Body]):
+    for agent, task, facts in bodies:
+        if task.prompt is not None:
             continue
-        graph = task.graph
-        adj = control_adjacency(graph)
-        from_start = reachable(adj, m.INITIAL_ID)
-        if m.FINAL_ID not in from_start:
+        if m.FINAL_ID not in facts.from_start:
             continue  # unreachable end is reported under V6
-        reverse: dict[str, list[str]] = {}
-        for src, targets in adj.items():
-            for dst in targets:
-                reverse.setdefault(dst, []).append(src)
-        reaches_end = reachable(reverse, m.FINAL_ID)
         for art in task.outputs:
             ok = False
-            for node in graph.nodes:
+            for node in task.graph.nodes:
                 if isinstance(node, (m.CallNode, m.InvokeNode)) and art in node.outputs:
-                    if node.id in from_start and node.id in reaches_end:
+                    if node.id in facts.from_start and node.id in facts.reaches_end:
                         ok = True
                         break
             if not ok:
@@ -232,18 +253,13 @@ def _v5_outputs_on_final_paths(rm: ResolvedModel):
 
 # --- V6 ------------------------------------------------------------------------
 
-def _v6_graph_shape(rm: ResolvedModel):
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+def _v6_graph_shape(bodies: list[Body]):
+    for _agent, task, facts in bodies:
         graph = task.graph
-        adj = control_adjacency(graph)
-        control_edges = [e for e in graph.edges
-                         if e.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT)]
         decisions = {n.id: n for n in graph.nodes if isinstance(n, m.DecisionNode)}
 
         for node_id, decision in sorted(decisions.items()):
-            outgoing = [e for e in control_edges if e.source == node_id]
+            outgoing = facts.out_edges.get(node_id, [])
             if len(outgoing) < 2:
                 yield error(
                     "E106",
@@ -281,7 +297,9 @@ def _v6_graph_shape(rm: ResolvedModel):
                         edge.guard.span,
                     )
 
-        for edge in control_edges:
+        for edge in graph.edges:
+            if edge.kind not in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
+                continue
             if edge.guard is not None and edge.source not in decisions:
                 yield error(
                     "E106",
@@ -291,7 +309,7 @@ def _v6_graph_shape(rm: ResolvedModel):
 
         for node in graph.nodes:
             if isinstance(node, m.ForkNode):
-                out_degree = sum(1 for e in control_edges if e.source == node.id)
+                out_degree = len(facts.out_edges.get(node.id, ()))
                 if out_degree < 2:
                     yield error(
                         "E106",
@@ -300,7 +318,7 @@ def _v6_graph_shape(rm: ResolvedModel):
                         node.span,
                     )
             elif isinstance(node, m.JoinNode):
-                in_degree = sum(1 for e in control_edges if e.target == node.id)
+                in_degree = len(facts.pred.get(node.id, ()))
                 if in_degree < 2:
                     yield error(
                         "E106",
@@ -312,9 +330,7 @@ def _v6_graph_shape(rm: ResolvedModel):
         # joins must only be reachable through fork branches
         fork_ids = {n.id for n in graph.nodes if isinstance(n, m.ForkNode)}
         adj_without_forks = {
-            src: [t for t in targets]
-            for src, targets in adj.items()
-            if src not in fork_ids
+            src: targets for src, targets in facts.succ.items() if src not in fork_ids
         }
         reachable_without_forks = reachable(adj_without_forks, m.INITIAL_ID)
         for node in graph.nodes:
@@ -325,7 +341,7 @@ def _v6_graph_shape(rm: ResolvedModel):
                     node.span,
                 )
 
-        from_start = reachable(adj, m.INITIAL_ID)
+        from_start = facts.from_start
         for node in graph.nodes:
             if isinstance(node, (m.InitialNode, m.StoreNode)):
                 continue
@@ -338,15 +354,10 @@ def _v6_graph_shape(rm: ResolvedModel):
                     "E106", f"node '{node.id}' is unreachable from start", node.span
                 )
         if m.FINAL_ID in from_start:
-            reverse: dict[str, list[str]] = {}
-            for src, targets in adj.items():
-                for dst in targets:
-                    reverse.setdefault(dst, []).append(src)
-            reaches_end = reachable(reverse, m.FINAL_ID)
             for node in graph.nodes:
                 if isinstance(node, (m.FinalNode, m.StoreNode)):
                     continue
-                if node.id in from_start and node.id not in reaches_end:
+                if node.id in from_start and node.id not in facts.reaches_end:
                     yield error(
                         "E106", f"node '{node.id}' reaches no end node", node.span
                     )
@@ -532,15 +543,11 @@ def _v12_datastores(rm: ResolvedModel):
 
 # --- V13 -----------------------------------------------------------------------
 
-def _v13_unguarded_cycles(rm: ResolvedModel):
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
-        for fact in loop_facts(task):
-            if fact.exits:
-                continue
-            cycle_text = " -> ".join(fact.cycle + (fact.cycle[0],))
-            anchor = task.graph.node_by_id(fact.cycle[0])
+def _v13_unguarded_cycles(bodies: list[Body]):
+    for agent, task, facts in bodies:
+        for cycle in unguarded_circuits(facts):
+            cycle_text = " -> ".join(cycle + (cycle[0],))
+            anchor = task.graph.node_by_id(cycle[0])
             span = anchor.span if anchor is not None else task.span
             yield warning(
                 "W113",

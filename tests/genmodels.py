@@ -273,3 +273,81 @@ def generate_model(seed: int, noise: bool = False) -> str:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     return text
+
+
+def generate_body_model(seed: int) -> str:
+    """A resolvable model whose root task body is a random control-flow graph.
+
+    The body mixes calls, tool calls, decisions, merges, guards (on decision
+    edges and elsewhere), parallel edges and datastore reads and writes. It
+    is usually shape-invalid on purpose, so that cycles with and without
+    guarded exits, unreachable nodes and unavailable artifacts all occur.
+    Unlike ``generate_model``, the result is not valid by construction.
+    """
+    rng = random.Random(seed)
+    arts = ["A", "B", "C"]
+    n = rng.randint(2, 9)
+    kinds = rng.choices(["call", "invoke", "decision", "merge"], weights=[4, 1, 3, 2], k=n)
+    nodes: list[str] = []
+    decisions: dict[str, str] = {}
+    for i, kind in enumerate(kinds):
+        nid = f"{kind[0]}{i}"
+        if kind in ("call", "invoke"):
+            ins = ", ".join(sorted(rng.sample(arts, rng.randint(1, 2))))
+            outs = ", ".join(sorted(rng.sample(arts, rng.randint(1, 2))))
+            target = "work on Helper" if kind == "call" else "Tool.run"
+            nodes.append(f"        {kind} {nid} = {target} {{ in {ins} out {outs} }}")
+        elif kind == "decision":
+            decisions[nid] = rng.choice(arts)
+            nodes.append(f"        decision {nid} on {decisions[nid]}")
+        else:
+            nodes.append(f"        merge {nid}")
+        kinds[i] = nid
+    ids = kinds
+    edges: list[str] = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u = rng.choice(["start"] + ids)
+        v = rng.choice(ids + ["end"])
+        guard = ""
+        if u in decisions and rng.random() < 0.8:
+            guard = rng.choice([f" [{decisions[u]} == X]", f" [{decisions[u]} == Y]", " [else]"])
+        elif rng.random() < 0.05:
+            guard = f" [{rng.choice(arts)} == X]"
+        edge = f"        {u} -> {v}{guard}"
+        edges.append(edge)
+        if rng.random() < 0.1:
+            edges.append(edge)  # a parallel edge
+    if rng.random() < 0.5:
+        edges.append(f"        memory.read -> {rng.choice(ids)}")
+        edges.append(f"        {rng.choice(ids)} -> memory.write")
+    rng.shuffle(edges)
+    body = "\n".join(nodes + edges)
+    return (
+        f'model "Body{seed}" {{\n'
+        "  artifact A\n"
+        "  artifact B\n"
+        "  artifact C\n"
+        "  llm M default\n"
+        "  tool Tool\n"
+        "  agent Root {\n"
+        f"    store memory : {rng.choice(arts)}\n"
+        "    task run {\n"
+        f"      in {rng.choice(arts)}\n"
+        "      out B\n"
+        "      body {\n"
+        f"{body}\n"
+        "      }\n"
+        "    }\n"
+        "  }\n"
+        "  agent Helper {\n"
+        "    task work {\n"
+        "      in A\n"
+        "      out A\n"
+        "      prompt {\n"
+        '        static role = "echo"\n'
+        '        dynamic a = "{A}"\n'
+        "      }\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )

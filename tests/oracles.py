@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check analyses.
 
 These deliberately use the slowest, most literal algorithms available:
-change impact runs a fixpoint sweep over a flat edge list, and circuit
-enumeration does an exhaustive simple-path search. They share nothing with
+change impact runs a fixpoint sweep over a flat edge list, circuit
+enumeration does an exhaustive simple-path search, and artifact availability
+searches forward from every producer. They share nothing with
 the package's graph code beyond the metamodel itself.
 
 The relation edge table (who produces/consumes/calls/hosts what, and with
@@ -235,3 +236,59 @@ def oracle_guarded_exits(graph: m.ActivityGraph, cycle: tuple[str, ...]) -> set[
             if edge.source in members and edge.target not in members:
                 exits.add((edge.source, edge.target))
     return exits
+
+
+def oracle_unavailable(agent: m.Agent, task: m.Task) -> list[tuple[str, str]]:
+    """(node id, artifact) for every consumption rule V4 must report, in body
+    node order: a node reachable from start consumes an artifact that is not
+    a task input, not read from a datastore into that node, and not produced
+    by a call or invoke reachable from start on a path of length >= 1 into
+    the node."""
+    graph = task.graph
+    successors: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        if edge.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
+            successors.setdefault(edge.source, []).append(edge.target)
+
+    def search(origins: list[str]) -> set[str]:
+        seen = set(origins)
+        frontier = list(origins)
+        while frontier:
+            for nxt in successors.get(frontier.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    from_start = search([m.INITIAL_ID])
+    store_artifacts = {s.name: s.artifact for s in agent.datastores}
+    missing: list[tuple[str, str]] = []
+    for node in graph.nodes:
+        if node.id not in from_start:
+            continue
+        if isinstance(node, (m.CallNode, m.InvokeNode)):
+            consumed = node.inputs
+        elif isinstance(node, m.DecisionNode):
+            consumed = (node.subject,)
+        else:
+            continue
+        for art in consumed:
+            if art in task.inputs:
+                continue
+            if any(
+                edge.kind is m.EdgeKind.STORE_READ
+                and edge.target == node.id
+                and store_artifacts.get(m.store_name_of(edge.source)) == art
+                for edge in graph.edges
+            ):
+                continue
+            if any(
+                isinstance(p, (m.CallNode, m.InvokeNode))
+                and art in p.outputs
+                and p.id in from_start
+                and node.id in search(successors.get(p.id, []))
+                for p in graph.nodes
+            ):
+                continue
+            missing.append((node.id, art))
+    return missing

@@ -113,6 +113,15 @@ def test_check_missing_file_exit2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_input_exit2(capsys, tmp_path):
+    path = tmp_path / "latin1.a4c"
+    path.write_bytes('model "Caf\u00e9" {\n}\n'.encode("latin-1"))
+    for argv in (("check", str(path)), ("classify", str(path)), ("fmt", "--stdout", str(path))):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == f"a4c: cannot read {path}: not valid UTF-8\n", argv
+
+
 def test_check_parse_error_exit2(capsys, mutant):
     path = mutant("broken.a4c", text='model "X" {\n  artifact \n}\n')
     rc, out, _ = run_cli(capsys, "check", path)
