@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import model as m
 from .resolver import ResolvedModel
@@ -92,39 +92,6 @@ class LoopFact:
     exits: tuple[m.ActivityEdge, ...]
 
 
-# --- display names ------------------------------------------------------------
-
-def task_display(agent_name: str, task_name: str) -> str:
-    return f"{agent_name}.{task_name}"
-
-
-def body_node_display(agent_name: str, task_name: str, node_id: str) -> str:
-    return f"{agent_name}.{task_name}/{node_id}"
-
-
-def store_display(agent_name: str, store_name: str) -> str:
-    return f"{agent_name}.{store_name}"
-
-
-def flow_display(flow: m.ContextFlow, occurrence: int) -> str:
-    return f"flow {flow.source}->{flow.target}#{occurrence}"
-
-
-def link_display(link: m.DeploymentLink, occurrence: int) -> str:
-    return f"link {link.source}->{link.target}#{occurrence}"
-
-
-def _numbered(items: Iterable, key) -> list[tuple[object, int]]:
-    counts: dict = {}
-    out = []
-    for item in items:
-        k = key(item)
-        occ = counts.get(k, 0)
-        counts[k] = occ + 1
-        out.append((item, occ))
-    return out
-
-
 # --- impact graph -------------------------------------------------------------
 
 class _ImpactGraph:
@@ -155,29 +122,29 @@ def _build_impact_graph(rm: ResolvedModel) -> _ImpactGraph:
         if llm is not None:
             g.add(llm.name, agent.name, "Consumes", "Consumes")
         for task in agent.tasks:
-            tq = task_display(agent.name, task.name)
+            tq = m.task_display(agent.name, task.name)
             g.add(agent.name, tq, "Hosts", "Hosts")
             produced = set(task.outputs)
             consumed = set(task.inputs)
             if task.graph is not None:
                 for node in task.graph.nodes:
                     if isinstance(node, m.CallNode):
-                        callee = task_display(rm.callee_agent_name(agent, node), node.task)
+                        callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
                         g.add(tq, callee, "Calls", "CalledBy")
                     elif isinstance(node, m.InvokeNode):
                         produced.update(node.outputs)
                         consumed.update(node.inputs)
                         g.add(node.tool, tq, "Consumes", "Consumes")
                     elif isinstance(node, m.DecisionNode):
-                        dq = body_node_display(agent.name, task.name, node.id)
+                        dq = m.body_node_display(agent.name, task.name, node.id)
                         g.add(node.subject, dq, "Gates", "Gates")
                         g.add(dq, node.subject, "Gates", "Gates")
                 for edge in task.graph.edges:
                     if edge.kind is m.EdgeKind.STORE_WRITE:
-                        sq = store_display(agent.name, m.store_name_of(edge.target))
+                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
                         g.add(tq, sq, "Produces", "Produces")
                     elif edge.kind is m.EdgeKind.STORE_READ:
-                        sq = store_display(agent.name, m.store_name_of(edge.source))
+                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
                         g.add(sq, tq, "Consumes", "Consumes")
             for art in sorted(produced):
                 g.add(tq, art, "Produces", "Produces")
@@ -192,8 +159,8 @@ def _element_level_map(rm: ResolvedModel) -> dict[str, str]:
     if model.context is not None:
         for actor in model.context.actors:
             levels[actor.name] = "C1"
-        for flow, occ in _numbered(model.context.flows, lambda f: (f.source, f.target)):
-            levels[flow_display(flow, occ)] = "C1"
+        for flow in model.context.flows:
+            levels[m.flow_display(flow)] = "C1"
     for llm in model.llms:
         levels[llm.name] = "C1"
     for tool in model.tools:
@@ -201,20 +168,20 @@ def _element_level_map(rm: ResolvedModel) -> dict[str, str]:
     if model.deployment is not None:
         for node in model.deployment.nodes:
             levels[node.name] = "C2"
-        for link, occ in _numbered(model.deployment.links, lambda l: (l.source, l.target)):
-            levels[link_display(link, occ)] = "C2"
+        for link in model.deployment.links:
+            levels[m.link_display(link)] = "C2"
     for agent in model.agents:
         levels[agent.name] = "C3"
         for store in agent.datastores:
-            levels[store_display(agent.name, store.name)] = "C3"
+            levels[m.store_display(agent.name, store.name)] = "C3"
         for task in agent.tasks:
             lvl = m.level_of(task)
-            levels[task_display(agent.name, task.name)] = lvl
+            levels[m.task_display(agent.name, task.name)] = lvl
             if task.graph is not None:
                 for node in task.graph.nodes:
                     if isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
                         continue
-                    levels[body_node_display(agent.name, task.name, node.id)] = lvl
+                    levels[m.body_node_display(agent.name, task.name, node.id)] = lvl
     return levels
 
 
@@ -234,9 +201,9 @@ def seed_table(rm: ResolvedModel) -> dict[str, str]:
             if task.graph is not None:
                 for node in task.graph.nodes:
                     if not isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
-                        table[body_node_display(agent.name, task.name, node.id)] = "body node"
+                        table[m.body_node_display(agent.name, task.name, node.id)] = "body node"
         for store in agent.datastores:
-            table[store_display(agent.name, store.name)] = "store"
+            table[m.store_display(agent.name, store.name)] = "store"
     for llm in model.llms:
         table[llm.name] = "llm"
     for tool in model.tools:
@@ -245,7 +212,7 @@ def seed_table(rm: ResolvedModel) -> dict[str, str]:
         table[artifact.name] = "artifact"
     for agent in model.agents:
         for task in agent.tasks:
-            table[task_display(agent.name, task.name)] = "task"
+            table[m.task_display(agent.name, task.name)] = "task"
     for agent in model.agents:
         table[agent.name] = "agent"
     return table
@@ -295,10 +262,10 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
     model = rm.model
     affected_set = set(affected)
     if model.context is not None:
-        for flow, occ in _numbered(model.context.flows, lambda f: (f.source, f.target)):
+        for flow in model.context.flows:
             hits = sorted(a for a in flow.artifacts if a in affected_set)
             if hits:
-                display = flow_display(flow, occ)
+                display = m.flow_display(flow)
                 affected[display] = Affected(
                     display, "FlowsOver", affected[hits[0]].path + (display,)
                 )
@@ -309,10 +276,10 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
                 affected[node.name] = Affected(
                     node.name, "Hosts", affected[hits[0]].path + (node.name,)
                 )
-        for link, occ in _numbered(model.deployment.links, lambda l: (l.source, l.target)):
+        for link in model.deployment.links:
             hits = sorted(a for a in link.artifacts if a in affected_set)
             if hits:
-                display = link_display(link, occ)
+                display = m.link_display(link)
                 affected[display] = Affected(
                     display, "FlowsOver", affected[hits[0]].path + (display,)
                 )
@@ -572,7 +539,7 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
     elements that witnessed the decision.
     """
     if not task.is_composite:
-        raise AnalysisError("A002", f"task '{agent.name}.{task.name}' is a leaf")
+        raise AnalysisError("A002", f"task '{m.task_display(agent.name, task.name)}' is a leaf")
     graph = task.graph
     assert graph is not None
     calls = graph.call_nodes()

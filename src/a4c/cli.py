@@ -126,10 +126,10 @@ def _print_diagnostics(diags: list[Diagnostic], fmt: str, stream=None) -> None:
 
 
 def _read(path: str) -> Optional[str]:
-    """The text of one model file, or None once the reason it cannot be read
-    is printed on stderr."""
+    """The text of one model file, without a leading byte-order mark, or None
+    once the reason it cannot be read is printed on stderr."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         reason = exc.strerror
@@ -236,16 +236,15 @@ def _cmd_render(args) -> int:
         else:
             files["c2.puml"] = render_deployment(model).text
     for agent, task in m.iter_tasks(model):
+        stem = m.task_display(agent.name, task.name)
         if task.graph is not None and (
             level == "all"
             or (level == "c3" and task.is_composite)
             or (level == "c4" and task.is_leaf)
         ):
-            name = f"activity/{agent.name}.{task.name}.dot"
-            files[name] = render_activity(model, agent, task).text
+            files[f"activity/{stem}.dot"] = render_activity(model, agent, task).text
         if task.prompt is not None and level in ("c4", "all"):
-            name = f"prompts/{agent.name}.{task.name}.md"
-            files[name] = render_prompts(agent, task).text
+            files[f"prompts/{stem}.md"] = render_prompts(agent, task).text
     _write_outputs(args.out, files)
     return EXIT_OK
 
@@ -302,7 +301,7 @@ def _cmd_classify(args) -> int:
         sys.stdout.write("\n")
         return EXIT_OK
     for agent, task, pattern in rows:
-        print(f"{agent.name}.{task.name}: {pattern.value}")
+        print(f"{m.task_display(agent.name, task.name)}: {pattern.value}")
     return EXIT_OK
 
 
@@ -318,15 +317,19 @@ def _cmd_docs(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
+    # every file is formatted before any is written, so one that fails to
+    # read or parse leaves them all untouched
+    outputs: list[tuple[str, str]] = []
     for path in args.files:
         text = _read(path)
         if text is None:
             return EXIT_INPUT
         try:
-            formatted = canonical_format(text, path)
+            outputs.append((path, canonical_format(text, path)))
         except FormatError as exc:
             _print_diagnostics([exc.diagnostic] + exc.causes, "text", sys.stderr)
             return EXIT_INPUT
+    for path, formatted in outputs:
         if args.stdout:
             sys.stdout.write(formatted)
         else:

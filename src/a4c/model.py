@@ -44,6 +44,7 @@ class ContextFlow:
     target: str
     artifacts: tuple[str, ...]
     span: SourceSpan
+    occurrence: int  # earlier flows in the model with the same source and target
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,7 @@ class DeploymentLink:
     protocol: str
     artifacts: tuple[str, ...]
     span: SourceSpan
+    occurrence: int  # earlier links in the model with the same source and target
 
 
 @dataclass(frozen=True)
@@ -277,15 +279,6 @@ class Task:
     def is_leaf(self) -> bool:
         return not self.is_composite
 
-    @property
-    def tool_only(self) -> bool:
-        return (
-            self.is_leaf
-            and self.prompt is None
-            and self.graph is not None
-            and len(self.graph.invoke_nodes()) > 0
-        )
-
 
 @dataclass(frozen=True)
 class Datastore:
@@ -370,7 +363,36 @@ class Model:
         return None
 
 
-# --- element ids (source_map keys) -------------------------------------------
+# --- element names -------------------------------------------------------------
+#
+# A task, body node, datastore, flow or link has one display form, the name
+# that `impact`, `classify` and diagnostics print; its id (the source_map and
+# anchor key) is a kind prefix on that form. A repeated flow or link is told
+# apart by its occurrence number, which the parser counts.
+
+def task_display(agent: str, task: str) -> str:
+    return f"{agent}.{task}"
+
+
+def body_node_display(agent: str, task: str, node: str) -> str:
+    return f"{task_display(agent, task)}/{node}"
+
+
+def store_display(agent: str, store: str) -> str:
+    return f"{agent}.{store}"
+
+
+def _arrow(item: Union[ContextFlow, DeploymentLink]) -> str:
+    return f"{item.source}->{item.target}#{item.occurrence}"
+
+
+def flow_display(flow: ContextFlow) -> str:
+    return f"flow {_arrow(flow)}"
+
+
+def link_display(link: DeploymentLink) -> str:
+    return f"link {_arrow(link)}"
+
 
 def artifact_id(name: str) -> str:
     return f"artifact:{name}"
@@ -380,8 +402,8 @@ def actor_id(name: str) -> str:
     return f"actor:{name}"
 
 
-def flow_id(flow: ContextFlow, occurrence: int) -> str:
-    return f"flow:{flow.source}->{flow.target}#{occurrence}"
+def flow_id(flow: ContextFlow) -> str:
+    return f"flow:{_arrow(flow)}"
 
 
 def llm_id(name: str) -> str:
@@ -396,8 +418,8 @@ def deployment_node_id(name: str) -> str:
     return f"node:{name}"
 
 
-def link_id(link: DeploymentLink, occurrence: int) -> str:
-    return f"link:{link.source}->{link.target}#{occurrence}"
+def link_id(link: DeploymentLink) -> str:
+    return f"link:{_arrow(link)}"
 
 
 def agent_id(name: str) -> str:
@@ -405,19 +427,19 @@ def agent_id(name: str) -> str:
 
 
 def store_elem_id(agent: str, store: str) -> str:
-    return f"store:{agent}.{store}"
+    return f"store:{store_display(agent, store)}"
 
 
 def task_id(agent: str, task: str) -> str:
-    return f"task:{agent}.{task}"
+    return f"task:{task_display(agent, task)}"
 
 
 def activity_node_id(agent: str, task: str, node: str) -> str:
-    return f"anode:{agent}.{task}/{node}"
+    return f"anode:{body_node_display(agent, task, node)}"
 
 
 def prompt_row_id(agent: str, task: str, row: str) -> str:
-    return f"prow:{agent}.{task}/{row}"
+    return f"prow:{task_display(agent, task)}/{row}"
 
 
 def store_node_id(store: str) -> str:
@@ -433,23 +455,7 @@ def store_name_of(node_id: str) -> str:
     return node_id[len(STORE_ID_PREFIX):]
 
 
-# --- naming and level operations ---------------------------------------------
-
-def qualified_name(element: object, agent: Optional[Agent] = None) -> str:
-    """Stable dotted name for a declared element.
-
-    Tasks and datastores need their owning ``agent`` to qualify the name.
-    """
-    if isinstance(element, Agent):
-        return element.name
-    if isinstance(element, Task):
-        return f"{agent.name}.{element.name}" if agent else element.name
-    if isinstance(element, Datastore):
-        return f"{agent.name}.{element.name}" if agent else element.name
-    if isinstance(element, (ArtifactType, LlmDecl, ToolDecl, Actor, DeploymentNode)):
-        return element.name
-    raise TypeError(f"no qualified name for {type(element).__name__}")
-
+# --- display and level operations ---------------------------------------------
 
 def call_display(call: CallNode) -> str:
     """Rendering form of a TaskCall: ``task:Agent``, or ``task`` for self-calls."""

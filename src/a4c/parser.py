@@ -223,10 +223,10 @@ class _Parser:
             self.diags.append(error("P001", "flow target matches its source", dst_tok.span))
         self.expect(COLON, "':'")
         arts = self.parse_identlist("artifact name")
-        flow = m.ContextFlow(src, dst_tok.value, arts, self.span_from(start))
         occ = self._flow_counts.get((src, dst_tok.value), 0)
         self._flow_counts[(src, dst_tok.value)] = occ + 1
-        self.register(m.flow_id(flow, occ), flow.span)
+        flow = m.ContextFlow(src, dst_tok.value, arts, self.span_from(start), occ)
+        self.register(m.flow_id(flow), flow.span)
         return flow
 
     def parse_artifact(self) -> m.ArtifactType:
@@ -314,10 +314,10 @@ class _Parser:
         if self.at(COLON):
             self.advance()
             arts = self.parse_identlist("artifact name")
-        link = m.DeploymentLink(src, dst, protocol, arts, self.span_from(start))
         occ = self._link_counts.get((src, dst), 0)
         self._link_counts[(src, dst)] = occ + 1
-        self.register(m.link_id(link, occ), link.span)
+        link = m.DeploymentLink(src, dst, protocol, arts, self.span_from(start), occ)
+        self.register(m.link_id(link), link.span)
         return link
 
     def parse_agent(self) -> m.Agent:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import model as m
-from .analysis import AnalysisError, classify, loop_facts, task_display
+from .analysis import AnalysisError, classify, loop_facts
+from .lexer import escape_string
 from .resolver import ResolvedModel, call_graph
 
 
@@ -36,10 +37,6 @@ class DiagramText:
 class DocsBundle:
     files: dict[str, str]  # relative path -> content
     anchors: dict[str, str]  # element id -> page it is documented on
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # --- C1: system context ----------------------------------------------------------
@@ -65,14 +62,10 @@ def render_context(model: m.Model) -> DiagramText:
         anchors[m.tool_id(tool.name)] = tool.name
     if context is not None:
         lines.append("")
-        occurrences: dict[tuple[str, str], int] = {}
         for flow in context.flows:
-            key = (flow.source, flow.target)
-            occ = occurrences.get(key, 0)
-            occurrences[key] = occ + 1
             label = ", ".join(flow.artifacts)
             lines.append(f"{flow.source} --> {flow.target} : {label}")
-            anchors[m.flow_id(flow, occ)] = f"{flow.source} --> {flow.target}"
+            anchors[m.flow_id(flow)] = f"{flow.source} --> {flow.target}"
     lines.append("@enduml")
     return DiagramText("c1", "\n".join(lines) + "\n", anchors)
 
@@ -101,16 +94,12 @@ def render_deployment(model: m.Model) -> DiagramText:
         lines.append("}")
         anchors[m.deployment_node_id(node.name)] = node.name
     lines.append("")
-    occurrences: dict[tuple[str, str], int] = {}
     for link in deployment.links:
-        key = (link.source, link.target)
-        occ = occurrences.get(key, 0)
-        occurrences[key] = occ + 1
         label = link.protocol
         if link.artifacts:
             label += " : " + ", ".join(link.artifacts)
         lines.append(f"{link.source} --> {link.target} : {label}")
-        anchors[m.link_id(link, occ)] = f"{link.source} --> {link.target}"
+        anchors[m.link_id(link)] = f"{link.source} --> {link.target}"
     lines.append("@enduml")
     return DiagramText("c2", "\n".join(lines) + "\n", anchors)
 
@@ -119,32 +108,30 @@ def render_deployment(model: m.Model) -> DiagramText:
 
 def _object_node(artifacts: dict[str, m.ArtifactType], owner_id: str, artifact: str,
                  direction: str) -> tuple[str, str]:
-    """Declare one per-action object node; returns (node id, declaration line).
+    """Declare one per-action object node; returns (quoted node id, declaration line).
 
     Collections render as a segmented record, a stack of element instances.
     """
-    node_id = f"art:{owner_id}:{direction}:{artifact}"
+    node_id = escape_string(f"art:{owner_id}:{direction}:{artifact}")
     decl = artifacts.get(artifact)
     if decl is not None and decl.is_collection:
         label = "|".join([decl.element_type] * 3)
-        line = f"{_quote(node_id)} [shape=record, label={_quote(label)}];"
+        line = f"{node_id} [shape=record, label={escape_string(label)}];"
     else:
-        line = f"{_quote(node_id)} [shape=box, label={_quote(artifact)}];"
+        line = f"{node_id} [shape=box, label={escape_string(artifact)}];"
     return node_id, line
 
 
 def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText:
+    title = m.task_display(agent.name, task.name)
     if task.graph is None:
-        raise RenderError(
-            "R002", f"task '{task_display(agent.name, task.name)}' has no body"
-        )
+        raise RenderError("R002", f"task '{title}' has no body")
     graph = task.graph
-    title = task_display(agent.name, task.name)
     anchors: dict[str, str] = {m.task_id(agent.name, task.name): title}
     lines = [
-        f"digraph {_quote(title)} {{",
+        f"digraph {escape_string(title)} {{",
         "  rankdir=TB;",
-        f"  label={_quote(title)};",
+        f"  label={escape_string(title)};",
         "  labelloc=t;",
         '  node [fontname="Helvetica"];',
         "",
@@ -155,7 +142,7 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     object_lines: list[str] = []
     object_edges: list[str] = []
     for node in graph.nodes:
-        nid = _quote(node.id)
+        nid = escape_string(node.id)
         if isinstance(node, m.InitialNode):
             lines.append(f"  {nid} [shape=circle, style=filled, fillcolor=black,"
                          ' label="", width=0.2];')
@@ -166,18 +153,18 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
             label = m.call_display(node)
             if node.element_wise:
                 label = "* " + label
-            lines.append(f"  {nid} [shape=box, style=rounded, label={_quote(label)}];")
+            lines.append(f"  {nid} [shape=box, style=rounded, label={escape_string(label)}];")
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
             _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.InvokeNode):
             lines.append(
                 f"  {nid} [shape=box, style=rounded,"
-                f" label={_quote(m.invoke_display(node))}];"
+                f" label={escape_string(m.invoke_display(node))}];"
             )
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
             _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.DecisionNode):
-            lines.append(f"  {nid} [shape=diamond, label={_quote(node.subject + '?')}];")
+            lines.append(f"  {nid} [shape=diamond, label={escape_string(node.subject + '?')}];")
             anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         elif isinstance(node, m.MergeNode):
             lines.append(f'  {nid} [shape=diamond, label=""];')
@@ -189,7 +176,7 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
         elif isinstance(node, m.StoreNode):
             store = agent.datastore(node.store)
             label = node.store if store is None else f"{node.store} : {store.artifact}"
-            lines.append(f"  {nid} [shape=cylinder, label={_quote(label)}];")
+            lines.append(f"  {nid} [shape=cylinder, label={escape_string(label)}];")
             anchors[m.store_elem_id(agent.name, node.store)] = node.id
     if object_lines:
         lines.append("")
@@ -198,11 +185,11 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     for edge in graph.edges:
         attrs: list[str] = []
         if edge.guard is not None:
-            attrs.append(f"label={_quote(edge.guard.display())}")
+            attrs.append(f"label={escape_string(edge.guard.display())}")
         if edge.kind in (m.EdgeKind.STORE_READ, m.EdgeKind.STORE_WRITE):
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(edge.source)} -> {_quote(edge.target)}{suffix};")
+        lines.append(f"  {escape_string(edge.source)} -> {escape_string(edge.target)}{suffix};")
     lines.extend(object_edges)
     lines.append("}")
     kind = "c3" if task.is_composite else "c4"
@@ -211,14 +198,15 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
 
 def _attach_objects(artifacts: dict[str, m.ArtifactType], node: m.ActivityNode,
                     object_lines: list[str], object_edges: list[str]) -> None:
+    nid = escape_string(node.id)
     for art in node.inputs:
         obj_id, decl = _object_node(artifacts, node.id, art, "in")
         object_lines.append("  " + decl)
-        object_edges.append(f"  {_quote(obj_id)} -> {_quote(node.id)} [style=dashed];")
+        object_edges.append(f"  {obj_id} -> {nid} [style=dashed];")
     for art in node.outputs:
         obj_id, decl = _object_node(artifacts, node.id, art, "out")
         object_lines.append("  " + decl)
-        object_edges.append(f"  {_quote(node.id)} -> {_quote(obj_id)} [style=dashed];")
+        object_edges.append(f"  {nid} -> {obj_id} [style=dashed];")
 
 
 # --- prompt tables ----------------------------------------------------------------
@@ -228,11 +216,9 @@ def _md_escape(cell: str) -> str:
 
 
 def render_prompts(agent: m.Agent, task: m.Task) -> DiagramText:
+    title = m.task_display(agent.name, task.name)
     if task.prompt is None:
-        raise RenderError(
-            "R003", f"task '{task_display(agent.name, task.name)}' has no prompt"
-        )
-    title = task_display(agent.name, task.name)
+        raise RenderError("R003", f"task '{title}' has no prompt")
     anchors: dict[str, str] = {m.task_id(agent.name, task.name): title}
     lines = [f"# Prompt: {title}", "", "| Part | Content |", "| --- | --- |"]
     ordered = [r for r in task.prompt.rows if r.part is m.PromptPart.STATIC]
@@ -282,14 +268,10 @@ def _page_context(model: m.Model, anchors: dict[str, str]) -> str:
         lines.append("")
     if context is not None and context.flows:
         lines += ["## Flows", ""]
-        occurrences: dict[tuple[str, str], int] = {}
         for flow in context.flows:
-            key = (flow.source, flow.target)
-            occ = occurrences.get(key, 0)
-            occurrences[key] = occ + 1
             arts = ", ".join(flow.artifacts)
             lines.append(f"- {flow.source} to {flow.target}: {arts}")
-            anchors.setdefault(m.flow_id(flow, occ), "c1.md")
+            anchors.setdefault(m.flow_id(flow), "c1.md")
         lines.append("")
     if model.llms:
         lines += ["## Models", "", "| Name | Version | Default |", "| --- | --- | --- |"]
@@ -326,14 +308,10 @@ def _page_deployment(model: m.Model, anchors: dict[str, str]) -> str:
         anchors.setdefault(m.deployment_node_id(node.name), "c2.md")
     if deployment.links:
         lines += ["", "## Links", ""]
-        occurrences: dict[tuple[str, str], int] = {}
         for link in deployment.links:
-            key = (link.source, link.target)
-            occ = occurrences.get(key, 0)
-            occurrences[key] = occ + 1
             arts = f" carrying {', '.join(link.artifacts)}" if link.artifacts else ""
             lines.append(f"- {link.source} to {link.target} over {link.protocol}{arts}")
-            anchors.setdefault(m.link_id(link, occ), "c2.md")
+            anchors.setdefault(m.link_id(link), "c2.md")
     return "\n".join(lines) + "\n"
 
 
@@ -362,8 +340,8 @@ def _page_agents_overview(rm: ResolvedModel, anchors: dict[str, str]) -> str:
     for (caller_agent, caller_task), callees in edges.items():
         for callee_agent, callee_task in callees:
             edge_lines.append(
-                f"- {task_display(caller_agent, caller_task)} calls"
-                f" {task_display(callee_agent, callee_task)}"
+                f"- {m.task_display(caller_agent, caller_task)} calls"
+                f" {m.task_display(callee_agent, callee_task)}"
             )
     if edge_lines:
         lines += ["## Task calls", ""] + edge_lines + [""]
@@ -382,7 +360,7 @@ def _signature(task: m.Task) -> str:
 def _page_leaves(model: m.Model, leaf_tasks, anchors: dict[str, str]) -> str:
     lines = [f"# {model.name}: leaf tasks", ""]
     for agent, task in leaf_tasks:
-        title = task_display(agent.name, task.name)
+        title = m.task_display(agent.name, task.name)
         lines.append(f"## {title}")
         lines.append("")
         anchors.setdefault(m.task_id(agent.name, task.name), "c4.md")
@@ -412,7 +390,6 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
             anchors.setdefault(m.store_elem_id(agent.name, store.name), page)
         lines.append("")
     for task in agent.tasks:
-        title = task_display(agent.name, task.name)
         lines.append(f"## Task {task.name}")
         lines.append("")
         anchors.setdefault(m.task_id(agent.name, task.name), page)

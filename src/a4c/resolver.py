@@ -33,10 +33,11 @@ class ResolvedModel:
     nodes: dict[str, m.DeploymentNode]
     default_llm: Optional[m.LlmDecl]
     host_of: dict[str, str]  # agent/tool name -> deployment node name
+    tasks: dict[str, dict[str, m.Task]]  # agent name -> task name -> task
+    stores: dict[str, dict[str, m.Datastore]]  # agent name -> datastore name -> datastore
 
     def task(self, agent_name: str, task_name: str) -> Optional[m.Task]:
-        agent = self.agents.get(agent_name)
-        return agent.task(task_name) if agent else None
+        return self.tasks.get(agent_name, {}).get(task_name)
 
     def llm_of(self, agent: m.Agent) -> Optional[m.LlmDecl]:
         if agent.llm is not None:
@@ -148,8 +149,11 @@ class _Resolver:
                     if art not in artifacts:
                         self.err("E001", f"unresolved artifact '{art}'", link.span)
 
+        tasks: dict[str, dict[str, m.Task]] = {}
+        stores: dict[str, dict[str, m.Datastore]] = {}
         for agent in model.agents:
-            self.resolve_agent(agent, artifacts, agents, llms)
+            tasks[agent.name], stores[agent.name] = self.resolve_agent(
+                agent, artifacts, agents, llms)
 
         diags = sort_diagnostics(self.diags)
         if has_errors(diags):
@@ -164,6 +168,8 @@ class _Resolver:
             nodes=nodes,
             default_llm=default_llm,
             host_of=host_of,
+            tasks=tasks,
+            stores=stores,
         )
         return ResolveResult(resolved, diags)
 
@@ -181,7 +187,8 @@ class _Resolver:
         artifacts: dict[str, m.ArtifactType],
         agents: dict[str, m.Agent],
         llms: dict[str, m.LlmDecl],
-    ) -> None:
+    ) -> tuple[dict[str, m.Task], dict[str, m.Datastore]]:
+        """Check one agent; returns its task and datastore tables."""
         if agent.llm is not None and agent.llm not in llms:
             self.err("E001", f"unresolved llm '{agent.llm}'", agent.span)
 
@@ -203,6 +210,7 @@ class _Resolver:
 
         for task in agent.tasks:
             self.resolve_task(agent, task, artifacts, agents, stores)
+        return tasks, stores
 
     def resolve_task(
         self,

@@ -22,7 +22,6 @@ from .analysis import (
     control_facts,
     reachable,
     strongly_connected,
-    task_display,
     unguarded_circuits,
 )
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
@@ -73,7 +72,7 @@ def check(rm: ResolvedModel) -> list[Diagnostic]:
     diags.extend(_v1_call_targets(rm))
     diags.extend(_v2_recursion(rm))
     diags.extend(_v3_leaf_substance(rm))
-    diags.extend(_v4_consumption(bodies))
+    diags.extend(_v4_consumption(rm, bodies))
     diags.extend(_v5_outputs_on_final_paths(bodies))
     diags.extend(_v6_graph_shape(bodies))
     diags.extend(_v7_element_wise(rm))
@@ -97,41 +96,25 @@ def _v1_call_targets(rm: ResolvedModel):
         if task.graph is None:
             continue
         for call in task.graph.call_nodes():
-            callee_agent = rm.agents.get(rm.callee_agent_name(agent, call))
-            if callee_agent is None:
-                continue  # unresolved agent name was already E001
-            if callee_agent.task(call.task) is None:
-                yield error(
-                    "E101",
-                    f"agent '{callee_agent.name}' has no task '{call.task}'",
-                    call.span,
-                )
+            callee = rm.callee_agent_name(agent, call)
+            # an unresolved agent name was already E001
+            if callee in rm.agents and rm.task(callee, call.task) is None:
+                yield error("E101", f"agent '{callee}' has no task '{call.task}'", call.span)
 
 
 # --- V2 ------------------------------------------------------------------------
 
 def _v2_recursion(rm: ResolvedModel):
-    graph = call_graph(rm)
-    existing = set(graph)
-    adj = {
-        task_display(*key): sorted(
-            task_display(*callee) for callee in callees if callee in existing
-        )
-        for key, callees in graph.items()
-    }
-    decl_order = {task_display(a.name, t.name): i
-                  for i, (a, t) in enumerate(m.iter_tasks(rm.model))}
+    graph = call_graph(rm)  # keyed by (agent, task) in declaration order
+    adj = {key: sorted(c for c in callees if c in graph) for key, callees in graph.items()}
+    decl_order = {key: i for i, key in enumerate(graph)}
     for scc in strongly_connected(sorted(adj), adj):
-        cyclic = len(scc) > 1 or scc[0] in adj.get(scc[0], ())
-        if not cyclic:
+        if len(scc) == 1 and scc[0] not in adj[scc[0]]:
             continue
-        members = sorted(scc, key=lambda q: decl_order[q])
-        first = members[0]
-        agent_name, task_name = first.split(".", 1)
-        task = rm.task(agent_name, task_name)
-        assert task is not None
-        cycle_text = " -> ".join(members + [first])
-        yield error("E102", f"recursive task decomposition: {cycle_text}", task.span)
+        members = sorted(scc, key=decl_order.__getitem__)
+        cycle_text = " -> ".join(m.task_display(*key) for key in members + members[:1])
+        yield error("E102", f"recursive task decomposition: {cycle_text}",
+                    rm.task(*members[0]).span)
 
 
 # --- V3 ------------------------------------------------------------------------
@@ -144,7 +127,7 @@ def _v3_leaf_substance(rm: ResolvedModel):
         if not has_invoke and task.prompt is None:
             yield error(
                 "E103",
-                f"leaf task '{task_display(agent.name, task.name)}' has neither a tool"
+                f"leaf task '{m.task_display(agent.name, task.name)}' has neither a tool"
                 " call nor a prompt",
                 task.span,
             )
@@ -160,13 +143,14 @@ def _consumptions(node: m.ActivityNode) -> tuple[str, ...]:
     return ()
 
 
-def _v4_consumption(bodies: list[Body]):
+def _v4_consumption(rm: ResolvedModel, bodies: list[Body]):
     for agent, task, facts in bodies:
         graph = task.graph
+        stores = rm.stores[agent.name]
         store_reads: dict[str, set[str]] = {}
         for edge in graph.edges:
             if edge.kind is m.EdgeKind.STORE_READ:
-                store = agent.datastore(m.store_name_of(edge.source))
+                store = stores.get(m.store_name_of(edge.source))
                 if store is not None:
                     store_reads.setdefault(edge.target, set()).add(store.artifact)
         # one bit per artifact that a call or invoke reachable from start produces
@@ -245,7 +229,7 @@ def _v5_outputs_on_final_paths(bodies: list[Body]):
                 yield warning(
                     "W105",
                     f"declared output '{art}' of task"
-                    f" '{task_display(agent.name, task.name)}' is produced on no"
+                    f" '{m.task_display(agent.name, task.name)}' is produced on no"
                     " path from start to end",
                     task.span,
                 )
@@ -552,6 +536,6 @@ def _v13_unguarded_cycles(bodies: list[Body]):
             yield warning(
                 "W113",
                 f"control-flow cycle {cycle_text} in task"
-                f" '{task_display(agent.name, task.name)}' has no guarded exit",
+                f" '{m.task_display(agent.name, task.name)}' has no guarded exit",
                 span,
             )

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import importlib.resources as ir
 import json
+import os
 import pathlib
 import random
 import subprocess
 import sys
 
+import a4c
 from a4c.analysis import Pattern, classify, impact, loop_facts, seed_table
 from a4c.formatter import canonical_format
 from a4c.model import fingerprint
@@ -26,6 +28,13 @@ from test_validate import all_codes, mutations
 from util import alpha_rename
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this same a4c."""
+    src = str(pathlib.Path(a4c.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def corpus_path(name: str) -> str:
@@ -179,7 +188,7 @@ def test_criterion_7_rendering_determinism(tmp_path, testgen_rm, recovery_rm, re
     for run_dir in ("run1", "run2"):
         subprocess.run(
             [sys.executable, str(script), str(tmp_path / run_dir), *specs],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=child_env(),
         )
     failures = []
     for name in CORPUS:
@@ -205,7 +214,7 @@ def test_criterion_8_cli_contract(tmp_path, testgen_text):
 
     def run(args: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-m", "a4c.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
 
     table = [
         (["check", corpus_path("testgen")], 0),

@@ -377,3 +377,30 @@ def test_fmt_parse_error_exit2(capsys, tmp_path):
     assert "error[P001]" in err
     # the broken source is left untouched
     assert work.read_text(encoding="utf-8") == 'model "X" {\n  artifact \n}\n'
+
+
+@pytest.mark.parametrize("bad", ["broken", "absent"])
+def test_fmt_failure_leaves_every_file_untouched(capsys, tmp_path, testgen_text, bad):
+    good = tmp_path / "good.a4c"
+    good.write_text(testgen_text + "\n\n", encoding="utf-8")
+    broken = tmp_path / "broken.a4c"
+    if bad == "broken":
+        broken.write_text('model "X" {\n  artifact \n}\n', encoding="utf-8")
+    for argv in (("fmt", str(good), str(broken)), ("fmt", "--stdout", str(good), str(broken))):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err
+        assert good.read_text(encoding="utf-8") == testgen_text + "\n\n"
+
+
+def test_byte_order_mark_is_accepted(capsys, tmp_path, testgen_text):
+    path = tmp_path / "bom.a4c"
+    path.write_bytes(b"\xef\xbb\xbf" + testgen_text.encode("utf-8"))
+    rc, out, err = run_cli(capsys, "check", str(path))
+    assert (rc, out, err) == (0, "", "")
+    rc, _, _ = run_cli(capsys, "fmt", str(path))
+    assert rc == 0
+    formatted = path.read_bytes()
+    assert not formatted.startswith(b"\xef\xbb\xbf")
+    rc, expected, _ = run_cli(capsys, "fmt", "--stdout", corpus_path("testgen"))
+    assert formatted.decode("utf-8") == expected

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from a4c.analysis import impact
 from a4c.cli import main as cli_main
 from a4c.render import (
     RenderError,
@@ -15,6 +16,7 @@ from a4c.render import (
     render_prompts,
 )
 
+import oracles
 from conftest import CORPUS, corpus_text, load_resolved
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
@@ -258,3 +260,56 @@ def test_generated_models_stay_anchored(model_pool):
     for _i, _text, rm in model_pool[:30]:
         missing = set(rm.model.source_map) - anchor_union(rm)
         assert not missing, missing
+
+
+# --- repeated flows and links ------------------------------------------------------
+
+REPEATED = """model "Twice" {
+  context {
+    user S
+    system T
+    flow S -> T : A
+    flow S -> T : B
+  }
+  artifact A
+  artifact B
+  llm M default
+  deployment {
+    node N1 { hosts W }
+    node N2 { }
+    link N1 -> N2 : "HTTP" : A
+    link N1 -> N2 : "HTTP" : B
+  }
+  agent W {
+    task run {
+      in A
+      out B
+      prompt {
+        dynamic a = "{A}"
+      }
+    }
+  }
+}
+"""
+
+
+def test_repeated_flows_and_links_are_numbered():
+    rm = load_resolved(REPEATED, "twice.a4c")
+    model = rm.model
+    ids = ["flow:S->T#0", "flow:S->T#1", "link:N1->N2#0", "link:N1->N2#1"]
+    source_map = list(model.source_map)
+    assert [k for k in source_map if k.startswith(("flow:", "link:"))] == ids
+    spans = [model.source_map[k].start.line for k in ids]
+    assert spans == [5, 6, 14, 15]
+    assert [k for k in render_context(model).element_anchors if k.startswith("flow:")] == ids[:2]
+    assert list(render_deployment(model).element_anchors)[2:] == ids[2:]
+    anchors = docs_bundle(rm).anchors
+    assert [anchors[k] for k in ids] == ["c1.md", "c1.md", "c2.md", "c2.md"]
+
+    # B rides only on the second flow and the second link
+    report = impact(rm, "A", "down")
+    got = {a.element: a.relation for a in report.affected}
+    assert got["flow S->T#1"] == got["link N1->N2#1"] == "FlowsOver"
+    assert "flow S->T#0" not in got and "link N1->N2#0" not in got
+    base = oracles.closure(oracles.oracle_edges(model), "A", "down")
+    assert set(got) == base | set(oracles.oracle_decorations(model, base))
