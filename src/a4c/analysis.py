@@ -153,69 +153,17 @@ def _build_impact_graph(rm: ResolvedModel) -> _ImpactGraph:
     return g
 
 
-def _element_level_map(rm: ResolvedModel) -> dict[str, str]:
-    model = rm.model
-    levels: dict[str, str] = {}
-    if model.context is not None:
-        for actor in model.context.actors:
-            levels[actor.name] = "C1"
-        for flow in model.context.flows:
-            levels[m.flow_display(flow)] = "C1"
-    for llm in model.llms:
-        levels[llm.name] = "C1"
-    for tool in model.tools:
-        levels[tool.name] = "C1"
-    if model.deployment is not None:
-        for node in model.deployment.nodes:
-            levels[node.name] = "C2"
-        for link in model.deployment.links:
-            levels[m.link_display(link)] = "C2"
-    for agent in model.agents:
-        levels[agent.name] = "C3"
-        for store in agent.datastores:
-            levels[m.store_display(agent.name, store.name)] = "C3"
-        for task in agent.tasks:
-            lvl = m.level_of(task)
-            levels[m.task_display(agent.name, task.name)] = lvl
-            if task.graph is not None:
-                for node in task.graph.nodes:
-                    if isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
-                        continue
-                    levels[m.body_node_display(agent.name, task.name, node.id)] = lvl
-    return levels
+# the kinds of element a seed can name, lowest precedence first
+_SEED_RANK = {kind: i for i, kind in enumerate(
+    ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
 
 
 def seed_table(rm: ResolvedModel) -> dict[str, str]:
-    """Known seed names -> element kind; later insertions take precedence,
-    so agents win over tasks win over artifacts and so on."""
-    model = rm.model
-    table: dict[str, str] = {}
-    if model.context is not None:
-        for actor in model.context.actors:
-            table[actor.name] = "actor"
-    if model.deployment is not None:
-        for node in model.deployment.nodes:
-            table[node.name] = "node"
-    for agent in model.agents:
-        for task in agent.tasks:
-            if task.graph is not None:
-                for node in task.graph.nodes:
-                    if not isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
-                        table[m.body_node_display(agent.name, task.name, node.id)] = "body node"
-        for store in agent.datastores:
-            table[m.store_display(agent.name, store.name)] = "store"
-    for llm in model.llms:
-        table[llm.name] = "llm"
-    for tool in model.tools:
-        table[tool.name] = "tool"
-    for artifact in model.artifacts:
-        table[artifact.name] = "artifact"
-    for agent in model.agents:
-        for task in agent.tasks:
-            table[m.task_display(agent.name, task.name)] = "task"
-    for agent in model.agents:
-        table[agent.name] = "agent"
-    return table
+    """Known seed names -> element kind; a name shared by elements of
+    several kinds takes the kind of highest precedence."""
+    seeds = sorted((e for e in rm.model.elements if e.kind in _SEED_RANK),
+                   key=lambda e: _SEED_RANK[e.kind])
+    return {e.display: e.kind for e in seeds}
 
 
 def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactReport:
@@ -284,7 +232,9 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
                     display, "FlowsOver", affected[hits[0]].path + (display,)
                 )
 
-    level_map = _element_level_map(rm)
+    # a name shared by several elements counts at the highest of their levels
+    leveled = sorted((e for e in model.elements if e.level is not None), key=lambda e: e.level)
+    level_map = {e.display: e.level for e in leveled}
     levels = {level_map[e] for e in affected if e in level_map}
     if model.context is not None:
         for flow in model.context.flows:

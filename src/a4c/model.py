@@ -3,7 +3,8 @@
 One Model spans all four description levels: context actors and flows (C1),
 deployment nodes and links (C2), agents with tasks and datastores (C3), and
 task bodies with tool calls and prompts (C4). All types are frozen; a parsed
-model is safe to share across threads without locking.
+model is safe to share across threads without locking. Equality ignores
+spans: two elements of the same structure compare equal wherever they sit.
 
 Declaration order is preserved (``sections``, ``members``, ``items``,
 ``statements``) so the formatter can reprint files without reordering.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .diagnostics import SourceSpan
@@ -35,7 +37,7 @@ class ActorKind(Enum):
 class Actor:
     kind: ActorKind
     name: str
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,14 @@ class ContextFlow:
     source: str
     target: str
     artifacts: tuple[str, ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
     occurrence: int  # earlier flows in the model with the same source and target
 
 
 @dataclass(frozen=True)
 class ContextSection:
     items: tuple[Union[Actor, ContextFlow], ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     @property
     def actors(self) -> tuple[Actor, ...]:
@@ -65,7 +67,7 @@ class ContextSection:
 class ArtifactType:
     name: str
     element_type: Optional[str]  # set iff this artifact is a collection
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     @property
     def is_collection(self) -> bool:
@@ -77,14 +79,14 @@ class LlmDecl:
     name: str
     version: Optional[str]
     default: bool
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
 class ToolDecl:
     name: str
     external: bool
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class DeploymentNode:
     name: str
     external: bool
     hosts: tuple[str, ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,14 @@ class DeploymentLink:
     target: str
     protocol: str
     artifacts: tuple[str, ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
     occurrence: int  # earlier links in the model with the same source and target
 
 
 @dataclass(frozen=True)
 class DeploymentSection:
     items: tuple[Union[DeploymentNode, DeploymentLink], ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     @property
     def nodes(self) -> tuple[DeploymentNode, ...]:
@@ -122,7 +124,7 @@ class DeploymentSection:
 @dataclass(frozen=True)
 class ActivityNode:
     id: str
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ class Guard:
     subject: Optional[str]
     literal: Optional[str]
     is_else: bool
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     def display(self) -> str:
         if self.is_else:
@@ -215,7 +217,7 @@ class ActivityEdge:
     target: str
     guard: Optional[Guard]
     kind: EdgeKind
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
     synthetic: bool = False
 
 
@@ -225,7 +227,7 @@ class ActivityGraph:
     statements: tuple[Union[ActivityNode, ActivityEdge], ...]
     nodes: tuple[ActivityNode, ...]  # includes implicit start/end and store nodes
     edges: tuple[ActivityEdge, ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     def node_by_id(self, node_id: str) -> Optional[ActivityNode]:
         for n in self.nodes:
@@ -253,13 +255,13 @@ class PromptRow:
     part: PromptPart
     name: str
     template: str
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
 class PromptSpec:
     rows: tuple[PromptRow, ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ class Task:
     outputs: tuple[str, ...]
     graph: Optional[ActivityGraph]
     prompt: Optional[PromptSpec]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     @property
     def is_composite(self) -> bool:
@@ -284,7 +286,7 @@ class Task:
 class Datastore:
     name: str
     artifact: str
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ class Agent:
     name: str
     llm: Optional[str]
     members: tuple[Union[Datastore, Task], ...]
-    span: SourceSpan
+    span: SourceSpan = field(compare=False)
 
     @property
     def datastores(self) -> tuple[Datastore, ...]:
@@ -319,12 +321,41 @@ Section = Union[ContextSection, DeploymentSection, ArtifactType, LlmDecl, ToolDe
 
 
 @dataclass(frozen=True)
+class Element:
+    """One element of a model as every view and analysis names it.
+
+    ``kind`` is one of actor, flow, artifact, llm, tool, node, link, store,
+    body node, prompt row, task or agent; ``id`` is the source-map and
+    anchor key; ``level`` is None for artifacts and prompt rows.
+    """
+
+    kind: str
+    display: str
+    id: str
+    level: Optional[str]
+    span: SourceSpan
+
+
+@dataclass(frozen=True)
 class Model:
     name: str
     file: str
     sections: tuple[Section, ...]
-    source_map: dict[str, SourceSpan] = field(compare=False)
-    span: SourceSpan = SourceSpan.synthetic()
+    span: SourceSpan = field(default=SourceSpan.synthetic(), compare=False)
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """Every element once, in declaration order, except that a task
+        follows its body nodes and prompt rows, and an agent its members."""
+        return tuple(_elements(self.sections))
+
+    @cached_property
+    def source_map(self) -> dict[str, SourceSpan]:
+        """Element id -> span of its first declaration."""
+        spans: dict[str, SourceSpan] = {}
+        for e in self.elements:
+            spans.setdefault(e.id, e.span)
+        return spans
 
     @property
     def context(self) -> Optional[ContextSection]:
@@ -365,9 +396,9 @@ class Model:
 
 # --- element names -------------------------------------------------------------
 #
-# A task, body node, datastore, flow or link has one display form, the name
-# that `impact`, `classify` and diagnostics print; its id (the source_map and
-# anchor key) is a kind prefix on that form. A repeated flow or link is told
+# A task, body node, datastore, prompt row, flow or link has one display
+# form, the name that `impact`, `classify` and diagnostics print; its id (the
+# source_map and anchor key) is a kind prefix on that form. A repeated flow or link is told
 # apart by its occurrence number, which the parser counts.
 
 def task_display(agent: str, task: str) -> str:
@@ -380,6 +411,10 @@ def body_node_display(agent: str, task: str, node: str) -> str:
 
 def store_display(agent: str, store: str) -> str:
     return f"{agent}.{store}"
+
+
+def prompt_row_display(agent: str, task: str, row: str) -> str:
+    return f"{task_display(agent, task)}/{row}"
 
 
 def _arrow(item: Union[ContextFlow, DeploymentLink]) -> str:
@@ -439,7 +474,7 @@ def activity_node_id(agent: str, task: str, node: str) -> str:
 
 
 def prompt_row_id(agent: str, task: str, row: str) -> str:
-    return f"prow:{task_display(agent, task)}/{row}"
+    return f"prow:{prompt_row_display(agent, task, row)}"
 
 
 def store_node_id(store: str) -> str:
@@ -473,76 +508,64 @@ def level_of(task: Task) -> str:
     return "C3" if task.is_composite else "C4"
 
 
+# --- the element walk ----------------------------------------------------------
+
+def _elements(sections: tuple[Section, ...]) -> Iterator[Element]:
+    for s in sections:
+        if isinstance(s, ContextSection):
+            for i in s.items:
+                if isinstance(i, Actor):
+                    yield Element("actor", i.name, actor_id(i.name), "C1", i.span)
+                else:
+                    yield Element("flow", flow_display(i), flow_id(i), "C1", i.span)
+        elif isinstance(s, DeploymentSection):
+            for i in s.items:
+                if isinstance(i, DeploymentNode):
+                    yield Element("node", i.name, deployment_node_id(i.name), "C2", i.span)
+                else:
+                    yield Element("link", link_display(i), link_id(i), "C2", i.span)
+        elif isinstance(s, ArtifactType):
+            yield Element("artifact", s.name, artifact_id(s.name), None, s.span)
+        elif isinstance(s, LlmDecl):
+            yield Element("llm", s.name, llm_id(s.name), "C1", s.span)
+        elif isinstance(s, ToolDecl):
+            yield Element("tool", s.name, tool_id(s.name), "C1", s.span)
+        else:
+            yield from _agent_elements(s)
+
+
+def _agent_elements(agent: Agent) -> Iterator[Element]:
+    a = agent.name
+    for member in agent.members:
+        if isinstance(member, Datastore):
+            yield Element("store", store_display(a, member.name),
+                          store_elem_id(a, member.name), "C3", member.span)
+            continue
+        t = member.name
+        level = level_of(member)
+        if member.graph is not None:
+            for node in member.graph.statements:
+                if isinstance(node, ActivityNode):
+                    yield Element("body node", body_node_display(a, t, node.id),
+                                  activity_node_id(a, t, node.id), level, node.span)
+        if member.prompt is not None:
+            for row in member.prompt.rows:
+                yield Element("prompt row", prompt_row_display(a, t, row.name),
+                              prompt_row_id(a, t, row.name), None, row.span)
+        yield Element("task", task_display(a, t), task_id(a, t), level, member.span)
+    yield Element("agent", a, agent_id(a), "C3", agent.span)
+
+
 # --- structural fingerprint ---------------------------------------------------
 
 def fingerprint(model: Model) -> tuple:
     """Span-free structural identity of a model.
 
     Two parses of the same text, or of a text and its formatted form, must
-    produce equal fingerprints. Declaration order is significant.
+    produce equal fingerprints. Declaration order is significant. Element
+    equality ignores spans, and the fingerprint leaves out the file name.
     """
-    return ("model", model.name, tuple(_fp_section(s) for s in model.sections))
-
-
-def _fp_section(s: Section) -> tuple:
-    if isinstance(s, ContextSection):
-        return ("context", tuple(_fp_context_item(i) for i in s.items))
-    if isinstance(s, DeploymentSection):
-        return ("deployment", tuple(_fp_deploy_item(i) for i in s.items))
-    if isinstance(s, ArtifactType):
-        return ("artifact", s.name, s.element_type)
-    if isinstance(s, LlmDecl):
-        return ("llm", s.name, s.version, s.default)
-    if isinstance(s, ToolDecl):
-        return ("tool", s.name, s.external)
-    if isinstance(s, Agent):
-        return ("agent", s.name, s.llm, tuple(_fp_member(m) for m in s.members))
-    raise TypeError(type(s).__name__)
-
-
-def _fp_context_item(i: Union[Actor, ContextFlow]) -> tuple:
-    if isinstance(i, Actor):
-        return ("actor", i.kind.value, i.name)
-    return ("flow", i.source, i.target, i.artifacts)
-
-
-def _fp_deploy_item(i: Union[DeploymentNode, DeploymentLink]) -> tuple:
-    if isinstance(i, DeploymentNode):
-        return ("node", i.name, i.external, i.hosts)
-    return ("link", i.source, i.target, i.protocol, i.artifacts)
-
-
-def _fp_member(m: Union[Datastore, Task]) -> tuple:
-    if isinstance(m, Datastore):
-        return ("store", m.name, m.artifact)
-    prompt = None
-    if m.prompt is not None:
-        prompt = tuple((r.part.value, r.name, r.template) for r in m.prompt.rows)
-    graph = None
-    if m.graph is not None:
-        graph = tuple(_fp_statement(st) for st in m.graph.statements)
-    return ("task", m.name, m.inputs, m.outputs, graph, prompt)
-
-
-def _fp_statement(st: Union[ActivityNode, ActivityEdge]) -> tuple:
-    if isinstance(st, CallNode):
-        return ("call", st.id, st.task, st.agent, st.each, st.inputs, st.outputs)
-    if isinstance(st, InvokeNode):
-        return ("invoke", st.id, st.tool, st.operation, st.inputs, st.outputs)
-    if isinstance(st, DecisionNode):
-        return ("decision", st.id, st.subject)
-    if isinstance(st, ForkNode):
-        return ("fork", st.id)
-    if isinstance(st, JoinNode):
-        return ("join", st.id)
-    if isinstance(st, MergeNode):
-        return ("merge", st.id)
-    if isinstance(st, ActivityEdge):
-        guard = None
-        if st.guard is not None:
-            guard = ("else",) if st.guard.is_else else (st.guard.subject, st.guard.literal)
-        return ("edge", st.source, st.target, guard)
-    raise TypeError(type(st).__name__)
+    return ("model", model.name, model.sections)
 
 
 def iter_tasks(model: Model) -> Iterator[tuple[Agent, Task]]:

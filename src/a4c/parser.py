@@ -57,7 +57,6 @@ class _Parser:
         self.i = 0
         self.file = file
         self.diags: list[Diagnostic] = []
-        self.source_map: dict[str, SourceSpan] = {}
         self._flow_counts: dict[tuple[str, str], int] = {}
         self._link_counts: dict[tuple[str, str], int] = {}
 
@@ -104,9 +103,6 @@ class _Parser:
     def span_from(self, start: SourceSpan) -> SourceSpan:
         last = self.toks[max(self.i - 1, 0)]
         return SourceSpan(self.file, start.start, last.span.end)
-
-    def register(self, elem_id: str, span: SourceSpan) -> None:
-        self.source_map.setdefault(elem_id, span)
 
     def sync_to_section(self) -> None:
         """Panic recovery: skip to the next section keyword at this brace depth."""
@@ -169,7 +165,6 @@ class _Parser:
             name=name,
             file=self.file,
             sections=tuple(sections),
-            source_map=self.source_map,
             span=self.span_from(start),
         )
 
@@ -202,9 +197,7 @@ class _Parser:
             if tok.is_kw("system", "user", "external"):
                 kind = m.ActorKind(self.advance().value)
                 name_tok = self.expect(IDENT, "actor name")
-                actor = m.Actor(kind, name_tok.value, self.span_from(tok.span))
-                self.register(m.actor_id(actor.name), actor.span)
-                items.append(actor)
+                items.append(m.Actor(kind, name_tok.value, self.span_from(tok.span)))
             elif tok.is_kw("flow"):
                 items.append(self.parse_flow())
             elif tok.type == IDENT:
@@ -225,9 +218,7 @@ class _Parser:
         arts = self.parse_identlist("artifact name")
         occ = self._flow_counts.get((src, dst_tok.value), 0)
         self._flow_counts[(src, dst_tok.value)] = occ + 1
-        flow = m.ContextFlow(src, dst_tok.value, arts, self.span_from(start), occ)
-        self.register(m.flow_id(flow), flow.span)
-        return flow
+        return m.ContextFlow(src, dst_tok.value, arts, self.span_from(start), occ)
 
     def parse_artifact(self) -> m.ArtifactType:
         start = self.expect_kw("artifact").span
@@ -237,9 +228,7 @@ class _Parser:
             self.advance()
             self.expect_kw("of")
             element = self.expect(IDENT, "element artifact name").value
-        art = m.ArtifactType(name, element, self.span_from(start))
-        self.register(m.artifact_id(name), art.span)
-        return art
+        return m.ArtifactType(name, element, self.span_from(start))
 
     def parse_llm(self) -> m.LlmDecl:
         start = self.expect_kw("llm").span
@@ -252,9 +241,7 @@ class _Parser:
         if self.at_kw("default"):
             self.advance()
             default = True
-        llm = m.LlmDecl(name, version, default, self.span_from(start))
-        self.register(m.llm_id(name), llm.span)
-        return llm
+        return m.LlmDecl(name, version, default, self.span_from(start))
 
     def parse_tool(self) -> m.ToolDecl:
         start = self.expect_kw("tool").span
@@ -263,9 +250,7 @@ class _Parser:
         if self.at_kw("external"):
             self.advance()
             external = True
-        tool = m.ToolDecl(name, external, self.span_from(start))
-        self.register(m.tool_id(name), tool.span)
-        return tool
+        return m.ToolDecl(name, external, self.span_from(start))
 
     def parse_deployment(self) -> m.DeploymentSection:
         start = self.expect_kw("deployment").span
@@ -299,9 +284,7 @@ class _Parser:
             self.advance()
             hosts = self.parse_identlist("hosted element name")
         self.expect(RBRACE, "'}'")
-        node = m.DeploymentNode(name, external, hosts, self.span_from(start))
-        self.register(m.deployment_node_id(name), node.span)
-        return node
+        return m.DeploymentNode(name, external, hosts, self.span_from(start))
 
     def parse_link(self) -> m.DeploymentLink:
         start = self.expect_kw("link").span
@@ -316,9 +299,7 @@ class _Parser:
             arts = self.parse_identlist("artifact name")
         occ = self._link_counts.get((src, dst), 0)
         self._link_counts[(src, dst)] = occ + 1
-        link = m.DeploymentLink(src, dst, protocol, arts, self.span_from(start), occ)
-        self.register(m.link_id(link), link.span)
-        return link
+        return m.DeploymentLink(src, dst, protocol, arts, self.span_from(start), occ)
 
     def parse_agent(self) -> m.Agent:
         start = self.expect_kw("agent").span
@@ -334,42 +315,36 @@ class _Parser:
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
             if tok.is_kw("store"):
-                members.append(self.parse_store(name))
+                members.append(self.parse_store())
             elif tok.is_kw("task"):
-                members.append(self.parse_task(name))
+                members.append(self.parse_task())
             elif tok.type == IDENT:
                 raise self.unknown_keyword("one of: store, task")
             else:
                 raise self.fail(f"expected an agent member, found {_describe(tok)}")
         self.expect(RBRACE, "'}'")
-        agent = m.Agent(name, llm, tuple(members), self.span_from(start))
-        self.register(m.agent_id(name), agent.span)
-        return agent
+        return m.Agent(name, llm, tuple(members), self.span_from(start))
 
-    def parse_store(self, agent_name: str) -> m.Datastore:
+    def parse_store(self) -> m.Datastore:
         start = self.expect_kw("store").span
         name = self.expect(IDENT, "datastore name").value
         self.expect(COLON, "':'")
         artifact = self.expect(IDENT, "artifact name").value
-        store = m.Datastore(name, artifact, self.span_from(start))
-        self.register(m.store_elem_id(agent_name, name), store.span)
-        return store
+        return m.Datastore(name, artifact, self.span_from(start))
 
-    def parse_task(self, agent_name: str) -> m.Task:
+    def parse_task(self) -> m.Task:
         start = self.expect_kw("task").span
         name = self.expect(IDENT, "task name").value
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         graph: Optional[m.ActivityGraph] = None
         if self.at_kw("body"):
-            graph = self.parse_body(agent_name, name)
+            graph = self.parse_body()
         prompt: Optional[m.PromptSpec] = None
         if self.at_kw("prompt"):
-            prompt = self.parse_prompt(agent_name, name)
+            prompt = self.parse_prompt()
         self.expect(RBRACE, "'}'")
-        task = m.Task(name, inputs, outputs, graph, prompt, self.span_from(start))
-        self.register(m.task_id(agent_name, name), task.span)
-        return task
+        return m.Task(name, inputs, outputs, graph, prompt, self.span_from(start))
 
     def parse_io(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         inputs: tuple[str, ...] = ()
@@ -382,7 +357,7 @@ class _Parser:
             outputs = self.parse_identlist("output artifact name")
         return inputs, outputs
 
-    def parse_body(self, agent_name: str, task_name: str) -> m.ActivityGraph:
+    def parse_body(self) -> m.ActivityGraph:
         start = self.expect_kw("body").span
         self.expect(LBRACE, "'{'")
         statements: list[Union[m.ActivityNode, m.ActivityEdge]] = []
@@ -391,13 +366,13 @@ class _Parser:
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
             if tok.is_kw("call"):
-                statements.append(self.parse_call(agent_name, task_name))
+                statements.append(self.parse_call())
             elif tok.is_kw("invoke"):
-                statements.append(self.parse_invoke(agent_name, task_name))
+                statements.append(self.parse_invoke())
             elif tok.is_kw("decision"):
-                statements.append(self.parse_decision(agent_name, task_name))
+                statements.append(self.parse_decision())
             elif tok.is_kw("fork", "join", "merge"):
-                statements.append(self.parse_fork_join(agent_name, task_name))
+                statements.append(self.parse_fork_join())
             elif tok.type == IDENT or tok.is_kw("start", "end"):
                 statements.append(self.parse_edge())
             else:
@@ -405,7 +380,7 @@ class _Parser:
         self.expect(RBRACE, "'}'")
         return self.assemble_graph(statements, self.span_from(start))
 
-    def parse_call(self, agent_name: str, task_name: str) -> m.CallNode:
+    def parse_call(self) -> m.CallNode:
         start = self.expect_kw("call").span
         node_id = self.expect(IDENT, "call binding name").value
         self.expect(EQ, "'='")
@@ -421,11 +396,9 @@ class _Parser:
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         self.expect(RBRACE, "'}'")
-        node = m.CallNode(node_id, self.span_from(start), task, agent, each, inputs, outputs)
-        self.register(m.activity_node_id(agent_name, task_name, node_id), node.span)
-        return node
+        return m.CallNode(node_id, self.span_from(start), task, agent, each, inputs, outputs)
 
-    def parse_invoke(self, agent_name: str, task_name: str) -> m.InvokeNode:
+    def parse_invoke(self) -> m.InvokeNode:
         start = self.expect_kw("invoke").span
         node_id = self.expect(IDENT, "invoke binding name").value
         self.expect(EQ, "'='")
@@ -435,32 +408,24 @@ class _Parser:
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         self.expect(RBRACE, "'}'")
-        node = m.InvokeNode(node_id, self.span_from(start), tool, op, inputs, outputs)
-        self.register(m.activity_node_id(agent_name, task_name, node_id), node.span)
-        return node
+        return m.InvokeNode(node_id, self.span_from(start), tool, op, inputs, outputs)
 
-    def parse_decision(self, agent_name: str, task_name: str) -> m.DecisionNode:
+    def parse_decision(self) -> m.DecisionNode:
         start = self.expect_kw("decision").span
         node_id = self.expect(IDENT, "decision binding name").value
         self.expect_kw("on")
         subject = self.expect(IDENT, "artifact name").value
-        node = m.DecisionNode(node_id, self.span_from(start), subject)
-        self.register(m.activity_node_id(agent_name, task_name, node_id), node.span)
-        return node
+        return m.DecisionNode(node_id, self.span_from(start), subject)
 
-    def parse_fork_join(self, agent_name: str, task_name: str) -> m.ActivityNode:
+    def parse_fork_join(self) -> m.ActivityNode:
         tok = self.advance()
         node_id = self.expect(IDENT, f"{tok.value} binding name").value
         span = self.span_from(tok.span)
-        node: m.ActivityNode
         if tok.value == "fork":
-            node = m.ForkNode(node_id, span)
-        elif tok.value == "join":
-            node = m.JoinNode(node_id, span)
-        else:
-            node = m.MergeNode(node_id, span)
-        self.register(m.activity_node_id(agent_name, task_name, node_id), node.span)
-        return node
+            return m.ForkNode(node_id, span)
+        if tok.value == "join":
+            return m.JoinNode(node_id, span)
+        return m.MergeNode(node_id, span)
 
     def parse_endpoint(self) -> tuple[str, Optional[str], Token]:
         """Returns (node id, datastore access, first token)."""
@@ -519,7 +484,7 @@ class _Parser:
         self.expect(RBRACKET, "']'")
         return m.Guard(subject, literal, False, self.span_from(start))
 
-    def parse_prompt(self, agent_name: str, task_name: str) -> m.PromptSpec:
+    def parse_prompt(self) -> m.PromptSpec:
         start = self.expect_kw("prompt").span
         self.expect(LBRACE, "'{'")
         rows: list[m.PromptRow] = []
@@ -533,9 +498,7 @@ class _Parser:
                 name = self.expect(IDENT, "prompt row name").value
                 self.expect(EQ, "'='")
                 template = self.expect(STRING, "prompt template string").value
-                row = m.PromptRow(part, name, template, self.span_from(tok.span))
-                self.register(m.prompt_row_id(agent_name, task_name, name), row.span)
-                rows.append(row)
+                rows.append(m.PromptRow(part, name, template, self.span_from(tok.span)))
             elif tok.type == IDENT:
                 raise self.unknown_keyword("'static' or 'dynamic'")
             else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import model as m
-from .analysis import AnalysisError, classify, loop_facts
+from .analysis import classify, loop_facts
 from .lexer import escape_string
 from .resolver import ResolvedModel, call_graph
 
@@ -397,13 +397,10 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
         lines.append(f"Signature:{sig if sig else ' none'} [{m.level_of(task)}]")
         lines.append("")
         if task.is_composite:
-            try:
-                pattern = classify(rm, agent, task)
-                lines.append(f"Interaction pattern: {pattern.value}")
-                for criterion, refs in pattern.evidence:
-                    lines.append(f"- {criterion}: {', '.join(refs)}")
-            except AnalysisError:
-                lines.append("Interaction pattern: unavailable")
+            pattern = classify(rm, agent, task)
+            lines.append(f"Interaction pattern: {pattern.value}")
+            for criterion, refs in pattern.evidence:
+                lines.append(f"- {criterion}: {', '.join(refs)}")
             lines.append("")
             facts = loop_facts(task)
             for fact in facts:

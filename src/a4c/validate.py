@@ -69,16 +69,16 @@ def check(rm: ResolvedModel) -> list[Diagnostic]:
         if task.graph is not None
     ]
     diags: list[Diagnostic] = []
-    diags.extend(_v1_call_targets(rm))
+    diags.extend(_v1_call_targets(rm, bodies))
     diags.extend(_v2_recursion(rm))
     diags.extend(_v3_leaf_substance(rm))
     diags.extend(_v4_consumption(rm, bodies))
     diags.extend(_v5_outputs_on_final_paths(bodies))
     diags.extend(_v6_graph_shape(bodies))
-    diags.extend(_v7_element_wise(rm))
-    diags.extend(_v8_tools(rm))
+    diags.extend(_v7_element_wise(rm, bodies))
+    diags.extend(_v8_tools(rm, bodies))
     diags.extend(_v9_llm_binding(rm))
-    diags.extend(_v10_deployment(rm))
+    diags.extend(_v10_deployment(rm, bodies))
     diags.extend(_v11_flow_signatures(rm))
     diags.extend(_v12_datastores(rm))
     diags.extend(_v13_unguarded_cycles(bodies))
@@ -91,10 +91,8 @@ def is_valid(rm: ResolvedModel) -> bool:
 
 # --- V1 ------------------------------------------------------------------------
 
-def _v1_call_targets(rm: ResolvedModel):
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+def _v1_call_targets(rm: ResolvedModel, bodies: list[Body]):
+    for agent, task, _facts in bodies:
         for call in task.graph.call_nodes():
             callee = rm.callee_agent_name(agent, call)
             # an unresolved agent name was already E001
@@ -349,10 +347,8 @@ def _v6_graph_shape(bodies: list[Body]):
 
 # --- V7 ------------------------------------------------------------------------
 
-def _v7_element_wise(rm: ResolvedModel):
-    for _agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+def _v7_element_wise(rm: ResolvedModel, bodies: list[Body]):
+    for _agent, task, _facts in bodies:
         for call in task.graph.call_nodes():
             if not call.element_wise:
                 continue
@@ -371,10 +367,8 @@ def _v7_element_wise(rm: ResolvedModel):
 
 # --- V8 ------------------------------------------------------------------------
 
-def _v8_tools(rm: ResolvedModel):
-    for _agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+def _v8_tools(rm: ResolvedModel, bodies: list[Body]):
+    for _agent, task, _facts in bodies:
         for invoke in task.graph.invoke_nodes():
             if invoke.tool not in rm.tools:
                 yield error(
@@ -397,7 +391,7 @@ def _v9_llm_binding(rm: ResolvedModel):
 
 # --- V10 -----------------------------------------------------------------------
 
-def _v10_deployment(rm: ResolvedModel):
+def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
     deployment = rm.model.deployment
     if deployment is None:
         return
@@ -439,9 +433,7 @@ def _v10_deployment(rm: ResolvedModel):
     for link in deployment.links:
         linked.add(frozenset((link.source, link.target)))
 
-    for agent, task in m.iter_tasks(rm.model):
-        if task.graph is None:
-            continue
+    for agent, task, _facts in bodies:
         caller_node = unique_host(agent.name)
         if caller_node is None:
             continue

@@ -241,6 +241,82 @@ def test_impact_monotone_under_added_flow(testgen_text):
         assert after >= before, seed
 
 
+# Hub is a user actor, an llm, a tool, a deployment node and an agent; Gate a
+# system actor, a tool and a node; Hub.run is a store and a composite task,
+# Worker.work a store and a leaf task.
+COLLISION_MODEL = '''model "Collisions" {
+  context {
+    system Gate
+    user Hub
+    flow Hub -> Gate : Job
+  }
+  artifact Job
+  artifact Out
+  llm Hub default
+  tool Hub
+  tool Gate
+  deployment {
+    node Hub { hosts Hub, Worker }
+    node Gate { hosts Gate }
+    link Hub -> Gate : "HTTP" : Job
+  }
+  agent Hub {
+    store run : Out
+    store cache : Job
+    task run {
+      in Job
+      out Out
+      body {
+        call w = work on Worker { in Job out Out }
+        start -> w
+        w -> run.write
+        w -> end
+      }
+    }
+  }
+  agent Worker {
+    store work : Out
+    task work {
+      in Job
+      out Out
+      body {
+        invoke g = Gate.open { in Job out Out }
+        start -> g
+        g -> work.write
+        g -> end
+      }
+    }
+  }
+}
+'''
+
+
+def test_impact_on_names_shared_across_kinds():
+    rm = load_resolved(COLLISION_MODEL)
+    model = rm.model
+    assert seed_table(rm) == {
+        "Hub": "agent", "Gate": "tool", "Job": "artifact", "Out": "artifact",
+        "Hub.run": "task", "Hub.cache": "store", "Hub.run/w": "body node",
+        "Worker": "agent", "Worker.work": "task", "Worker.work/g": "body node",
+    }
+    assert list(model.source_map) == [
+        "actor:Gate", "actor:Hub", "flow:Hub->Gate#0", "artifact:Job", "artifact:Out",
+        "llm:Hub", "tool:Hub", "tool:Gate", "node:Hub", "node:Gate", "link:Hub->Gate#0",
+        "store:Hub.run", "store:Hub.cache", "anode:Hub.run/w", "task:Hub.run", "agent:Hub",
+        "store:Worker.work", "anode:Worker.work/g", "task:Worker.work", "agent:Worker",
+    ]
+    # a shared name counts at the highest level of the elements that bear it
+    assert impact(rm, "Hub.run", "up").levels_touched == ("C1", "C2", "C3")
+    assert "Hub" in {a.element for a in impact(rm, "Hub.run", "up").affected}
+    assert impact(rm, "Job", "down").levels_touched == ("C1", "C2", "C3", "C4")
+    for seed in seed_table(rm):
+        for direction in ("up", "down", "both"):
+            report = impact(rm, seed, direction)
+            affected = {a.element for a in report.affected}
+            assert set(report.levels_touched) == \
+                oracles.oracle_levels(model, seed, affected), (seed, direction)
+
+
 def test_impact_oracle_equivalence(model_pool):
     for i, _text, rm in model_pool:
         model = rm.model

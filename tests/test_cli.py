@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import importlib.resources as ir
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -314,7 +316,7 @@ def test_render_c2_without_deployment_exit1(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "render", corpus_path("recovery"),
                          "--out", str(tmp_path / "out"), "--level", "c2")
     assert rc == 1
-    assert "R001" in err
+    assert err == "a4c: R001: model has no deployment section\n"
 
 
 def test_render_all_without_deployment_skips_c2(capsys, tmp_path):
@@ -391,6 +393,46 @@ def test_fmt_failure_leaves_every_file_untouched(capsys, tmp_path, testgen_text,
         assert (rc, out) == (2, ""), argv
         assert err
         assert good.read_text(encoding="utf-8") == testgen_text + "\n\n"
+
+
+def test_fmt_failed_rename_leaves_file_whole(capsys, tmp_path, monkeypatch):
+    messy = pathlib.Path(__file__).parent / "fixtures" / "messy.a4c"
+    work = tmp_path / "work.a4c"
+    work.write_bytes(messy.read_bytes())
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, out, err = run_cli(capsys, "fmt", str(work))
+    assert (rc, out) == (2, "")
+    assert "No space left on device" in err
+    assert work.read_bytes() == messy.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["work.a4c"]
+
+
+def test_fmt_keeps_permission_bits(capsys, tmp_path):
+    messy = pathlib.Path(__file__).parent / "fixtures" / "messy.a4c"
+    work = tmp_path / "work.a4c"
+    work.write_bytes(messy.read_bytes())
+    work.chmod(0o640)
+    rc, _, _ = run_cli(capsys, "fmt", str(work))
+    assert rc == 0
+    assert work.read_bytes() != messy.read_bytes()
+    assert stat.S_IMODE(work.stat().st_mode) == 0o640
+
+
+def test_fmt_through_symlink_rewrites_its_target(capsys, tmp_path):
+    messy = pathlib.Path(__file__).parent / "fixtures" / "messy.a4c"
+    target = tmp_path / "model.a4c"
+    target.write_bytes(messy.read_bytes())
+    link = tmp_path / "link.a4c"
+    link.symlink_to(target.name)
+    rc, _, _ = run_cli(capsys, "fmt", str(link))
+    assert rc == 0
+    assert link.is_symlink()
+    rc, expected, _ = run_cli(capsys, "fmt", "--stdout", str(messy))
+    assert target.read_text(encoding="utf-8") == expected
 
 
 def test_byte_order_mark_is_accepted(capsys, tmp_path, testgen_text):

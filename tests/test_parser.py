@@ -223,6 +223,87 @@ def test_fingerprint_ignores_layout(testgen_text):
     assert fp1 == fp2
 
 
+FP_MODEL = """model "Fp" {
+  context {
+    system S
+    user U
+    flow U -> S : A
+  }
+  artifact A
+  artifact B
+  artifact C collection of A
+  llm L version "v1" default
+  tool T external
+  deployment {
+    node N1 { hosts G }
+    node N2 external { hosts T }
+    link N1 -> N2 : "HTTP" : A
+  }
+  agent G llm L {
+    store st : A
+    task t {
+      in A
+      out B
+      body {
+        call c = u on H each C { in A out B }
+        invoke v = T.run { in A out B }
+        decision d on A
+        fork f
+        join j
+        start -> c
+        c -> v
+        v -> d
+        d -> f [A == yes]
+        d -> end [else]
+        f -> j
+        j -> end
+      }
+      prompt {
+        static role = "You review."
+        dynamic ask = "Review {A}"
+      }
+    }
+  }
+}
+"""
+
+# each edit changes one structural field of FP_MODEL
+FP_EDITS = [
+    ("collection of A", "collection of B"),
+    ('version "v1"', 'version "v2"'),
+    ('"v1" default', '"v1"'),
+    ("tool T external", "tool T"),
+    ("hosts G", "hosts G, T"),
+    ('"HTTP"', '"gRPC"'),
+    (': "HTTP" : A', ': "HTTP" : B'),
+    ("flow U -> S : A", "flow U -> S : B"),
+    ("agent G llm L", "agent G llm M"),
+    ("store st : A", "store st : B"),
+    ("      in A\n", "      in B\n"),
+    ("      out B\n", "      out A\n"),
+    ("on H each", "on K each"),
+    ("each C", "each A"),
+    ("T.run", "T.walk"),
+    ("decision d on A", "decision d on B"),
+    ("fork f", "join f"),
+    ("f -> j", "f -> end"),
+    ("[A == yes]", "[else]"),
+    ("static role", "dynamic role"),
+    ('"You review."', '"You check."'),
+]
+
+
+def test_fingerprint_sees_every_structural_field():
+    base = fingerprint(parse(FP_MODEL, "fp.a4c").model)
+    for old, new in FP_EDITS:
+        assert FP_MODEL.count(old) == 1, old
+        edited = parse(FP_MODEL.replace(old, new), "fp.a4c").model
+        assert edited is not None, old
+        assert fingerprint(edited) != base, old
+    relaid = FP_MODEL.replace("\n      ", "\n ").replace("\n", "\n// note\n")
+    assert fingerprint(parse(relaid, "other.a4c").model) == base
+
+
 def test_comments_collected_not_tokenized(testgen_text):
     lexed = tokenize(testgen_text, "t.a4c")
     assert len(lexed.comments) >= 2
