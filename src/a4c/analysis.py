@@ -13,7 +13,9 @@ The impact relation works at task-signature granularity: a task produces
 its declared outputs plus anything its own tool calls emit, and consumes
 its declared inputs plus its tool calls' inputs. Datastore writes and reads
 count as Produces/Consumes on the store. Decisions join the graph through
-the artifact they gate on.
+the artifact they gate on. The relation, the seed kinds and the element
+levels are built once per model, as ``ResolvedModel.relations``,
+``seed_kinds`` and ``element_levels``, and shared by every impact query.
 """
 
 from __future__ import annotations
@@ -92,78 +94,21 @@ class LoopFact:
     exits: tuple[m.ActivityEdge, ...]
 
 
-# --- impact graph -------------------------------------------------------------
-
-class _ImpactGraph:
-    """Labeled adjacency in both directions over element display names."""
-
-    def __init__(self) -> None:
-        self.down: dict[str, list[tuple[str, str]]] = {}
-        self.up: dict[str, list[tuple[str, str]]] = {}
-
-    def add(self, u: str, v: str, label_down: str, label_up: str) -> None:
-        self.down.setdefault(u, []).append((v, label_down))
-        self.up.setdefault(v, []).append((u, label_up))
-
-    def neighbors(self, vertex: str, direction: Direction) -> list[tuple[str, str]]:
-        out: list[tuple[str, str]] = []
-        if direction in (Direction.DOWN, Direction.BOTH):
-            out.extend(self.down.get(vertex, ()))
-        if direction in (Direction.UP, Direction.BOTH):
-            out.extend(self.up.get(vertex, ()))
-        return sorted(set(out))
-
-
-def _build_impact_graph(rm: ResolvedModel) -> _ImpactGraph:
-    g = _ImpactGraph()
-    model = rm.model
-    for agent in model.agents:
-        llm = rm.llm_of(agent)
-        if llm is not None:
-            g.add(llm.name, agent.name, "Consumes", "Consumes")
-        for task in agent.tasks:
-            tq = m.task_display(agent.name, task.name)
-            g.add(agent.name, tq, "Hosts", "Hosts")
-            produced = set(task.outputs)
-            consumed = set(task.inputs)
-            if task.graph is not None:
-                for node in task.graph.nodes:
-                    if isinstance(node, m.CallNode):
-                        callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
-                        g.add(tq, callee, "Calls", "CalledBy")
-                    elif isinstance(node, m.InvokeNode):
-                        produced.update(node.outputs)
-                        consumed.update(node.inputs)
-                        g.add(node.tool, tq, "Consumes", "Consumes")
-                    elif isinstance(node, m.DecisionNode):
-                        dq = m.body_node_display(agent.name, task.name, node.id)
-                        g.add(node.subject, dq, "Gates", "Gates")
-                        g.add(dq, node.subject, "Gates", "Gates")
-                for edge in task.graph.edges:
-                    if edge.kind is m.EdgeKind.STORE_WRITE:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
-                        g.add(tq, sq, "Produces", "Produces")
-                    elif edge.kind is m.EdgeKind.STORE_READ:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
-                        g.add(sq, tq, "Consumes", "Consumes")
-            for art in sorted(produced):
-                g.add(tq, art, "Produces", "Produces")
-            for art in sorted(consumed):
-                g.add(art, tq, "Consumes", "Consumes")
-    return g
-
-
-# the kinds of element a seed can name, lowest precedence first
-_SEED_RANK = {kind: i for i, kind in enumerate(
-    ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
-
+# --- impact -------------------------------------------------------------------
 
 def seed_table(rm: ResolvedModel) -> dict[str, str]:
     """Known seed names -> element kind; a name shared by elements of
     several kinds takes the kind of highest precedence."""
-    seeds = sorted((e for e in rm.model.elements if e.kind in _SEED_RANK),
-                   key=lambda e: _SEED_RANK[e.kind])
-    return {e.display: e.kind for e in seeds}
+    return dict(rm.seed_kinds)
+
+
+def _neighbors(rm: ResolvedModel, vertex: str, direction: Direction) -> list[tuple[str, str]]:
+    out: list[tuple[str, str]] = []
+    if direction in (Direction.DOWN, Direction.BOTH):
+        out.extend(rm.relations.down.get(vertex, ()))
+    if direction in (Direction.UP, Direction.BOTH):
+        out.extend(rm.relations.up.get(vertex, ()))
+    return sorted(set(out))
 
 
 def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactReport:
@@ -173,10 +118,8 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
             direction = Direction(direction.lower())
         except ValueError:
             raise AnalysisError("A001", f"unknown direction '{direction}'") from None
-    if seed not in seed_table(rm):
+    if seed not in rm.seed_kinds:
         raise AnalysisError("A001", f"unknown seed element '{seed}'")
-
-    graph = _build_impact_graph(rm)
 
     # breadth-first closure with deterministic first-discovery bookkeeping
     parent: dict[str, Optional[str]] = {seed: None}
@@ -186,7 +129,7 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
     while frontier:
         next_frontier: list[str] = []
         for vertex in sorted(frontier):
-            for neighbor, label in graph.neighbors(vertex, direction):
+            for neighbor, label in _neighbors(rm, vertex, direction):
                 if neighbor in parent:
                     continue
                 parent[neighbor] = vertex
@@ -232,9 +175,7 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
                     display, "FlowsOver", affected[hits[0]].path + (display,)
                 )
 
-    # a name shared by several elements counts at the highest of their levels
-    leveled = sorted((e for e in model.elements if e.level is not None), key=lambda e: e.level)
-    level_map = {e.display: e.level for e in leveled}
+    level_map = rm.element_levels
     levels = {level_map[e] for e in affected if e in level_map}
     if model.context is not None:
         for flow in model.context.flows:

@@ -1,12 +1,25 @@
 """Tokenizer for the description language.
 
+One compiled pattern matches a run of whitespace and the token after it, as
+in the ``re`` documentation's "Writing a Tokenizer". A token is a light
+record of its type, its value and the character offsets of its text;
+``LexResult`` keeps the offset at which each line starts and turns offsets
+into positions only when asked (``position``, ``span``), so the parser
+builds one ``SourceSpan`` per element rather than one per token.
+
+A position is a 1-based line and a 1-based column counted in code points.
+Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
+
 Comments (``//`` to end of line) are collected out of band so the formatter
 can reattach them; they never reach the parser's token stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Position, SourceSpan, error
 
@@ -36,25 +49,43 @@ EQEQ = "EQEQ"
 DOT = "DOT"
 EOF = "EOF"
 
-_PUNCT = {
-    "{": LBRACE,
-    "}": RBRACE,
-    "[": LBRACKET,
-    "]": RBRACKET,
-    ":": COLON,
-    ",": COMMA,
-    ".": DOT,
-}
+# Group names are token types, so a match's ``lastgroup`` is its type. A word
+# starts with a character of ``[^\W\d_]``, a wider class than ``str.isalpha``
+# (it holds "²"), so ``tokenize`` checks the first character again. The
+# closing quote of a string is optional: nothing after the string body can
+# fail, so the engine never backtracks into it, and ``"a\"`` at the end of a
+# line stays unterminated instead of closing at its escaped quote.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r\n]*
+    (?:
+        (?P<IDENT>[^\W\d_]\w*)
+      | (?P<ARROW>->)
+      | (?P<EQEQ>==)
+      | (?P<EQ>=)
+      | (?P<LBRACE>\{)
+      | (?P<RBRACE>\})
+      | (?P<LBRACKET>\[)
+      | (?P<RBRACKET>\])
+      | (?P<COLON>:)
+      | (?P<COMMA>,)
+      | (?P<DOT>\.)
+      | (?P<STRING>"(?P<body>[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*)"?)
+      | (?P<COMMENT>//[^\n]*)
+      | (?P<BAD>.)
+    )?
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NEWLINE = re.compile("\n")
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     value: str
-    span: SourceSpan
-
-    def is_kw(self, *names: str) -> bool:
-        return self.type == KW and self.value in names
+    start: int  # offset of the first character
+    end: int  # offset past the last character
 
 
 @dataclass(frozen=True)
@@ -68,110 +99,74 @@ class LexResult:
     tokens: list[Token]
     comments: list[Comment]
     diagnostics: list[Diagnostic]
+    file: str
+    line_starts: list[int]  # offset of the first character of each line
+
+    def position(self, offset: int) -> Position:
+        line = bisect_right(self.line_starts, offset)
+        return Position(line, offset - self.line_starts[line - 1] + 1)
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        return SourceSpan(self.file, self.position(start), self.position(end))
 
 
 def tokenize(text: str, file: str) -> LexResult:
+    line_starts = [0]
+    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
     tokens: list[Token] = []
     comments: list[Comment] = []
     diags: list[Diagnostic] = []
+    lex = LexResult(tokens, comments, diags, file, line_starts)
 
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    ws = " \t\r\n"
-
-    def pos() -> Position:
-        return Position(line, col)
-
-    def advance_to(j: int) -> None:
-        # line/col bookkeeping in bulk instead of per character
-        nonlocal i, line, col
-        newlines = text.count("\n", i, j)
-        if newlines:
-            line += newlines
-            col = j - text.rfind("\n", i, j)
-        else:
-            col += j - i
-        i = j
-
-    while i < n:
-        ch = text[i]
-        if ch in ws:
-            j = i + 1
-            while j < n and text[j] in ws:
-                j += 1
-            advance_to(j)
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    keywords = KEYWORDS
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # trailing whitespace
             continue
-        start = pos()
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            if j < 0:
-                j = n
-            body = text[i + 2 : j]
-            advance_to(j)
-            comments.append(Comment(body.strip(), SourceSpan(file, start, pos())))
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            advance_to(i + 2)
-            tokens.append(Token(ARROW, "->", SourceSpan(file, start, pos())))
-            continue
-        if ch == "=":
-            if i + 1 < n and text[i + 1] == "=":
-                advance_to(i + 2)
-                tokens.append(Token(EQEQ, "==", SourceSpan(file, start, pos())))
-            else:
-                advance_to(i + 1)
-                tokens.append(Token(EQ, "=", SourceSpan(file, start, pos())))
-            continue
-        if ch in _PUNCT:
-            advance_to(i + 1)
-            tokens.append(Token(_PUNCT[ch], ch, SourceSpan(file, start, pos())))
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == "\n":
-                    break
-                if c == "\\" and j + 1 < n and text[j + 1] in '"\\':
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    j += 1
-                    closed = True
-                    break
-                buf.append(c)
-                j += 1
-            advance_to(j)
-            if not closed:
-                diags.append(
-                    error("P002", "unterminated string literal", SourceSpan(file, start, pos()))
-                )
+        value = m[kind]
+        end = m.end()
+        start = end - len(value)
+        if kind == IDENT:
+            if value in keywords:
+                kind = KW
+            elif not value[0].isalpha():
+                _split_word(lex, value, start)
                 continue
-            tokens.append(Token(STRING, "".join(buf), SourceSpan(file, start, pos())))
+        elif kind == STRING:
+            if m.end("body") == end:
+                diags.append(error("P002", "unterminated string literal", lex.span(start, end)))
+                continue
+            value = m["body"]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "COMMENT":
+            comments.append(Comment(value[2:].strip(), lex.span(start, end)))
             continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance_to(j)
-            span = SourceSpan(file, start, pos())
-            if word in KEYWORDS:
-                tokens.append(Token(KW, word, span))
-            else:
-                tokens.append(Token(IDENT, word, span))
+        elif kind == "BAD":
+            diags.append(_unexpected(lex, value, start))
             continue
-        advance_to(i + 1)
-        diags.append(error("P001", f"unexpected character {ch!r}", SourceSpan(file, start, pos())))
+        append(new(Token, (kind, value, start, end)))
+    append(Token(EOF, "", len(text), len(text)))
+    return lex
 
-    eof_span = SourceSpan(file, pos(), pos())
-    tokens.append(Token(EOF, "", eof_span))
-    return LexResult(tokens, comments, diags)
+
+def _unexpected(lex: LexResult, ch: str, offset: int) -> Diagnostic:
+    return error("P001", f"unexpected character {ch!r}", lex.span(offset, offset + 1))
+
+
+def _split_word(lex: LexResult, word: str, start: int) -> None:
+    """A word whose first character is not a letter: each leading non-letter
+    is an unexpected character, and the rest from the first letter is a word."""
+    k = 0
+    while k < len(word) and not word[k].isalpha():
+        lex.diagnostics.append(_unexpected(lex, word[k], start + k))
+        k += 1
+    if k < len(word):
+        rest = word[k:]
+        kind = KW if rest in KEYWORDS else IDENT
+        lex.tokens.append(Token(kind, rest, start + k, start + len(word)))
 
 
 def escape_string(value: str) -> str:

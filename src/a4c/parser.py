@@ -16,7 +16,7 @@ from . import model as m
 from .diagnostics import Diagnostic, SourceSpan, error, sort_diagnostics
 from .lexer import (
     ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KW, LBRACE, LBRACKET,
-    RBRACE, RBRACKET, STRING, Comment, Token, tokenize,
+    RBRACE, RBRACKET, STRING, Comment, LexResult, Token, tokenize,
 )
 
 SECTION_KEYWORDS = ("context", "deployment", "artifact", "llm", "tool", "agent")
@@ -52,19 +52,18 @@ def _describe(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.toks = tokens
+    def __init__(self, lex: LexResult):
+        self.toks = lex.tokens
         self.i = 0
-        self.file = file
-        self.diags: list[Diagnostic] = []
+        self.lex = lex
+        self.diags: list[Diagnostic] = list(lex.diagnostics)
         self._flow_counts: dict[tuple[str, str], int] = {}
         self._link_counts: dict[tuple[str, str], int] = {}
 
     # --- cursor helpers -------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -73,26 +72,34 @@ class _Parser:
         return tok
 
     def at(self, ttype: str) -> bool:
-        return self.peek().type == ttype
+        return self.toks[self.i].type == ttype
 
-    def at_kw(self, *names: str) -> bool:
-        return self.peek().is_kw(*names)
+    def at_kw(self, name: str) -> bool:
+        tok = self.toks[self.i]
+        return tok.type == KW and tok.value == name
+
+    def keyword(self) -> Optional[str]:
+        """The current token's keyword, or None when it is not a keyword."""
+        tok = self.toks[self.i]
+        return tok.value if tok.type == KW else None
 
     def fail(self, message: str, tok: Optional[Token] = None, code: str = "P001") -> _ParseError:
         tok = tok or self.peek()
-        return _ParseError(error(code, message, tok.span))
+        return _ParseError(error(code, message, self.token_span(tok)))
 
     def expect(self, ttype: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.type != ttype:
             raise self.fail(f"expected {what}, found {_describe(tok)}")
-        return self.advance()
+        self.i += 1  # never EOF: no caller expects it
+        return tok
 
     def expect_kw(self, name: str) -> Token:
-        tok = self.peek()
-        if not tok.is_kw(name):
+        tok = self.toks[self.i]
+        if tok.type != KW or tok.value != name:
             raise self.fail(f"expected '{name}', found {_describe(tok)}")
-        return self.advance()
+        self.i += 1
+        return tok
 
     def unknown_keyword(self, expected: str) -> _ParseError:
         tok = self.peek()
@@ -100,9 +107,12 @@ class _Parser:
             f"unknown keyword '{tok.value}' (expected {expected})", tok, code="P003"
         )
 
-    def span_from(self, start: SourceSpan) -> SourceSpan:
-        last = self.toks[max(self.i - 1, 0)]
-        return SourceSpan(self.file, start.start, last.span.end)
+    def token_span(self, tok: Token) -> SourceSpan:
+        return self.lex.span(tok.start, tok.end)
+
+    def span_from(self, start: Token) -> SourceSpan:
+        """From the start of ``start`` to the end of the last consumed token."""
+        return self.lex.span(start.start, self.toks[self.i - 1].end)
 
     def sync_to_section(self) -> None:
         """Panic recovery: skip to the next section keyword at this brace depth."""
@@ -123,13 +133,13 @@ class _Parser:
 
     def parse_model(self) -> Optional[m.Model]:
         tok = self.peek()
-        if not tok.is_kw("model"):
+        if not self.at_kw("model"):
             if tok.type == IDENT:
                 self.diags.append(self.unknown_keyword("'model'").diag)
             else:
                 self.diags.append(self.fail(f"expected 'model', found {_describe(tok)}").diag)
             return None
-        start = self.advance().span
+        start = self.advance()
         try:
             name = self.expect(STRING, "model name string").value
             self.expect(LBRACE, "'{'")
@@ -163,7 +173,7 @@ class _Parser:
             self.diags.append(self.fail(f"expected end of file, found {_describe(self.peek())}").diag)
         return m.Model(
             name=name,
-            file=self.file,
+            file=self.lex.file,
             sections=tuple(sections),
             span=self.span_from(start),
         )
@@ -172,33 +182,35 @@ class _Parser:
         tok = self.peek()
         if tok.type == IDENT:
             raise self.unknown_keyword("one of: " + ", ".join(sorted(SECTION_KEYWORDS)))
-        if tok.is_kw("context"):
-            return self.parse_context()
-        if tok.is_kw("deployment"):
-            return self.parse_deployment()
-        if tok.is_kw("artifact"):
-            return self.parse_artifact()
-        if tok.is_kw("llm"):
-            return self.parse_llm()
-        if tok.is_kw("tool"):
-            return self.parse_tool()
-        if tok.is_kw("agent"):
+        word = self.keyword()
+        if word == "agent":
             return self.parse_agent()
+        if word == "artifact":
+            return self.parse_artifact()
+        if word == "context":
+            return self.parse_context()
+        if word == "deployment":
+            return self.parse_deployment()
+        if word == "llm":
+            return self.parse_llm()
+        if word == "tool":
+            return self.parse_tool()
         raise self.fail(f"expected a section, found {_describe(tok)}")
 
     def parse_context(self) -> m.ContextSection:
-        start = self.expect_kw("context").span
+        start = self.expect_kw("context")
         self.expect(LBRACE, "'{'")
         items: list[Union[m.Actor, m.ContextFlow]] = []
         while not self.at(RBRACE):
             tok = self.peek()
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
-            if tok.is_kw("system", "user", "external"):
+            word = self.keyword()
+            if word in ("system", "user", "external"):
                 kind = m.ActorKind(self.advance().value)
                 name_tok = self.expect(IDENT, "actor name")
-                items.append(m.Actor(kind, name_tok.value, self.span_from(tok.span)))
-            elif tok.is_kw("flow"):
+                items.append(m.Actor(kind, name_tok.value, self.span_from(tok)))
+            elif word == "flow":
                 items.append(self.parse_flow())
             elif tok.type == IDENT:
                 raise self.unknown_keyword("one of: external, flow, system, user")
@@ -208,12 +220,13 @@ class _Parser:
         return m.ContextSection(tuple(items), self.span_from(start))
 
     def parse_flow(self) -> m.ContextFlow:
-        start = self.expect_kw("flow").span
+        start = self.expect_kw("flow")
         src = self.expect(IDENT, "flow source").value
         self.expect(ARROW, "'->'")
         dst_tok = self.expect(IDENT, "flow target")
         if dst_tok.value == src:
-            self.diags.append(error("P001", "flow target matches its source", dst_tok.span))
+            self.diags.append(
+                error("P001", "flow target matches its source", self.token_span(dst_tok)))
         self.expect(COLON, "':'")
         arts = self.parse_identlist("artifact name")
         occ = self._flow_counts.get((src, dst_tok.value), 0)
@@ -221,7 +234,7 @@ class _Parser:
         return m.ContextFlow(src, dst_tok.value, arts, self.span_from(start), occ)
 
     def parse_artifact(self) -> m.ArtifactType:
-        start = self.expect_kw("artifact").span
+        start = self.expect_kw("artifact")
         name = self.expect(IDENT, "artifact name").value
         element: Optional[str] = None
         if self.at_kw("collection"):
@@ -231,7 +244,7 @@ class _Parser:
         return m.ArtifactType(name, element, self.span_from(start))
 
     def parse_llm(self) -> m.LlmDecl:
-        start = self.expect_kw("llm").span
+        start = self.expect_kw("llm")
         name = self.expect(IDENT, "llm name").value
         version: Optional[str] = None
         if self.at_kw("version"):
@@ -244,7 +257,7 @@ class _Parser:
         return m.LlmDecl(name, version, default, self.span_from(start))
 
     def parse_tool(self) -> m.ToolDecl:
-        start = self.expect_kw("tool").span
+        start = self.expect_kw("tool")
         name = self.expect(IDENT, "tool name").value
         external = False
         if self.at_kw("external"):
@@ -253,16 +266,17 @@ class _Parser:
         return m.ToolDecl(name, external, self.span_from(start))
 
     def parse_deployment(self) -> m.DeploymentSection:
-        start = self.expect_kw("deployment").span
+        start = self.expect_kw("deployment")
         self.expect(LBRACE, "'{'")
         items: list[Union[m.DeploymentNode, m.DeploymentLink]] = []
         while not self.at(RBRACE):
             tok = self.peek()
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
-            if tok.is_kw("node"):
+            word = self.keyword()
+            if word == "node":
                 items.append(self.parse_deployment_node())
-            elif tok.is_kw("link"):
+            elif word == "link":
                 items.append(self.parse_link())
             elif tok.type == IDENT:
                 raise self.unknown_keyword("one of: link, node")
@@ -272,7 +286,7 @@ class _Parser:
         return m.DeploymentSection(tuple(items), self.span_from(start))
 
     def parse_deployment_node(self) -> m.DeploymentNode:
-        start = self.expect_kw("node").span
+        start = self.expect_kw("node")
         name = self.expect(IDENT, "node name").value
         external = False
         if self.at_kw("external"):
@@ -287,7 +301,7 @@ class _Parser:
         return m.DeploymentNode(name, external, hosts, self.span_from(start))
 
     def parse_link(self) -> m.DeploymentLink:
-        start = self.expect_kw("link").span
+        start = self.expect_kw("link")
         src = self.expect(IDENT, "link source node").value
         self.expect(ARROW, "'->'")
         dst = self.expect(IDENT, "link target node").value
@@ -302,7 +316,7 @@ class _Parser:
         return m.DeploymentLink(src, dst, protocol, arts, self.span_from(start), occ)
 
     def parse_agent(self) -> m.Agent:
-        start = self.expect_kw("agent").span
+        start = self.expect_kw("agent")
         name = self.expect(IDENT, "agent name").value
         llm: Optional[str] = None
         if self.at_kw("llm"):
@@ -314,10 +328,11 @@ class _Parser:
             tok = self.peek()
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
-            if tok.is_kw("store"):
-                members.append(self.parse_store())
-            elif tok.is_kw("task"):
+            word = self.keyword()
+            if word == "task":
                 members.append(self.parse_task())
+            elif word == "store":
+                members.append(self.parse_store())
             elif tok.type == IDENT:
                 raise self.unknown_keyword("one of: store, task")
             else:
@@ -326,14 +341,14 @@ class _Parser:
         return m.Agent(name, llm, tuple(members), self.span_from(start))
 
     def parse_store(self) -> m.Datastore:
-        start = self.expect_kw("store").span
+        start = self.expect_kw("store")
         name = self.expect(IDENT, "datastore name").value
         self.expect(COLON, "':'")
         artifact = self.expect(IDENT, "artifact name").value
         return m.Datastore(name, artifact, self.span_from(start))
 
     def parse_task(self) -> m.Task:
-        start = self.expect_kw("task").span
+        start = self.expect_kw("task")
         name = self.expect(IDENT, "task name").value
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
@@ -358,30 +373,31 @@ class _Parser:
         return inputs, outputs
 
     def parse_body(self) -> m.ActivityGraph:
-        start = self.expect_kw("body").span
+        start = self.expect_kw("body")
         self.expect(LBRACE, "'{'")
         statements: list[Union[m.ActivityNode, m.ActivityEdge]] = []
         while not self.at(RBRACE):
             tok = self.peek()
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
-            if tok.is_kw("call"):
-                statements.append(self.parse_call())
-            elif tok.is_kw("invoke"):
-                statements.append(self.parse_invoke())
-            elif tok.is_kw("decision"):
-                statements.append(self.parse_decision())
-            elif tok.is_kw("fork", "join", "merge"):
-                statements.append(self.parse_fork_join())
-            elif tok.type == IDENT or tok.is_kw("start", "end"):
+            word = self.keyword()
+            if tok.type == IDENT or word in ("start", "end"):
                 statements.append(self.parse_edge())
+            elif word == "call":
+                statements.append(self.parse_call())
+            elif word == "invoke":
+                statements.append(self.parse_invoke())
+            elif word == "decision":
+                statements.append(self.parse_decision())
+            elif word in ("fork", "join", "merge"):
+                statements.append(self.parse_fork_join())
             else:
                 raise self.fail(f"expected a body statement, found {_describe(tok)}")
         self.expect(RBRACE, "'}'")
         return self.assemble_graph(statements, self.span_from(start))
 
     def parse_call(self) -> m.CallNode:
-        start = self.expect_kw("call").span
+        start = self.expect_kw("call")
         node_id = self.expect(IDENT, "call binding name").value
         self.expect(EQ, "'='")
         task = self.expect(IDENT, "task name").value
@@ -399,7 +415,7 @@ class _Parser:
         return m.CallNode(node_id, self.span_from(start), task, agent, each, inputs, outputs)
 
     def parse_invoke(self) -> m.InvokeNode:
-        start = self.expect_kw("invoke").span
+        start = self.expect_kw("invoke")
         node_id = self.expect(IDENT, "invoke binding name").value
         self.expect(EQ, "'='")
         tool = self.expect(IDENT, "tool name").value
@@ -411,7 +427,7 @@ class _Parser:
         return m.InvokeNode(node_id, self.span_from(start), tool, op, inputs, outputs)
 
     def parse_decision(self) -> m.DecisionNode:
-        start = self.expect_kw("decision").span
+        start = self.expect_kw("decision")
         node_id = self.expect(IDENT, "decision binding name").value
         self.expect_kw("on")
         subject = self.expect(IDENT, "artifact name").value
@@ -420,7 +436,7 @@ class _Parser:
     def parse_fork_join(self) -> m.ActivityNode:
         tok = self.advance()
         node_id = self.expect(IDENT, f"{tok.value} binding name").value
-        span = self.span_from(tok.span)
+        span = self.span_from(tok)
         if tok.value == "fork":
             return m.ForkNode(node_id, span)
         if tok.value == "join":
@@ -430,10 +446,11 @@ class _Parser:
     def parse_endpoint(self) -> tuple[str, Optional[str], Token]:
         """Returns (node id, datastore access, first token)."""
         tok = self.peek()
-        if tok.is_kw("start"):
+        word = self.keyword()
+        if word == "start":
             self.advance()
             return m.INITIAL_ID, None, tok
-        if tok.is_kw("end"):
+        if word == "end":
             self.advance()
             return m.FINAL_ID, None, tok
         name_tok = self.expect(IDENT, "edge endpoint")
@@ -449,17 +466,19 @@ class _Parser:
         src, src_access, src_tok = self.parse_endpoint()
         if src_access == "write":
             self.diags.append(
-                error("P001", "a '.write' endpoint cannot start an edge", src_tok.span)
+                error("P001", "a '.write' endpoint cannot start an edge",
+                      self.token_span(src_tok))
             )
         self.expect(ARROW, "'->'")
         dst, dst_access, dst_tok = self.parse_endpoint()
         if dst_access == "read":
             self.diags.append(
-                error("P001", "a '.read' endpoint cannot end an edge", dst_tok.span)
+                error("P001", "a '.read' endpoint cannot end an edge", self.token_span(dst_tok))
             )
         if src_access is not None and dst_access is not None:
             self.diags.append(
-                error("P001", "an edge may touch at most one datastore endpoint", dst_tok.span)
+                error("P001", "an edge may touch at most one datastore endpoint",
+                      self.token_span(dst_tok))
             )
         guard: Optional[m.Guard] = None
         if self.at(LBRACKET):
@@ -469,11 +488,10 @@ class _Parser:
             kind = m.EdgeKind.STORE_READ
         elif dst_access == "write":
             kind = m.EdgeKind.STORE_WRITE
-        span = SourceSpan(self.file, src_tok.span.start, self.toks[self.i - 1].span.end)
-        return m.ActivityEdge(src, dst, guard, kind, span)
+        return m.ActivityEdge(src, dst, guard, kind, self.span_from(src_tok))
 
     def parse_guard(self) -> m.Guard:
-        start = self.expect(LBRACKET, "'['").span
+        start = self.expect(LBRACKET, "'['")
         if self.at_kw("else"):
             self.advance()
             self.expect(RBRACKET, "']'")
@@ -485,20 +503,20 @@ class _Parser:
         return m.Guard(subject, literal, False, self.span_from(start))
 
     def parse_prompt(self) -> m.PromptSpec:
-        start = self.expect_kw("prompt").span
+        start = self.expect_kw("prompt")
         self.expect(LBRACE, "'{'")
         rows: list[m.PromptRow] = []
         while not self.at(RBRACE):
             tok = self.peek()
             if tok.type == EOF:
                 raise self.fail("expected '}', found end of file")
-            if tok.is_kw("static", "dynamic"):
+            if self.keyword() in ("static", "dynamic"):
                 self.advance()
                 part = m.PromptPart.STATIC if tok.value == "static" else m.PromptPart.TASK_SPECIFIC
                 name = self.expect(IDENT, "prompt row name").value
                 self.expect(EQ, "'='")
                 template = self.expect(STRING, "prompt template string").value
-                rows.append(m.PromptRow(part, name, template, self.span_from(tok.span)))
+                rows.append(m.PromptRow(part, name, template, self.span_from(tok)))
             elif tok.type == IDENT:
                 raise self.unknown_keyword("'static' or 'dynamic'")
             else:
@@ -546,8 +564,7 @@ class _Parser:
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse one model file; the model is present iff no P-class error occurred."""
     lex = tokenize(text, file)
-    parser = _Parser(lex.tokens, file)
-    parser.diags.extend(lex.diagnostics)
+    parser = _Parser(lex)
     parsed = parser.parse_model()
     diags = sort_diagnostics(parser.diags)
     if any(d.code.startswith("P") for d in diags):

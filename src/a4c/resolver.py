@@ -6,11 +6,16 @@ a reference that binds to nothing, E002 a duplicate declaration. Two name
 classes are deliberately left to the validator so their diagnostics carry
 rule codes instead: the task named by a TaskCall on a known agent (V1) and
 the tool named by a ToolCall (V8).
+
+A ResolvedModel also holds, built on first use, the facts every impact
+query shares: the seed kinds, the element levels and the labeled impact
+relation between elements (see ``analysis.impact``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import re
 from typing import Optional
 
@@ -18,6 +23,10 @@ from . import model as m
 from .diagnostics import Diagnostic, Related, error, has_errors, sort_diagnostics
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
+
+# the kinds of element an impact seed can name, lowest precedence first
+_SEED_RANK = {kind: i for i, kind in enumerate(
+    ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,81 @@ class ResolvedModel:
 
     def callee_agent_name(self, owner: m.Agent, call: m.CallNode) -> str:
         return call.agent if call.agent is not None else owner.name
+
+    # The facts below serve every impact query on this model, whatever its
+    # seed; each is built on first use and kept, like ``Model.elements``.
+
+    @cached_property
+    def seed_kinds(self) -> dict[str, str]:
+        """Impact seed name -> element kind; a name shared by elements of
+        several kinds takes the kind of highest precedence."""
+        seeds = sorted((e for e in self.model.elements if e.kind in _SEED_RANK),
+                       key=lambda e: _SEED_RANK[e.kind])
+        return {e.display: e.kind for e in seeds}
+
+    @cached_property
+    def element_levels(self) -> dict[str, str]:
+        """Element display name -> C4 level; a name shared by several
+        elements counts at the highest of their levels."""
+        leveled = sorted((e for e in self.model.elements if e.level is not None),
+                         key=lambda e: e.level)
+        return {e.display: e.level for e in leveled}
+
+    @cached_property
+    def relations(self) -> Relations:
+        return _relations(self)
+
+
+class Relations:
+    """Labeled impact relations over element display names: ``down[u]``
+    lists ``(v, label)`` for each element v that u influences, ``up[v]``
+    ``(u, label)`` for each element u that influences v."""
+
+    def __init__(self) -> None:
+        self.down: dict[str, list[tuple[str, str]]] = {}
+        self.up: dict[str, list[tuple[str, str]]] = {}
+
+    def add(self, u: str, v: str, label_down: str, label_up: str) -> None:
+        self.down.setdefault(u, []).append((v, label_down))
+        self.up.setdefault(v, []).append((u, label_up))
+
+
+def _relations(rm: ResolvedModel) -> Relations:
+    g = Relations()
+    for agent in rm.model.agents:
+        llm = rm.llm_of(agent)
+        if llm is not None:
+            g.add(llm.name, agent.name, "Consumes", "Consumes")
+        for task in agent.tasks:
+            tq = m.task_display(agent.name, task.name)
+            g.add(agent.name, tq, "Hosts", "Hosts")
+            produced = set(task.outputs)
+            consumed = set(task.inputs)
+            if task.graph is not None:
+                for node in task.graph.nodes:
+                    if isinstance(node, m.CallNode):
+                        callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
+                        g.add(tq, callee, "Calls", "CalledBy")
+                    elif isinstance(node, m.InvokeNode):
+                        produced.update(node.outputs)
+                        consumed.update(node.inputs)
+                        g.add(node.tool, tq, "Consumes", "Consumes")
+                    elif isinstance(node, m.DecisionNode):
+                        dq = m.body_node_display(agent.name, task.name, node.id)
+                        g.add(node.subject, dq, "Gates", "Gates")
+                        g.add(dq, node.subject, "Gates", "Gates")
+                for edge in task.graph.edges:
+                    if edge.kind is m.EdgeKind.STORE_WRITE:
+                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
+                        g.add(tq, sq, "Produces", "Produces")
+                    elif edge.kind is m.EdgeKind.STORE_READ:
+                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
+                        g.add(sq, tq, "Consumes", "Consumes")
+            for art in sorted(produced):
+                g.add(tq, art, "Produces", "Produces")
+            for art in sorted(consumed):
+                g.add(art, tq, "Consumes", "Consumes")
+    return g
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 These deliberately use the slowest, most literal algorithms available:
 change impact runs a fixpoint sweep over a flat edge list, circuit
-enumeration does an exhaustive simple-path search, and artifact availability
-searches forward from every producer. They share nothing with
-the package's graph code beyond the metamodel itself.
+enumeration does an exhaustive simple-path search, artifact availability
+searches forward from every producer, and tokenizing walks the text one
+character at a time. They share nothing with the package's graph code
+beyond the metamodel itself, nor with its lexer beyond the token names and
+the keyword set.
 
 The relation edge table (who produces/consumes/calls/hosts what, and with
 which label per traversal direction) is written out longhand here from the
@@ -14,7 +16,9 @@ a shared helper.
 
 from __future__ import annotations
 
+from a4c import lexer as lx
 from a4c import model as m
+from a4c.diagnostics import Position, SourceSpan, error
 
 
 def display_task(agent: str, task: str) -> str:
@@ -292,3 +296,109 @@ def oracle_unavailable(agent: m.Agent, task: m.Task) -> list[tuple[str, str]]:
                 continue
             missing.append((node.id, art))
     return missing
+
+
+def oracle_tokenize(text: str, file: str) -> tuple[list, list, list]:
+    """The character-by-character tokenizer: ``(tokens, comments,
+    diagnostics)`` with each token a ``(type, value, span)`` triple and each
+    comment a ``(text, span)`` pair, positions counted as the lexer
+    documents them (1-based lines broken by ``\\n`` only, code-point
+    columns)."""
+    tokens: list[tuple[str, str, SourceSpan]] = []
+    comments: list[tuple[str, SourceSpan]] = []
+    diags: list = []
+
+    line = 1
+    col = 1
+    i = 0
+    n = len(text)
+    ws = " \t\r\n"
+    punct = {"{": lx.LBRACE, "}": lx.RBRACE, "[": lx.LBRACKET, "]": lx.RBRACKET,
+             ":": lx.COLON, ",": lx.COMMA, ".": lx.DOT}
+
+    def pos() -> Position:
+        return Position(line, col)
+
+    def advance_to(j: int) -> None:
+        nonlocal i, line, col
+        newlines = text.count("\n", i, j)
+        if newlines:
+            line += newlines
+            col = j - text.rfind("\n", i, j)
+        else:
+            col += j - i
+        i = j
+
+    while i < n:
+        ch = text[i]
+        if ch in ws:
+            j = i + 1
+            while j < n and text[j] in ws:
+                j += 1
+            advance_to(j)
+            continue
+        start = pos()
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+            body = text[i + 2 : j]
+            advance_to(j)
+            comments.append((body.strip(), SourceSpan(file, start, pos())))
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            advance_to(i + 2)
+            tokens.append((lx.ARROW, "->", SourceSpan(file, start, pos())))
+            continue
+        if ch == "=":
+            if i + 1 < n and text[i + 1] == "=":
+                advance_to(i + 2)
+                tokens.append((lx.EQEQ, "==", SourceSpan(file, start, pos())))
+            else:
+                advance_to(i + 1)
+                tokens.append((lx.EQ, "=", SourceSpan(file, start, pos())))
+            continue
+        if ch in punct:
+            advance_to(i + 1)
+            tokens.append((punct[ch], ch, SourceSpan(file, start, pos())))
+            continue
+        if ch == '"':
+            j = i + 1
+            buf: list[str] = []
+            closed = False
+            while j < n:
+                c = text[j]
+                if c == "\n":
+                    break
+                if c == "\\" and j + 1 < n and text[j + 1] in '"\\':
+                    buf.append(text[j + 1])
+                    j += 2
+                    continue
+                if c == '"':
+                    j += 1
+                    closed = True
+                    break
+                buf.append(c)
+                j += 1
+            advance_to(j)
+            if not closed:
+                diags.append(
+                    error("P002", "unterminated string literal", SourceSpan(file, start, pos()))
+                )
+                continue
+            tokens.append((lx.STRING, "".join(buf), SourceSpan(file, start, pos())))
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance_to(j)
+            kind = lx.KW if word in lx.KEYWORDS else lx.IDENT
+            tokens.append((kind, word, SourceSpan(file, start, pos())))
+            continue
+        advance_to(i + 1)
+        diags.append(error("P001", f"unexpected character {ch!r}", SourceSpan(file, start, pos())))
+
+    tokens.append((lx.EOF, "", SourceSpan(file, pos(), pos())))
+    return tokens, comments, diags

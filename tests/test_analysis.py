@@ -338,6 +338,20 @@ def test_impact_oracle_equivalence(model_pool):
                 assert list(report.levels_touched) == sorted(report.levels_touched)
 
 
+def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery_text):
+    """One resolved model, queried for every seed and direction, reports what
+    a freshly resolved model reports for each query alone."""
+    for text in (testgen_text, recovery_text, COLLISION_MODEL):
+        rm = load_resolved(text)
+        seed_table(rm).clear()  # the caller's copy, not the model's table
+        relations = rm.relations
+        for direction in ("both", "up", "down"):
+            for seed in sorted(seed_table(rm)):
+                fresh = impact(load_resolved(text), seed, direction)
+                assert impact(rm, seed, direction) == fresh, (seed, direction)
+        assert rm.relations is relations
+
+
 # --- loop facts -----------------------------------------------------------------
 
 def test_loop_facts_for_feedback_task(testgen_rm):

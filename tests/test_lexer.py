@@ -1,0 +1,180 @@
+"""The lexer against the character-by-character oracle.
+
+Token types, values and line/column spans, comments and diagnostics must be
+identical to ``oracles.oracle_tokenize`` on the corpus, the messy fixture,
+generated models and bodies, the benchmark's synthetic shapes, random
+strings and line mutants. The traps of a one-pattern lexer are pinned one by
+one below.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+import random
+
+import pytest
+
+from a4c.diagnostics import Position
+from a4c.lexer import EOF, IDENT, KW, STRING, tokenize
+from conftest import CORPUS, corpus_text
+from genmodels import generate_body_model, generate_model
+from oracles import oracle_tokenize
+
+HERE = pathlib.Path(__file__).parent
+FILE = "lex.a4c"
+
+
+def lexed(text: str) -> tuple[list, list, list]:
+    """The lexer's result in the oracle's form."""
+    lex = tokenize(text, FILE)
+    for tok in lex.tokens:
+        if tok.type in (KW, IDENT):
+            assert text[tok.start:tok.end] == tok.value
+        elif tok.type == STRING:
+            assert text[tok.start] == text[tok.end - 1] == '"'
+    return (
+        [(t.type, t.value, lex.span(t.start, t.end)) for t in lex.tokens],
+        [(c.text, c.span) for c in lex.comments],
+        lex.diagnostics,
+    )
+
+
+def assert_same(texts) -> int:
+    count = 0
+    for text in texts:
+        assert lexed(text) == oracle_tokenize(text, FILE), repr(text[:200])
+        count += 1
+    return count
+
+
+def _shapes():
+    spec = importlib.util.spec_from_file_location("shapes", HERE.parent / "bench" / "shapes.py")
+    shapes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shapes)
+    return shapes
+
+
+def _mutants(text: str, rng: random.Random, count: int) -> list[str]:
+    """Lines deleted, duplicated, swapped, cut or spliced with odd characters."""
+    odd = ['"', "\\", "/", "-", "=", "\r", "\t", "²", "٣", "﻿", "é", "_", "1", "//"]
+    out = []
+    for _ in range(count):
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        j = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[j])
+        elif op == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        else:
+            k = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + rng.choice(odd) + lines[i][k:]
+        out.append("\n".join(lines))
+    return out
+
+
+def test_corpus_and_messy_fixture():
+    texts = [corpus_text(name) for name in CORPUS]
+    texts.append((HERE / "fixtures" / "messy.a4c").read_text(encoding="utf-8"))
+    assert assert_same(texts) == 4
+
+
+def test_generated_models_and_bodies(noisy_texts):
+    clean = [generate_model(i) for i in range(300)]
+    bodies = [generate_body_model(i) for i in range(200)]
+    assert assert_same(clean + noisy_texts[:300] + bodies) == 800
+
+
+def test_benchmark_shapes():
+    shapes = _shapes()
+    texts = [shapes.chain(n, 7) for n in (1, 30)] + [shapes.fan(n, 7) for n in (1, 30)]
+    texts += [shapes.ladder(k, 7) for k in (1, 4)] + [shapes.feedback(n, 7) for n in (2, 40)]
+    assert assert_same(texts) == 8
+
+
+def test_random_strings():
+    rng = random.Random(5)
+    alphabet = (
+        ["a", "Z", "_", "1", "²", "٣", "é", "﻿", "\x0b", " ", "\t", "\r", "\n", '"', "\\",
+         "/", "-", ">", "=", "{", "}", "[", "]", ":", ",", ".", "#"]
+        + ["call", "agent", "->", "//", '\\"', "\\\\", "\r\n"]
+    )
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(40))) for _ in range(2000)]
+    assert assert_same(texts) == 2000
+
+
+def test_line_mutants():
+    rng = random.Random(11)
+    texts = []
+    for name in CORPUS:
+        texts += _mutants(corpus_text(name), rng, 200)
+    assert assert_same(texts) == 600
+
+
+# --- pinned traps ---------------------------------------------------------------
+
+def codes(text: str) -> list[tuple[str, str, tuple[int, int], tuple[int, int]]]:
+    return [
+        (d.code, d.message, (d.span.start.line, d.span.start.column),
+         (d.span.end.line, d.span.end.column))
+        for d in tokenize(text, FILE).diagnostics
+    ]
+
+
+def kinds(text: str) -> list[tuple[str, str, int, int]]:
+    return [(t.type, t.value, t.start, t.end) for t in tokenize(text, FILE).tokens]
+
+
+def test_escaped_quote_at_end_of_line_is_unterminated():
+    text = 'x "a\\"\ny'
+    assert codes(text) == [("P002", "unterminated string literal", (1, 3), (1, 7))]
+    assert kinds(text) == [(IDENT, "x", 0, 1), (IDENT, "y", 7, 8), (EOF, "", 8, 8)]
+    assert lexed(text) == oracle_tokenize(text, FILE)
+
+
+def test_escapes_inside_a_closed_string():
+    text = '"q\\"r\\\\" "\\x"'
+    assert kinds(text) == [(STRING, 'q"r\\', 0, 8), (STRING, "\\x", 9, 13), (EOF, "", 13, 13)]
+
+
+@pytest.mark.parametrize("text", ["²x", "x ²y"])
+def test_word_starting_with_a_non_letter(text):
+    at = text.index("²")
+    assert codes(text) == [("P001", "unexpected character '²'", (1, at + 1), (1, at + 2))]
+    assert kinds(text)[-2] == (IDENT, text[at + 1:], at + 1, len(text))
+    assert lexed(text) == oracle_tokenize(text, FILE)
+
+
+def test_decimal_digit_of_another_script_is_unexpected():
+    assert codes("٣") == [("P001", "unexpected character '٣'", (1, 1), (1, 2))]
+    assert kinds("٣") == [(EOF, "", 1, 1)]
+
+
+def test_lone_carriage_return_is_whitespace_within_a_line():
+    lex = tokenize("a\rb\r\nc", FILE)
+    assert [(t.value, lex.position(t.start)) for t in lex.tokens] == [
+        ("a", Position(1, 1)), ("b", Position(1, 3)), ("c", Position(2, 1)), ("", Position(2, 2))
+    ]
+    assert not lex.diagnostics
+
+
+def test_byte_order_mark_inside_a_file_is_unexpected():
+    assert codes("a\n﻿b") == [("P001", "unexpected character '\\ufeff'", (2, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("text, end", [
+    ("", (1, 1)), ("model", (1, 6)), ("model\n", (2, 1)), ("model\n  ", (2, 3)),
+    ("a // note", (1, 10)), ("a\r", (1, 3)),
+])
+def test_eof_sits_at_the_end_of_the_last_line(text, end):
+    lex = tokenize(text, FILE)
+    eof = lex.tokens[-1]
+    assert eof.type == EOF and eof.start == eof.end == len(text)
+    assert lex.span(eof.start, eof.end).start == Position(*end)
+    assert lexed(text) == oracle_tokenize(text, FILE)

@@ -15,15 +15,6 @@ from a4c.lexer import DOT, IDENT, STRING, tokenize
 _PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
 
 
-def _offsets(text: str) -> list[int]:
-    """Absolute offset of the start of each 1-based line."""
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
-
-
 def alpha_rename(text: str, prefix: str = "zq") -> tuple[str, dict[str, str]]:
     """Injectively rename all identifiers in ``text``; returns (text, mapping).
 
@@ -32,33 +23,25 @@ def alpha_rename(text: str, prefix: str = "zq") -> tuple[str, dict[str, str]]:
     """
     lexed = tokenize(text, "<rename>")
     assert not lexed.diagnostics, lexed.diagnostics
-    starts = _offsets(text)
-
-    def abs_pos(line: int, column: int) -> int:
-        return starts[line - 1] + column - 1
-
     mapping: dict[str, str] = {}
     replacements: list[tuple[int, int, str]] = []
     prev_type = None
     for tok in lexed.tokens:
         if tok.type == IDENT and prev_type != DOT:
             new = mapping.setdefault(tok.value, prefix + tok.value)
-            begin = abs_pos(tok.span.start.line, tok.span.start.column)
-            replacements.append((begin, begin + len(tok.value), new))
+            replacements.append((tok.start, tok.end, new))
         prev_type = tok.type
 
     for tok in lexed.tokens:
         if tok.type != STRING:
             continue
-        begin = abs_pos(tok.span.start.line, tok.span.start.column)
-        end = abs_pos(tok.span.end.line, tok.span.end.column)
-        raw = text[begin:end]
+        raw = text[tok.start:tok.end]
         def swap(match: re.Match) -> str:
             name = match.group(1)
             return "{" + mapping.get(name, name) + "}"
         renamed = _PLACEHOLDER.sub(swap, raw)
         if renamed != raw:
-            replacements.append((begin, end, renamed))
+            replacements.append((tok.start, tok.end, renamed))
 
     out = text
     for begin, end, new in sorted(replacements, reverse=True):
