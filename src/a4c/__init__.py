@@ -9,74 +9,46 @@ Typical use:
     result = parse(text, "system.a4c")
     resolved = resolve(result.model)
     findings = check(resolved.model)
+
+Importing the package loads none of its modules: each public name, and each
+submodule as an attribute (``a4c.render``), loads its module on first use,
+so a command pays only for the modules it runs.
 """
 
-from .analysis import (
-    AnalysisError,
-    Direction,
-    ImpactReport,
-    LoopFact,
-    Pattern,
-    PatternClass,
-    classify,
-    impact,
-    loop_facts,
-)
-from .diagnostics import Diagnostic, Position, Severity, SourceSpan
-from .formatter import FormatError, canonical_format, parse_roundtrip
-from .model import Model, fingerprint
-from .parser import ParseResult, parse
-from .render import (
-    DiagramText,
-    DocsBundle,
-    RenderError,
-    docs_bundle,
-    render_activity,
-    render_context,
-    render_deployment,
-    render_prompts,
-)
-from .resolver import ResolvedModel, ResolveResult, call_graph, call_graph_roots, resolve
-from .validate import RULES, check, is_valid
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "Diagnostic",
-    "DiagramText",
-    "Direction",
-    "DocsBundle",
-    "FormatError",
-    "ImpactReport",
-    "LoopFact",
-    "Model",
-    "ParseResult",
-    "Pattern",
-    "PatternClass",
-    "Position",
-    "RULES",
-    "RenderError",
-    "ResolveResult",
-    "ResolvedModel",
-    "Severity",
-    "SourceSpan",
-    "call_graph",
-    "call_graph_roots",
-    "canonical_format",
-    "check",
-    "classify",
-    "docs_bundle",
-    "fingerprint",
-    "impact",
-    "is_valid",
-    "loop_facts",
-    "parse",
-    "parse_roundtrip",
-    "render_activity",
-    "render_context",
-    "render_deployment",
-    "render_prompts",
-    "resolve",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_ORIGIN = {name: module for module, names in {
+    "analysis": ("AnalysisError", "Direction", "ImpactReport", "LoopFact", "Pattern",
+                 "PatternClass", "classify", "impact", "loop_facts"),
+    "diagnostics": ("Diagnostic", "Position", "Severity", "SourceSpan"),
+    "formatter": ("FormatError", "canonical_format", "parse_roundtrip"),
+    "model": ("Model", "fingerprint"),
+    "parser": ("ParseResult", "parse"),
+    "render": ("DiagramText", "DocsBundle", "RenderError", "docs_bundle", "render_activity",
+               "render_context", "render_deployment", "render_prompts"),
+    "resolver": ("ResolvedModel", "ResolveResult", "call_graph", "call_graph_roots", "resolve"),
+    "validate": ("RULES", "check", "is_valid"),
+}.items() for name in names}
+
+_SUBMODULES = frozenset({"analysis", "cli", "diagnostics", "formatter", "lexer", "model",
+                         "parser", "records", "render", "resolver", "validate"})
+
+__all__ = sorted(_ORIGIN) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

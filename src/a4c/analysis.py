@@ -20,11 +20,12 @@ levels are built once per model, as ``ResolvedModel.relations``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from . import model as m
+from .records import record
 from .resolver import ResolvedModel
 
 
@@ -56,13 +57,13 @@ class Pattern(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class PatternClass:
     value: Pattern
     evidence: tuple[tuple[str, tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Affected:
     element: str
     relation: str
@@ -72,7 +73,7 @@ class Affected:
         return {"element": self.element, "relation": self.relation, "path": list(self.path)}
 
 
-@dataclass(frozen=True)
+@record
 class ImpactReport:
     seed: str
     direction: Direction
@@ -88,7 +89,7 @@ class ImpactReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LoopFact:
     cycle: tuple[str, ...]
     exits: tuple[m.ActivityEdge, ...]
@@ -150,30 +151,19 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
     for element in order:
         affected[element] = Affected(element, relation[element], path_of(element))
 
+    # flows, nodes and links are affected through what they carry or host
     model = rm.model
-    affected_set = set(affected)
+    carriers: list[tuple[str, str, tuple[str, ...]]] = []
     if model.context is not None:
-        for flow in model.context.flows:
-            hits = sorted(a for a in flow.artifacts if a in affected_set)
-            if hits:
-                display = m.flow_display(flow)
-                affected[display] = Affected(
-                    display, "FlowsOver", affected[hits[0]].path + (display,)
-                )
+        carriers += [(m.flow_display(f), "FlowsOver", f.artifacts) for f in model.context.flows]
     if model.deployment is not None:
-        for node in model.deployment.nodes:
-            hits = sorted(h for h in node.hosts if h in affected_set)
-            if hits:
-                affected[node.name] = Affected(
-                    node.name, "Hosts", affected[hits[0]].path + (node.name,)
-                )
-        for link in model.deployment.links:
-            hits = sorted(a for a in link.artifacts if a in affected_set)
-            if hits:
-                display = m.link_display(link)
-                affected[display] = Affected(
-                    display, "FlowsOver", affected[hits[0]].path + (display,)
-                )
+        carriers += [(n.name, "Hosts", n.hosts) for n in model.deployment.nodes]
+        carriers += [(m.link_display(k), "FlowsOver", k.artifacts) for k in model.deployment.links]
+    affected_set = set(affected)
+    for display, label, carried in carriers:
+        hits = sorted(a for a in carried if a in affected_set)
+        if hits:
+            affected[display] = Affected(display, label, affected[hits[0]].path + (display,))
 
     level_map = rm.element_levels
     levels = {level_map[e] for e in affected if e in level_map}
@@ -196,7 +186,7 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
 
 # --- control-flow facts ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ControlFacts:
     """Control-flow facts of one task body, built once by ``control_facts``
     and shared by the rules and analyses that walk the body.
@@ -374,14 +364,14 @@ def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
                     blocked_map.setdefault(x, set()).add(v)
 
 
+_SOURCE_TARGET = attrgetter("source", "target")
+
+
 def _guarded_exits(facts: ControlFacts, cycle: tuple[str, ...]) -> tuple[m.ActivityEdge, ...]:
     members = set(cycle)
-    return tuple(
-        sorted(
-            (e for v in cycle for e in facts.guarded.get(v, ()) if e.target not in members),
-            key=lambda e: (e.source, e.target),
-        )
-    )
+    guarded = facts.guarded
+    return tuple(sorted((e for v in cycle for e in guarded.get(v, ()) if e.target not in members),
+                        key=_SOURCE_TARGET))
 
 
 def loop_facts(task: m.Task) -> list[LoopFact]:

@@ -11,7 +11,6 @@ errors (bad flags, unknown seed or direction, classifying a leaf task).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import stat
@@ -19,18 +18,8 @@ import sys
 from typing import Optional
 
 from . import model as m
-from .analysis import AnalysisError, classify, impact
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
-from .formatter import FormatError, canonical_format
+from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
 from .parser import parse
-from .render import (
-    RenderError,
-    docs_bundle,
-    render_activity,
-    render_context,
-    render_deployment,
-    render_prompts,
-)
 from .resolver import ResolvedModel, resolve
 
 EXIT_OK = 0
@@ -155,7 +144,7 @@ def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic]
     return rresult.model, diags, EXIT_OK
 
 
-# --- commands ---------------------------------------------------------------------
+# --- commands (each imports what only it runs: `check` loads no renderer) --------
 
 def _cmd_check(args) -> int:
     from .validate import check
@@ -173,16 +162,11 @@ def _cmd_check(args) -> int:
     _print_diagnostics(all_diags, args.format)
     if worst == EXIT_INPUT:
         return EXIT_INPUT
-    has_error = any(d.severity is Severity.ERROR for d in all_diags)
-    if has_error:
+    if has_errors(all_diags):
         return EXIT_FINDINGS
     if args.fail_on_warning and all_diags:
         return EXIT_FINDINGS
     return EXIT_OK
-
-
-def _sha256(content: str) -> str:
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
 def _write_file(path: str, content: str) -> None:
@@ -205,6 +189,20 @@ def _write_file(path: str, content: str) -> None:
             os.remove(tmp)
 
 
+def _manifest_entries(path: str) -> dict[str, str]:
+    """The ``files`` table of an existing manifest; empty when there is none,
+    it cannot be read, or it is not shaped ``{"files": {path: digest}}``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return {}
+    entries = old.get("files") if isinstance(old, dict) else None
+    if not isinstance(entries, dict) or not all(isinstance(d, str) for d in entries.values()):
+        return {}
+    return entries
+
+
 def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     """Write rendered files plus a sha256 manifest.
 
@@ -212,23 +210,17 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     --out directory describe the combined tree; entries whose file vanished
     are dropped.
     """
+    import hashlib
+
     for rel, content in files.items():
         path = os.path.join(out_dir, rel)
         os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
         _write_file(path, content)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    entries: dict[str, str] = {}
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                old = json.load(fh)
-            for rel, digest in old.get("files", {}).items():
-                if os.path.exists(os.path.join(out_dir, rel)):
-                    entries[rel] = digest
-        except (OSError, ValueError):
-            entries = {}
+    entries = {rel: digest for rel, digest in _manifest_entries(manifest_path).items()
+               if os.path.exists(os.path.join(out_dir, rel))}
     for rel, content in files.items():
-        entries[rel] = _sha256(content)
+        entries[rel] = hashlib.sha256(content.encode("utf-8")).hexdigest()
     manifest = {"files": {rel: entries[rel] for rel in sorted(entries)}}
     _write_file(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for rel in sorted(files):
@@ -236,7 +228,14 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     print(f"wrote {manifest_path}")
 
 
+def _render_failed(exc) -> int:
+    print(f"a4c: {exc}", file=sys.stderr)
+    return EXIT_FINDINGS if exc.code == "R001" else EXIT_USAGE
+
+
 def _cmd_render(args) -> int:
+    from . import render
+
     rm, diags, code = _load_resolved(args.file)
     if rm is None:
         _print_diagnostics(diags, "text", sys.stderr)
@@ -244,25 +243,30 @@ def _cmd_render(args) -> int:
     model = rm.model
     files: dict[str, str] = {}
     level = args.level
-    if level in ("c1", "all"):
-        files["c1.puml"] = render_context(model).text
-    if level == "c2" or (level == "all" and model.deployment is not None):
-        files["c2.puml"] = render_deployment(model).text
-    for agent, task in m.iter_tasks(model):
-        stem = m.task_display(agent.name, task.name)
-        if task.graph is not None and (
-            level == "all"
-            or (level == "c3" and task.is_composite)
-            or (level == "c4" and task.is_leaf)
-        ):
-            files[f"activity/{stem}.dot"] = render_activity(model, agent, task).text
-        if task.prompt is not None and level in ("c4", "all"):
-            files[f"prompts/{stem}.md"] = render_prompts(agent, task).text
+    try:
+        if level in ("c1", "all"):
+            files["c1.puml"] = render.render_context(model).text
+        if level == "c2" or (level == "all" and model.deployment is not None):
+            files["c2.puml"] = render.render_deployment(model).text
+        for agent, task in m.iter_tasks(model):
+            stem = m.task_display(agent.name, task.name)
+            if task.graph is not None and (
+                level == "all"
+                or (level == "c3" and task.is_composite)
+                or (level == "c4" and task.is_leaf)
+            ):
+                files[f"activity/{stem}.dot"] = render.render_activity(model, agent, task).text
+            if task.prompt is not None and level in ("c4", "all"):
+                files[f"prompts/{stem}.md"] = render.render_prompts(agent, task).text
+    except render.RenderError as exc:
+        return _render_failed(exc)
     _write_outputs(args.out, files)
     return EXIT_OK
 
 
 def _cmd_impact(args) -> int:
+    from .analysis import AnalysisError, impact
+
     rm, diags, code = _load_resolved(args.file)
     if rm is None:
         _print_diagnostics(diags, "text", sys.stderr)
@@ -287,6 +291,8 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .analysis import classify
+
     rm, diags, code = _load_resolved(args.file)
     if rm is None:
         _print_diagnostics(diags, "text", sys.stderr)
@@ -319,17 +325,24 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_docs(args) -> int:
+    from . import render
+
     rm, diags, code = _load_resolved(args.file)
     if rm is None:
         _print_diagnostics(diags, "text", sys.stderr)
         return code
-    bundle = docs_bundle(rm)
+    try:
+        bundle = render.docs_bundle(rm)
+    except render.RenderError as exc:
+        return _render_failed(exc)
     files = {f"docs/{rel}": content for rel, content in bundle.files.items()}
     _write_outputs(args.out, files)
     return EXIT_OK
 
 
 def _cmd_fmt(args) -> int:
+    from .formatter import FormatError, canonical_format
+
     # every file is formatted before any is written, so one that fails to
     # read or parse leaves them all untouched
     outputs: list[tuple[str, str]] = []
@@ -365,9 +378,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except RenderError as exc:
-        print(f"a4c: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS if exc.code == "R001" else EXIT_USAGE
     except OSError as exc:
         print(f"a4c: {exc}", file=sys.stderr)
         return EXIT_INPUT

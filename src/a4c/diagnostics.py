@@ -6,20 +6,21 @@ R### rendering, A### analysis, F### formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
+from .records import record
 
-@dataclass(frozen=True, order=True)
+
+@record
 class Position:
-    """1-based line/column pair."""
+    """1-based line/column pair; positions order by line, then column."""
 
     line: int
     column: int
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     """Half-open region of one source file; ``end`` points past the last character."""
 
@@ -27,9 +28,10 @@ class SourceSpan:
     start: Position
     end: Position
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"span end {self.end} precedes start {self.start}")
+    def __new__(cls, file: str, start: Position, end: Position) -> SourceSpan:
+        if end < start:
+            raise ValueError(f"span end {end} precedes start {start}")
+        return tuple.__new__(cls, (file, start, end))
 
     @staticmethod
     def synthetic(file: str = "<generated>") -> "SourceSpan":
@@ -51,7 +53,7 @@ class Severity(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class Related:
     """Secondary location attached to a diagnostic (e.g. the first declaration)."""
 
@@ -59,17 +61,19 @@ class Related:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     code: str
     severity: Severity
     message: str
     span: SourceSpan
-    related: tuple[Related, ...] = field(default_factory=tuple)
+    related: tuple[Related, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.message:
+    def __new__(cls, code: str, severity: Severity, message: str, span: SourceSpan,
+                related: tuple[Related, ...] = ()) -> Diagnostic:
+        if not message:
             raise ValueError("diagnostic message must be nonempty")
+        return tuple.__new__(cls, (code, severity, message, span, related))
 
     def sort_key(self) -> tuple:
         return (self.span.file, self.span.start.line, self.span.start.column, self.code)

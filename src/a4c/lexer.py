@@ -17,11 +17,11 @@ can reattach them; they never reach the parser's token stream.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 import re
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Position, SourceSpan, error
+from .records import record
 
 KEYWORDS = frozenset(
     {
@@ -88,13 +88,13 @@ class Token(NamedTuple):
     end: int  # offset past the last character
 
 
-@dataclass(frozen=True)
+@record
 class Comment:
     text: str  # without the leading //
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record
 class LexResult:
     tokens: list[Token]
     comments: list[Comment]

@@ -2,9 +2,9 @@
 
 One Model spans all four description levels: context actors and flows (C1),
 deployment nodes and links (C2), agents with tasks and datastores (C3), and
-task bodies with tool calls and prompts (C4). All types are frozen; a parsed
-model is safe to share across threads without locking. Equality ignores
-spans: two elements of the same structure compare equal wherever they sit.
+task bodies with tool calls and prompts (C4). All types are immutable records
+whose derived views are computed once; a parsed model is safe to share across
+threads without locking. Equality ignores spans and tells types apart.
 
 Declaration order is preserved (``sections``, ``members``, ``items``,
 ``statements``) so the formatter can reprint files without reordering.
@@ -12,12 +12,12 @@ Declaration order is preserved (``sections``, ``members``, ``items``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .diagnostics import SourceSpan
+from .records import record
 
 INITIAL_ID = "start"
 FINAL_ID = "end"
@@ -33,111 +33,111 @@ class ActorKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Actor:
     kind: ActorKind
     name: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ContextFlow:
     source: str
     target: str
     artifacts: tuple[str, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
     occurrence: int  # earlier flows in the model with the same source and target
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ContextSection:
     items: tuple[Union[Actor, ContextFlow], ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
-    @property
+    @cached_property
     def actors(self) -> tuple[Actor, ...]:
         return tuple(i for i in self.items if isinstance(i, Actor))
 
-    @property
+    @cached_property
     def flows(self) -> tuple[ContextFlow, ...]:
         return tuple(i for i in self.items if isinstance(i, ContextFlow))
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ArtifactType:
     name: str
     element_type: Optional[str]  # set iff this artifact is a collection
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
     @property
     def is_collection(self) -> bool:
         return self.element_type is not None
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class LlmDecl:
     name: str
     version: Optional[str]
     default: bool
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ToolDecl:
     name: str
     external: bool
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class DeploymentNode:
     name: str
     external: bool
     hosts: tuple[str, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class DeploymentLink:
     source: str
     target: str
     protocol: str
     artifacts: tuple[str, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
     occurrence: int  # earlier links in the model with the same source and target
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class DeploymentSection:
     items: tuple[Union[DeploymentNode, DeploymentLink], ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[DeploymentNode, ...]:
         return tuple(i for i in self.items if isinstance(i, DeploymentNode))
 
-    @property
+    @cached_property
     def links(self) -> tuple[DeploymentLink, ...]:
         return tuple(i for i in self.items if isinstance(i, DeploymentLink))
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ActivityNode:
     id: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class InitialNode(ActivityNode):
     pass
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class FinalNode(ActivityNode):
     pass
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class CallNode(ActivityNode):
     """TaskCall; ``agent`` is None for a self-call on the enclosing agent."""
 
@@ -152,7 +152,7 @@ class CallNode(ActivityNode):
         return self.each is not None
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class InvokeNode(ActivityNode):
     """ToolCall on a declared tool operation."""
 
@@ -162,27 +162,27 @@ class InvokeNode(ActivityNode):
     outputs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class DecisionNode(ActivityNode):
     subject: str
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class MergeNode(ActivityNode):
     pass
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ForkNode(ActivityNode):
     pass
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class JoinNode(ActivityNode):
     pass
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class StoreNode(ActivityNode):
     """Datastore endpoint materialized from ``name.read`` / ``name.write`` edges."""
 
@@ -196,14 +196,14 @@ class EdgeKind(Enum):
     STORE_WRITE = "store_write"
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Guard:
     """Either ``subject == literal`` or the else branch."""
 
     subject: Optional[str]
     literal: Optional[str]
     is_else: bool
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
     def display(self) -> str:
         if self.is_else:
@@ -211,34 +211,43 @@ class Guard:
         return f"[{self.subject} == {self.literal}]"
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ActivityEdge:
     source: str
     target: str
     guard: Optional[Guard]
     kind: EdgeKind
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
     synthetic: bool = False
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class ActivityGraph:
     # declared statements in source order: explicit nodes and edges only
     statements: tuple[Union[ActivityNode, ActivityEdge], ...]
     nodes: tuple[ActivityNode, ...]  # includes implicit start/end and store nodes
     edges: tuple[ActivityEdge, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
     def node_by_id(self, node_id: str) -> Optional[ActivityNode]:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        return None
+        return self._by_id.get(node_id)
 
     def call_nodes(self) -> tuple[CallNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, CallNode))
+        return self._calls
 
     def invoke_nodes(self) -> tuple[InvokeNode, ...]:
+        return self._invokes
+
+    @cached_property
+    def _by_id(self) -> dict[str, ActivityNode]:
+        return {n.id: n for n in reversed(self.nodes)}  # the first node with an id wins
+
+    @cached_property
+    def _calls(self) -> tuple[CallNode, ...]:
+        return tuple(n for n in self.nodes if isinstance(n, CallNode))
+
+    @cached_property
+    def _invokes(self) -> tuple[InvokeNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, InvokeNode))
 
 
@@ -250,28 +259,28 @@ class PromptPart(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class PromptRow:
     part: PromptPart
     name: str
     template: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class PromptSpec:
     rows: tuple[PromptRow, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Task:
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     graph: Optional[ActivityGraph]
     prompt: Optional[PromptSpec]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
     @property
     def is_composite(self) -> bool:
@@ -282,45 +291,39 @@ class Task:
         return not self.is_composite
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Datastore:
     name: str
     artifact: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Agent:
     name: str
     llm: Optional[str]
     members: tuple[Union[Datastore, Task], ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan
 
-    @property
+    @cached_property
     def datastores(self) -> tuple[Datastore, ...]:
         return tuple(m for m in self.members if isinstance(m, Datastore))
 
-    @property
+    @cached_property
     def tasks(self) -> tuple[Task, ...]:
         return tuple(m for m in self.members if isinstance(m, Task))
 
     def task(self, name: str) -> Optional[Task]:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        return None
+        return next((t for t in self.tasks if t.name == name), None)
 
     def datastore(self, name: str) -> Optional[Datastore]:
-        for s in self.datastores:
-            if s.name == name:
-                return s
-        return None
+        return next((s for s in self.datastores if s.name == name), None)
 
 
 Section = Union[ContextSection, DeploymentSection, ArtifactType, LlmDecl, ToolDecl, Agent]
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     """One element of a model as every view and analysis names it.
 
@@ -336,12 +339,12 @@ class Element:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
+@record(ignore="span")
 class Model:
     name: str
     file: str
     sections: tuple[Section, ...]
-    span: SourceSpan = field(default=SourceSpan.synthetic(), compare=False)
+    span: SourceSpan = SourceSpan.synthetic()
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -357,41 +360,32 @@ class Model:
             spans.setdefault(e.id, e.span)
         return spans
 
-    @property
+    @cached_property
     def context(self) -> Optional[ContextSection]:
-        for s in self.sections:
-            if isinstance(s, ContextSection):
-                return s
-        return None
+        return next((s for s in self.sections if isinstance(s, ContextSection)), None)
 
-    @property
+    @cached_property
     def deployment(self) -> Optional[DeploymentSection]:
-        for s in self.sections:
-            if isinstance(s, DeploymentSection):
-                return s
-        return None
+        return next((s for s in self.sections if isinstance(s, DeploymentSection)), None)
 
-    @property
+    @cached_property
     def artifacts(self) -> tuple[ArtifactType, ...]:
         return tuple(s for s in self.sections if isinstance(s, ArtifactType))
 
-    @property
+    @cached_property
     def llms(self) -> tuple[LlmDecl, ...]:
         return tuple(s for s in self.sections if isinstance(s, LlmDecl))
 
-    @property
+    @cached_property
     def tools(self) -> tuple[ToolDecl, ...]:
         return tuple(s for s in self.sections if isinstance(s, ToolDecl))
 
-    @property
+    @cached_property
     def agents(self) -> tuple[Agent, ...]:
         return tuple(s for s in self.sections if isinstance(s, Agent))
 
     def agent(self, name: str) -> Optional[Agent]:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        return None
+        return next((a for a in self.agents if a.name == name), None)
 
 
 # --- element names -------------------------------------------------------------

@@ -9,7 +9,6 @@ P-class error was recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import model as m
@@ -18,15 +17,19 @@ from .lexer import (
     ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KW, LBRACE, LBRACKET,
     RBRACE, RBRACKET, STRING, Comment, LexResult, Token, tokenize,
 )
+from .records import record
 
 SECTION_KEYWORDS = ("context", "deployment", "artifact", "llm", "tool", "agent")
 
 
-@dataclass(frozen=True)
+@record
 class ParseResult:
     model: Optional[m.Model]
     diagnostics: list[Diagnostic]
-    comments: list[Comment] = field(default_factory=list)
+    comments: list[Comment]  # a fresh list when not given
+
+    def __new__(cls, model, diagnostics, comments=None) -> ParseResult:
+        return tuple.__new__(cls, (model, diagnostics, [] if comments is None else comments))
 
     @property
     def ok(self) -> bool:
@@ -77,6 +80,32 @@ class _Parser:
     def at_kw(self, name: str) -> bool:
         tok = self.toks[self.i]
         return tok.type == KW and tok.value == name
+
+    def accept_kw(self, name: str) -> bool:
+        """Consume the keyword ``name`` if it comes next."""
+        tok = self.toks[self.i]
+        if tok.type == KW and tok.value == name:
+            self.i += 1
+            return True
+        return False
+
+    def accept(self, ttype: str) -> bool:
+        """Consume a token of type ``ttype`` (never EOF) if one comes next."""
+        if self.toks[self.i].type == ttype:
+            self.i += 1
+            return True
+        return False
+
+    def block_item(self) -> Optional[Token]:
+        """The next token of a ``{ ... }`` block, or None once its closing
+        brace is consumed; the file must not end inside the block."""
+        tok = self.toks[self.i]
+        if tok.type == RBRACE:
+            self.i += 1
+            return None
+        if tok.type == EOF:
+            raise self.fail("expected '}', found end of file")
+        return tok
 
     def keyword(self) -> Optional[str]:
         """The current token's keyword, or None when it is not a keyword."""
@@ -182,29 +211,18 @@ class _Parser:
         tok = self.peek()
         if tok.type == IDENT:
             raise self.unknown_keyword("one of: " + ", ".join(sorted(SECTION_KEYWORDS)))
-        word = self.keyword()
-        if word == "agent":
-            return self.parse_agent()
-        if word == "artifact":
-            return self.parse_artifact()
-        if word == "context":
-            return self.parse_context()
-        if word == "deployment":
-            return self.parse_deployment()
-        if word == "llm":
-            return self.parse_llm()
-        if word == "tool":
-            return self.parse_tool()
-        raise self.fail(f"expected a section, found {_describe(tok)}")
+        parse = {"agent": self.parse_agent, "artifact": self.parse_artifact,
+                 "context": self.parse_context, "deployment": self.parse_deployment,
+                 "llm": self.parse_llm, "tool": self.parse_tool}.get(self.keyword())
+        if parse is None:
+            raise self.fail(f"expected a section, found {_describe(tok)}")
+        return parse()
 
     def parse_context(self) -> m.ContextSection:
         start = self.expect_kw("context")
         self.expect(LBRACE, "'{'")
         items: list[Union[m.Actor, m.ContextFlow]] = []
-        while not self.at(RBRACE):
-            tok = self.peek()
-            if tok.type == EOF:
-                raise self.fail("expected '}', found end of file")
+        while (tok := self.block_item()) is not None:
             word = self.keyword()
             if word in ("system", "user", "external"):
                 kind = m.ActorKind(self.advance().value)
@@ -216,7 +234,6 @@ class _Parser:
                 raise self.unknown_keyword("one of: external, flow, system, user")
             else:
                 raise self.fail(f"expected a context item, found {_describe(tok)}")
-        self.expect(RBRACE, "'}'")
         return m.ContextSection(tuple(items), self.span_from(start))
 
     def parse_flow(self) -> m.ContextFlow:
@@ -237,8 +254,7 @@ class _Parser:
         start = self.expect_kw("artifact")
         name = self.expect(IDENT, "artifact name").value
         element: Optional[str] = None
-        if self.at_kw("collection"):
-            self.advance()
+        if self.accept_kw("collection"):
             self.expect_kw("of")
             element = self.expect(IDENT, "element artifact name").value
         return m.ArtifactType(name, element, self.span_from(start))
@@ -247,32 +263,22 @@ class _Parser:
         start = self.expect_kw("llm")
         name = self.expect(IDENT, "llm name").value
         version: Optional[str] = None
-        if self.at_kw("version"):
-            self.advance()
+        if self.accept_kw("version"):
             version = self.expect(STRING, "version string").value
-        default = False
-        if self.at_kw("default"):
-            self.advance()
-            default = True
+        default = self.accept_kw("default")
         return m.LlmDecl(name, version, default, self.span_from(start))
 
     def parse_tool(self) -> m.ToolDecl:
         start = self.expect_kw("tool")
         name = self.expect(IDENT, "tool name").value
-        external = False
-        if self.at_kw("external"):
-            self.advance()
-            external = True
+        external = self.accept_kw("external")
         return m.ToolDecl(name, external, self.span_from(start))
 
     def parse_deployment(self) -> m.DeploymentSection:
         start = self.expect_kw("deployment")
         self.expect(LBRACE, "'{'")
         items: list[Union[m.DeploymentNode, m.DeploymentLink]] = []
-        while not self.at(RBRACE):
-            tok = self.peek()
-            if tok.type == EOF:
-                raise self.fail("expected '}', found end of file")
+        while (tok := self.block_item()) is not None:
             word = self.keyword()
             if word == "node":
                 items.append(self.parse_deployment_node())
@@ -282,20 +288,15 @@ class _Parser:
                 raise self.unknown_keyword("one of: link, node")
             else:
                 raise self.fail(f"expected a deployment item, found {_describe(tok)}")
-        self.expect(RBRACE, "'}'")
         return m.DeploymentSection(tuple(items), self.span_from(start))
 
     def parse_deployment_node(self) -> m.DeploymentNode:
         start = self.expect_kw("node")
         name = self.expect(IDENT, "node name").value
-        external = False
-        if self.at_kw("external"):
-            self.advance()
-            external = True
+        external = self.accept_kw("external")
         self.expect(LBRACE, "'{'")
         hosts: tuple[str, ...] = ()
-        if self.at_kw("hosts"):
-            self.advance()
+        if self.accept_kw("hosts"):
             hosts = self.parse_identlist("hosted element name")
         self.expect(RBRACE, "'}'")
         return m.DeploymentNode(name, external, hosts, self.span_from(start))
@@ -308,8 +309,7 @@ class _Parser:
         self.expect(COLON, "':'")
         protocol = self.expect(STRING, "protocol string").value
         arts: tuple[str, ...] = ()
-        if self.at(COLON):
-            self.advance()
+        if self.accept(COLON):
             arts = self.parse_identlist("artifact name")
         occ = self._link_counts.get((src, dst), 0)
         self._link_counts[(src, dst)] = occ + 1
@@ -319,15 +319,11 @@ class _Parser:
         start = self.expect_kw("agent")
         name = self.expect(IDENT, "agent name").value
         llm: Optional[str] = None
-        if self.at_kw("llm"):
-            self.advance()
+        if self.accept_kw("llm"):
             llm = self.expect(IDENT, "llm name").value
         self.expect(LBRACE, "'{'")
         members: list[Union[m.Datastore, m.Task]] = []
-        while not self.at(RBRACE):
-            tok = self.peek()
-            if tok.type == EOF:
-                raise self.fail("expected '}', found end of file")
+        while (tok := self.block_item()) is not None:
             word = self.keyword()
             if word == "task":
                 members.append(self.parse_task())
@@ -337,7 +333,6 @@ class _Parser:
                 raise self.unknown_keyword("one of: store, task")
             else:
                 raise self.fail(f"expected an agent member, found {_describe(tok)}")
-        self.expect(RBRACE, "'}'")
         return m.Agent(name, llm, tuple(members), self.span_from(start))
 
     def parse_store(self) -> m.Datastore:
@@ -364,11 +359,9 @@ class _Parser:
     def parse_io(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         inputs: tuple[str, ...] = ()
         outputs: tuple[str, ...] = ()
-        if self.at_kw("in"):
-            self.advance()
+        if self.accept_kw("in"):
             inputs = self.parse_identlist("input artifact name")
-        if self.at_kw("out"):
-            self.advance()
+        if self.accept_kw("out"):
             outputs = self.parse_identlist("output artifact name")
         return inputs, outputs
 
@@ -376,10 +369,7 @@ class _Parser:
         start = self.expect_kw("body")
         self.expect(LBRACE, "'{'")
         statements: list[Union[m.ActivityNode, m.ActivityEdge]] = []
-        while not self.at(RBRACE):
-            tok = self.peek()
-            if tok.type == EOF:
-                raise self.fail("expected '}', found end of file")
+        while (tok := self.block_item()) is not None:
             word = self.keyword()
             if tok.type == IDENT or word in ("start", "end"):
                 statements.append(self.parse_edge())
@@ -393,7 +383,6 @@ class _Parser:
                 statements.append(self.parse_fork_join())
             else:
                 raise self.fail(f"expected a body statement, found {_describe(tok)}")
-        self.expect(RBRACE, "'}'")
         return self.assemble_graph(statements, self.span_from(start))
 
     def parse_call(self) -> m.CallNode:
@@ -402,12 +391,10 @@ class _Parser:
         self.expect(EQ, "'='")
         task = self.expect(IDENT, "task name").value
         agent: Optional[str] = None
-        if self.at_kw("on"):
-            self.advance()
+        if self.accept_kw("on"):
             agent = self.expect(IDENT, "agent name").value
         each: Optional[str] = None
-        if self.at_kw("each"):
-            self.advance()
+        if self.accept_kw("each"):
             each = self.expect(IDENT, "collection artifact name").value
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
@@ -446,16 +433,12 @@ class _Parser:
     def parse_endpoint(self) -> tuple[str, Optional[str], Token]:
         """Returns (node id, datastore access, first token)."""
         tok = self.peek()
-        word = self.keyword()
-        if word == "start":
-            self.advance()
+        if self.accept_kw("start"):
             return m.INITIAL_ID, None, tok
-        if word == "end":
-            self.advance()
+        if self.accept_kw("end"):
             return m.FINAL_ID, None, tok
         name_tok = self.expect(IDENT, "edge endpoint")
-        if self.at(DOT):
-            self.advance()
+        if self.accept(DOT):
             access_tok = self.expect(IDENT, "'read' or 'write'")
             if access_tok.value not in ("read", "write"):
                 raise self.fail("expected 'read' or 'write'", access_tok)
@@ -492,8 +475,7 @@ class _Parser:
 
     def parse_guard(self) -> m.Guard:
         start = self.expect(LBRACKET, "'['")
-        if self.at_kw("else"):
-            self.advance()
+        if self.accept_kw("else"):
             self.expect(RBRACKET, "']'")
             return m.Guard(None, None, True, self.span_from(start))
         subject = self.expect(IDENT, "artifact name").value
@@ -506,10 +488,7 @@ class _Parser:
         start = self.expect_kw("prompt")
         self.expect(LBRACE, "'{'")
         rows: list[m.PromptRow] = []
-        while not self.at(RBRACE):
-            tok = self.peek()
-            if tok.type == EOF:
-                raise self.fail("expected '}', found end of file")
+        while (tok := self.block_item()) is not None:
             if self.keyword() in ("static", "dynamic"):
                 self.advance()
                 part = m.PromptPart.STATIC if tok.value == "static" else m.PromptPart.TASK_SPECIFIC
@@ -521,13 +500,11 @@ class _Parser:
                 raise self.unknown_keyword("'static' or 'dynamic'")
             else:
                 raise self.fail(f"expected a prompt row, found {_describe(tok)}")
-        self.expect(RBRACE, "'}'")
         return m.PromptSpec(tuple(rows), self.span_from(start))
 
     def parse_identlist(self, what: str) -> tuple[str, ...]:
         names = [self.expect(IDENT, what).value]
-        while self.at(COMMA):
-            self.advance()
+        while self.accept(COMMA):
             names.append(self.expect(IDENT, what).value)
         return tuple(names)
 

@@ -11,11 +11,10 @@ rather than hardcoded colors, so downstream skins stay in control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import model as m
 from .analysis import classify, loop_facts
 from .lexer import escape_string
+from .records import record
 from .resolver import ResolvedModel, call_graph
 
 
@@ -26,14 +25,17 @@ class RenderError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@record
 class DiagramText:
     kind: str  # c1 | c2 | c3 | c4 | prompt
     text: str
-    element_anchors: dict[str, str] = field(default_factory=dict)
+    element_anchors: dict[str, str]  # a fresh dict when not given
+
+    def __new__(cls, kind, text, element_anchors=None) -> DiagramText:
+        return tuple.__new__(cls, (kind, text, {} if element_anchors is None else element_anchors))
 
 
-@dataclass(frozen=True)
+@record
 class DocsBundle:
     files: dict[str, str]  # relative path -> content
     anchors: dict[str, str]  # element id -> page it is documented on
@@ -143,6 +145,8 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     object_edges: list[str] = []
     for node in graph.nodes:
         nid = escape_string(node.id)
+        if not isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
+            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         if isinstance(node, m.InitialNode):
             lines.append(f"  {nid} [shape=circle, style=filled, fillcolor=black,"
                          ' label="", width=0.2];')
@@ -154,25 +158,20 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
             if node.element_wise:
                 label = "* " + label
             lines.append(f"  {nid} [shape=box, style=rounded, label={escape_string(label)}];")
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
             _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.InvokeNode):
             lines.append(
                 f"  {nid} [shape=box, style=rounded,"
                 f" label={escape_string(m.invoke_display(node))}];"
             )
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
             _attach_objects(artifacts, node, object_lines, object_edges)
         elif isinstance(node, m.DecisionNode):
             lines.append(f"  {nid} [shape=diamond, label={escape_string(node.subject + '?')}];")
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         elif isinstance(node, m.MergeNode):
             lines.append(f'  {nid} [shape=diamond, label=""];')
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         elif isinstance(node, (m.ForkNode, m.JoinNode)):
             lines.append(f'  {nid} [shape=box, style=filled, fillcolor=black,'
                          ' label="", height=0.06, width=1.2];')
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         elif isinstance(node, m.StoreNode):
             store = agent.datastore(node.store)
             label = node.store if store is None else f"{node.store} : {store.artifact}"
@@ -403,14 +402,15 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
                 lines.append(f"- {criterion}: {', '.join(refs)}")
             lines.append("")
             facts = loop_facts(task)
+            exit_texts: dict[int, str] = {}  # by edge identity: one exit leaves many loops
             for fact in facts:
                 cycle = " -> ".join(fact.cycle)
+                for x in fact.exits:
+                    if id(x) not in exit_texts:
+                        guard = f" {x.guard.display()}" if x.guard is not None else ""
+                        exit_texts[id(x)] = f"{x.source} -> {x.target}{guard}"
                 if fact.exits:
-                    exits = "; ".join(
-                        f"{x.source} -> {x.target} {x.guard.display()}"
-                        if x.guard is not None else f"{x.source} -> {x.target}"
-                        for x in fact.exits
-                    )
+                    exits = "; ".join(exit_texts[id(x)] for x in fact.exits)
                     lines.append(f"- loop {cycle}: exits via {exits}")
                 else:
                     lines.append(f"- loop {cycle}: no guarded exit")

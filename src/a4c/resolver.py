@@ -14,13 +14,13 @@ relation between elements (see ``analysis.impact``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 import re
 from typing import Optional
 
 from . import model as m
 from .diagnostics import Diagnostic, Related, error, has_errors, sort_diagnostics
+from .records import record
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
 
@@ -29,7 +29,7 @@ _SEED_RANK = {kind: i for i, kind in enumerate(
     ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedModel:
     """A model whose cross-references all bind, plus lookup tables."""
 
@@ -132,10 +132,13 @@ def _relations(rm: ResolvedModel) -> Relations:
     return g
 
 
-@dataclass(frozen=True)
+@record
 class ResolveResult:
     model: Optional[ResolvedModel]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]  # a fresh list when not given
+
+    def __new__(cls, model, diagnostics=None) -> ResolveResult:
+        return tuple.__new__(cls, (model, [] if diagnostics is None else diagnostics))
 
     @property
     def ok(self) -> bool:
@@ -276,22 +279,11 @@ class _Resolver:
         if agent.llm is not None and agent.llm not in llms:
             self.err("E001", f"unresolved llm '{agent.llm}'", agent.span)
 
-        stores: dict[str, m.Datastore] = {}
+        stores = self.collect("datastore", {}, agent.datastores)
         for store in agent.datastores:
-            if store.name in stores:
-                self.duplicate("datastore", store.name, store.span, stores[store.name].span)
-            else:
-                stores[store.name] = store
             if store.artifact not in artifacts:
                 self.err("E001", f"unresolved artifact '{store.artifact}'", store.span)
-
-        tasks: dict[str, m.Task] = {}
-        for task in agent.tasks:
-            if task.name in tasks:
-                self.duplicate("task", task.name, task.span, tasks[task.name].span)
-            else:
-                tasks[task.name] = task
-
+        tasks = self.collect("task", {}, agent.tasks)
         for task in agent.tasks:
             self.resolve_task(agent, task, artifacts, agents, stores)
         return tasks, stores
@@ -309,12 +301,8 @@ class _Resolver:
                 self.err("E001", f"unresolved artifact '{art}'", task.span)
 
         if task.prompt is not None:
-            row_names: dict[str, m.PromptRow] = {}
+            self.collect("prompt row", {}, task.prompt.rows)
             for row in task.prompt.rows:
-                if row.name in row_names:
-                    self.duplicate("prompt row", row.name, row.span, row_names[row.name].span)
-                else:
-                    row_names[row.name] = row
                 for placeholder in PLACEHOLDER_RE.findall(row.template):
                     if placeholder not in task.inputs:
                         self.err(

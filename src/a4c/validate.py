@@ -14,7 +14,6 @@ under V6's code space.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import model as m
 from .analysis import (
@@ -25,10 +24,11 @@ from .analysis import (
     unguarded_circuits,
 )
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
+from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     id: str
     code: str

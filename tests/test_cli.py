@@ -347,6 +347,18 @@ def test_docs_merges_into_render_manifest(capsys, tmp_path):
     assert files == tree(out_dir) - {"manifest.json"}
 
 
+@pytest.mark.parametrize("command", ["render", "docs"])
+@pytest.mark.parametrize("old_manifest", ["[1, 2]", '{"files": [1]}'])
+def test_misshapen_manifest_is_replaced(capsys, tmp_path, command, old_manifest):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text(old_manifest, encoding="utf-8")
+    rc, _, err = run_cli(capsys, command, corpus_path("testgen"), "--out", str(out_dir))
+    assert (rc, err) == (0, "")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert set(manifest["files"]) == tree(out_dir) - {"manifest.json"}
+
+
 # --- fmt ----------------------------------------------------------------------------
 
 def test_fmt_stdout_idempotent(capsys, tmp_path):
