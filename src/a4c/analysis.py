@@ -4,8 +4,10 @@
   (what influences it), downward (what it influences), or both.
 * classify: interaction-pattern classification of a composite task.
 * control_facts: the control-flow facts of one task body (successors,
-  predecessors, reachability, SCCs, guarded out-edges), built once and
-  shared by the rules and the analyses below.
+  predecessors, reachability, SCCs, guarded out-edges). The body builds
+  them once, as ``ActivityGraph.control``, and the rules and the analyses
+  below all read that one copy; its ``circuits`` are likewise enumerated
+  once per body.
 * loop_facts: elementary control-flow circuits of a task body with their
   guarded exit edges.
 
@@ -21,6 +23,7 @@ levels are built once per model, as ``ResolvedModel.relations``,
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
@@ -189,7 +192,8 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
 @record
 class ControlFacts:
     """Control-flow facts of one task body, built once by ``control_facts``
-    and shared by the rules and analyses that walk the body.
+    for ``ActivityGraph.control`` and shared by the rules and analyses that
+    walk the body.
 
     Control flow follows CONTROL and OBJECT edges. Successor and predecessor
     lists hold one entry per edge, so parallel edges repeat a node.
@@ -203,6 +207,11 @@ class ControlFacts:
     sccs: list[list[str]]  # every SCC, sinks first (reverse topological order)
     cyclic: list[list[str]]  # the SCCs that hold a cycle
     guarded: dict[str, list[m.ActivityEdge]]  # guarded CONTROL out-edges by source
+
+    @cached_property
+    def circuits(self) -> list[tuple[str, ...]]:
+        """Every elementary circuit of the body, in sorted order."""
+        return elementary_circuits(self.succ, self.cyclic)
 
 
 def control_facts(graph: m.ActivityGraph) -> ControlFacts:
@@ -379,11 +388,8 @@ def loop_facts(task: m.Task) -> list[LoopFact]:
     edges that leave it; a cycle with no such exit risks never terminating."""
     if task.graph is None:
         return []
-    facts = control_facts(task.graph)
-    return [
-        LoopFact(cycle, _guarded_exits(facts, cycle))
-        for cycle in elementary_circuits(facts.succ, facts.cyclic)
-    ]
+    facts = task.graph.control
+    return [LoopFact(cycle, _guarded_exits(facts, cycle)) for cycle in facts.circuits]
 
 
 def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
@@ -423,7 +429,7 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
         raise AnalysisError("A002", f"task '{m.task_display(agent.name, task.name)}' is a leaf")
     graph = task.graph
     assert graph is not None
-    calls = graph.call_nodes()
+    calls = graph.calls
 
     element_wise = tuple(c.id for c in calls if c.element_wise)
     if element_wise:
@@ -450,17 +456,17 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
             evidence.append(("sequential-delegation", delegating_calls))
         return PatternClass(Pattern.ORCHESTRATION, tuple(evidence))
 
-    facts = control_facts(graph)
-    chain = _call_chain_order(graph, facts.succ, calls)
+    facts = graph.control
+    chain = _call_chain_order(facts.succ, calls)
     if chain is not None:
-        forward, backward = _call_successions(graph, facts.succ, chain)
+        forward, backward = _call_successions(facts.succ, chain)
         consecutive = {(chain[i], chain[i + 1]) for i in range(len(chain) - 1)}
         chain_ok = forward == consecutive
         if chain_ok and backward:
             call_ids = {c.id for c in calls}
             decision_ids = {n.id for n in graph.nodes if isinstance(n, m.DecisionNode)}
             witness = [
-                cy for cy in elementary_circuits(facts.succ, facts.cyclic)
+                cy for cy in facts.circuits
                 if set(cy) & call_ids and set(cy) & decision_ids
             ]
             if witness:
@@ -479,9 +485,7 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
 
 
 def _call_chain_order(
-    graph: m.ActivityGraph,
-    adj: dict[str, list[str]],
-    calls: tuple[m.CallNode, ...],
+    adj: dict[str, list[str]], calls: tuple[m.CallNode, ...]
 ) -> Optional[tuple[str, ...]]:
     """Call ids ordered by breadth-first distance from start, or None when a
     call is unreachable."""
@@ -504,9 +508,7 @@ def _call_chain_order(
 
 
 def _call_successions(
-    graph: m.ActivityGraph,
-    adj: dict[str, list[str]],
-    chain: tuple[str, ...],
+    adj: dict[str, list[str]], chain: tuple[str, ...]
 ) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     """Pairs of calls linked by a control path with no call in between,
     split into forward and backward pairs relative to the chain order."""

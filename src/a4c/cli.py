@@ -11,7 +11,6 @@ errors (bad flags, unknown seed or direction, classifying a leaf task).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -93,11 +92,17 @@ def _severity_text(sev: Severity, color: bool) -> str:
     return f"\x1b[{code}m{sev}\x1b[0m"
 
 
+def _write_json(obj, stream) -> None:
+    import json
+
+    json.dump(obj, stream, indent=2)
+    stream.write("\n")
+
+
 def _print_diagnostics(diags: list[Diagnostic], fmt: str, stream=None) -> None:
     stream = stream if stream is not None else sys.stdout
     if fmt == "json":
-        json.dump([d.to_json_obj() for d in diags], stream, indent=2)
-        stream.write("\n")
+        _write_json([d.to_json_obj() for d in diags], stream)
         return
     color = _use_color(stream)
     for d in diags:
@@ -192,6 +197,8 @@ def _write_file(path: str, content: str) -> None:
 def _manifest_entries(path: str) -> dict[str, str]:
     """The ``files`` table of an existing manifest; empty when there is none,
     it cannot be read, or it is not shaped ``{"files": {path: digest}}``."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             old = json.load(fh)
@@ -211,6 +218,7 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     are dropped.
     """
     import hashlib
+    import json
 
     for rel, content in files.items():
         path = os.path.join(out_dir, rel)
@@ -277,8 +285,7 @@ def _cmd_impact(args) -> int:
         print(f"a4c: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        json.dump(report.to_json_obj(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(report.to_json_obj(), sys.stdout)
         return EXIT_OK
     print(f"impact of {report.seed} ({report.direction}):")
     if not report.affected:
@@ -316,8 +323,7 @@ def _cmd_classify(args) -> int:
             }
             for agent, task, pattern in rows
         ]
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(payload, sys.stdout)
         return EXIT_OK
     for agent, task, pattern in rows:
         print(f"{m.task_display(agent.name, task.name)}: {pattern.value}")

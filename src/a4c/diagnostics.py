@@ -33,16 +33,12 @@ class SourceSpan:
             raise ValueError(f"span end {end} precedes start {start}")
         return tuple.__new__(cls, (file, start, end))
 
-    @staticmethod
-    def synthetic(file: str = "<generated>") -> "SourceSpan":
-        return SourceSpan(file, Position(1, 1), Position(1, 1))
-
     @property
     def is_synthetic(self) -> bool:
         return self.file == "<generated>"
 
 
-SYNTHETIC = SourceSpan.synthetic()
+SYNTHETIC = SourceSpan("<generated>", Position(1, 1), Position(1, 1))
 
 
 class Severity(Enum):

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import SYNTHETIC, SourceSpan
 from .records import record
+
+if TYPE_CHECKING:
+    from .analysis import ControlFacts
 
 INITIAL_ID = "start"
 FINAL_ID = "end"
@@ -218,37 +221,60 @@ class ActivityEdge:
     guard: Optional[Guard]
     kind: EdgeKind
     span: SourceSpan
-    synthetic: bool = False
 
 
 @record(ignore="span")
 class ActivityGraph:
-    # declared statements in source order: explicit nodes and edges only
+    """A task body as written: its declared nodes and edges in source order.
+    Every other fact about the body is a view built on first use."""
+
     statements: tuple[Union[ActivityNode, ActivityEdge], ...]
-    nodes: tuple[ActivityNode, ...]  # includes implicit start/end and store nodes
-    edges: tuple[ActivityEdge, ...]
     span: SourceSpan
+
+    @cached_property
+    def nodes(self) -> tuple[ActivityNode, ...]:
+        """Start, end, the declared nodes, then one node per datastore
+        endpoint, spanning the first edge that touches it."""
+        nodes: list[ActivityNode] = [InitialNode(INITIAL_ID, self.span),
+                                     FinalNode(FINAL_ID, self.span)]
+        stores: dict[str, StoreNode] = {}
+        for st in self.statements:
+            if isinstance(st, ActivityNode):
+                nodes.append(st)
+                continue
+            for endpoint in (st.source, st.target):
+                if is_store_node_id(endpoint) and endpoint not in stores:
+                    stores[endpoint] = StoreNode(endpoint, st.span, store_name_of(endpoint))
+        return tuple(nodes) + tuple(stores.values())
+
+    @cached_property
+    def edges(self) -> tuple[ActivityEdge, ...]:
+        """The declared edges; an empty body has one edge from start to end."""
+        if not self.statements:
+            return (ActivityEdge(INITIAL_ID, FINAL_ID, None, EdgeKind.CONTROL, self.span),)
+        return tuple(st for st in self.statements if isinstance(st, ActivityEdge))
+
+    @cached_property
+    def calls(self) -> tuple[CallNode, ...]:
+        return tuple(n for n in self.statements if isinstance(n, CallNode))
+
+    @cached_property
+    def invokes(self) -> tuple[InvokeNode, ...]:
+        return tuple(n for n in self.statements if isinstance(n, InvokeNode))
+
+    @cached_property
+    def control(self) -> ControlFacts:
+        """The body's control-flow facts, shared by every rule and analysis."""
+        from .analysis import control_facts
+
+        return control_facts(self)
 
     def node_by_id(self, node_id: str) -> Optional[ActivityNode]:
         return self._by_id.get(node_id)
 
-    def call_nodes(self) -> tuple[CallNode, ...]:
-        return self._calls
-
-    def invoke_nodes(self) -> tuple[InvokeNode, ...]:
-        return self._invokes
-
     @cached_property
     def _by_id(self) -> dict[str, ActivityNode]:
         return {n.id: n for n in reversed(self.nodes)}  # the first node with an id wins
-
-    @cached_property
-    def _calls(self) -> tuple[CallNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, CallNode))
-
-    @cached_property
-    def _invokes(self) -> tuple[InvokeNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, InvokeNode))
 
 
 class PromptPart(Enum):
@@ -284,7 +310,7 @@ class Task:
 
     @property
     def is_composite(self) -> bool:
-        return self.graph is not None and len(self.graph.call_nodes()) > 0
+        return self.graph is not None and len(self.graph.calls) > 0
 
     @property
     def is_leaf(self) -> bool:
@@ -344,7 +370,7 @@ class Model:
     name: str
     file: str
     sections: tuple[Section, ...]
-    span: SourceSpan = SourceSpan.synthetic()
+    span: SourceSpan = SYNTHETIC
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:

@@ -26,10 +26,7 @@ SECTION_KEYWORDS = ("context", "deployment", "artifact", "llm", "tool", "agent")
 class ParseResult:
     model: Optional[m.Model]
     diagnostics: list[Diagnostic]
-    comments: list[Comment]  # a fresh list when not given
-
-    def __new__(cls, model, diagnostics, comments=None) -> ParseResult:
-        return tuple.__new__(cls, (model, diagnostics, [] if comments is None else comments))
+    comments: list[Comment]
 
     @property
     def ok(self) -> bool:
@@ -383,7 +380,7 @@ class _Parser:
                 statements.append(self.parse_fork_join())
             else:
                 raise self.fail(f"expected a body statement, found {_describe(tok)}")
-        return self.assemble_graph(statements, self.span_from(start))
+        return m.ActivityGraph(tuple(statements), self.span_from(start))
 
     def parse_call(self) -> m.CallNode:
         start = self.expect_kw("call")
@@ -507,35 +504,6 @@ class _Parser:
         while self.accept(COMMA):
             names.append(self.expect(IDENT, what).value)
         return tuple(names)
-
-    # --- graph assembly ---------------------------------------------------
-
-    def assemble_graph(
-        self,
-        statements: list[Union[m.ActivityNode, m.ActivityEdge]],
-        span: SourceSpan,
-    ) -> m.ActivityGraph:
-        nodes: list[m.ActivityNode] = [m.InitialNode(m.INITIAL_ID, span), m.FinalNode(m.FINAL_ID, span)]
-        edges: list[m.ActivityEdge] = []
-        seen_stores: dict[str, m.StoreNode] = {}
-        for st in statements:
-            if isinstance(st, m.ActivityNode):
-                nodes.append(st)
-            else:
-                edges.append(st)
-                for endpoint in (st.source, st.target):
-                    if m.is_store_node_id(endpoint) and endpoint not in seen_stores:
-                        seen_stores[endpoint] = m.StoreNode(
-                            endpoint, st.span, m.store_name_of(endpoint)
-                        )
-        nodes.extend(seen_stores.values())
-        if not statements:
-            edges.append(
-                m.ActivityEdge(
-                    m.INITIAL_ID, m.FINAL_ID, None, m.EdgeKind.CONTROL, span, synthetic=True
-                )
-            )
-        return m.ActivityGraph(tuple(statements), tuple(nodes), tuple(edges), span)
 
 
 def parse(text: str, file: str = "<input>") -> ParseResult:

@@ -6,9 +6,10 @@ construction, trailing defaults, ``repr`` and field access are the named
 tuple's, and no code is generated per class. A record equals only a record
 of its own class, never a plain tuple; fields named in ``ignore`` take no
 part in equality or hashing; setting an attribute raises ``AttributeError``.
-A class that checks its arguments, or gives each instance a fresh mutable
-default, defines ``__new__``. A class that caches values with
-``functools.cached_property`` keeps an instance dictionary for them.
+A class that checks its arguments defines ``__new__``. No field defaults to
+a mutable value, so no two instances can share one. A class that caches
+values with ``functools.cached_property`` keeps an instance dictionary for
+them.
 """
 
 from __future__ import annotations

@@ -29,10 +29,7 @@ class RenderError(Exception):
 class DiagramText:
     kind: str  # c1 | c2 | c3 | c4 | prompt
     text: str
-    element_anchors: dict[str, str]  # a fresh dict when not given
-
-    def __new__(cls, kind, text, element_anchors=None) -> DiagramText:
-        return tuple.__new__(cls, (kind, text, {} if element_anchors is None else element_anchors))
+    element_anchors: dict[str, str]
 
 
 @record
@@ -364,7 +361,7 @@ def _page_leaves(model: m.Model, leaf_tasks, anchors: dict[str, str]) -> str:
         lines.append("")
         anchors.setdefault(m.task_id(agent.name, task.name), "c4.md")
         if task.graph is not None:
-            for invoke in task.graph.invoke_nodes():
+            for invoke in task.graph.invokes:
                 lines.append(f"- tool call: {m.invoke_display(invoke)}")
         if task.prompt is not None:
             names = ", ".join(r.name for r in task.prompt.rows)
@@ -422,7 +419,7 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
             for elem_id in diagram.element_anchors:
                 anchors.setdefault(elem_id, page)
         if task.graph is not None and task.is_leaf:
-            for invoke in task.graph.invoke_nodes():
+            for invoke in task.graph.invokes:
                 lines.append(f"- tool call: {m.invoke_display(invoke)}")
         if task.prompt is not None:
             table = render_prompts(agent, task)

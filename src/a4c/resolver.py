@@ -41,7 +41,7 @@ class ResolvedModel:
     agents: dict[str, m.Agent]
     nodes: dict[str, m.DeploymentNode]
     default_llm: Optional[m.LlmDecl]
-    host_of: dict[str, str]  # agent/tool name -> deployment node name
+    hosts: dict[str, list[str]]  # agent/tool name -> every node hosting it, once per listing
     tasks: dict[str, dict[str, m.Task]]  # agent name -> task name -> task
     stores: dict[str, dict[str, m.Datastore]]  # agent name -> datastore name -> datastore
 
@@ -135,10 +135,7 @@ def _relations(rm: ResolvedModel) -> Relations:
 @record
 class ResolveResult:
     model: Optional[ResolvedModel]
-    diagnostics: list[Diagnostic]  # a fresh list when not given
-
-    def __new__(cls, model, diagnostics=None) -> ResolveResult:
-        return tuple.__new__(cls, (model, [] if diagnostics is None else diagnostics))
+    diagnostics: list[Diagnostic]
 
     @property
     def ok(self) -> bool:
@@ -216,7 +213,7 @@ class _Resolver:
                     if art not in artifacts:
                         self.err("E001", f"unresolved artifact '{art}'", flow.span)
 
-        host_of: dict[str, str] = {}
+        hosts: dict[str, list[str]] = {}
         if model.deployment:
             for node in model.deployment.nodes:
                 for hosted in node.hosts:
@@ -227,7 +224,7 @@ class _Resolver:
                             node.span,
                         )
                     else:
-                        host_of.setdefault(hosted, node.name)
+                        hosts.setdefault(hosted, []).append(node.name)
             for link in model.deployment.links:
                 for endpoint in (link.source, link.target):
                     if endpoint not in nodes:
@@ -254,7 +251,7 @@ class _Resolver:
             agents=agents,
             nodes=nodes,
             default_llm=default_llm,
-            host_of=host_of,
+            hosts=hosts,
             tasks=tasks,
             stores=stores,
         )
@@ -377,7 +374,7 @@ def call_graph(resolved: ResolvedModel) -> dict[tuple[str, str], list[tuple[str,
         graph.setdefault(key, [])
         if task.graph is None:
             continue
-        for call in task.graph.call_nodes():
+        for call in task.graph.calls:
             callee = (resolved.callee_agent_name(agent, call), call.task)
             graph[key].append(callee)
     return graph

@@ -16,13 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import model as m
-from .analysis import (
-    ControlFacts,
-    control_facts,
-    reachable,
-    strongly_connected,
-    unguarded_circuits,
-)
+from .analysis import ControlFacts, reachable, strongly_connected, unguarded_circuits
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
 from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
@@ -64,7 +58,7 @@ Body = tuple[m.Agent, m.Task, ControlFacts]
 def check(rm: ResolvedModel) -> list[Diagnostic]:
     """Run every rule; diagnostics come back sorted by file, span, code."""
     bodies: list[Body] = [
-        (agent, task, control_facts(task.graph))
+        (agent, task, task.graph.control)
         for agent, task in m.iter_tasks(rm.model)
         if task.graph is not None
     ]
@@ -93,7 +87,7 @@ def is_valid(rm: ResolvedModel) -> bool:
 
 def _v1_call_targets(rm: ResolvedModel, bodies: list[Body]):
     for agent, task, _facts in bodies:
-        for call in task.graph.call_nodes():
+        for call in task.graph.calls:
             callee = rm.callee_agent_name(agent, call)
             # an unresolved agent name was already E001
             if callee in rm.agents and rm.task(callee, call.task) is None:
@@ -121,7 +115,7 @@ def _v3_leaf_substance(rm: ResolvedModel):
     for agent, task in m.iter_tasks(rm.model):
         if task.is_composite:
             continue
-        has_invoke = task.graph is not None and len(task.graph.invoke_nodes()) > 0
+        has_invoke = task.graph is not None and len(task.graph.invokes) > 0
         if not has_invoke and task.prompt is None:
             yield error(
                 "E103",
@@ -349,7 +343,7 @@ def _v6_graph_shape(bodies: list[Body]):
 
 def _v7_element_wise(rm: ResolvedModel, bodies: list[Body]):
     for _agent, task, _facts in bodies:
-        for call in task.graph.call_nodes():
+        for call in task.graph.calls:
             if not call.element_wise:
                 continue
             has_collection_input = any(
@@ -369,7 +363,7 @@ def _v7_element_wise(rm: ResolvedModel, bodies: list[Body]):
 
 def _v8_tools(rm: ResolvedModel, bodies: list[Body]):
     for _agent, task, _facts in bodies:
-        for invoke in task.graph.invoke_nodes():
+        for invoke in task.graph.invokes:
             if invoke.tool not in rm.tools:
                 yield error(
                     "E108", f"tool call to undeclared tool '{invoke.tool}'", invoke.span
@@ -395,13 +389,9 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
     deployment = rm.model.deployment
     if deployment is None:
         return
-    host_nodes: dict[str, list[m.DeploymentNode]] = {}
-    for node in deployment.nodes:
-        for hosted in node.hosts:
-            host_nodes.setdefault(hosted, []).append(node)
-
+    hosts = rm.hosts
     for agent in rm.model.agents:
-        nodes = host_nodes.get(agent.name, [])
+        nodes = hosts.get(agent.name, [])
         if len(nodes) == 0:
             yield error(
                 "E110",
@@ -416,7 +406,7 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
                 agent.span,
             )
     for tool in rm.model.tools:
-        nodes = host_nodes.get(tool.name, [])
+        nodes = hosts.get(tool.name, [])
         if len(nodes) > 1:
             yield error(
                 "E110",
@@ -426,8 +416,8 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
             )
 
     def unique_host(name: str) -> str | None:
-        nodes = host_nodes.get(name, [])
-        return nodes[0].name if len(nodes) == 1 else None
+        nodes = hosts.get(name, [])
+        return nodes[0] if len(nodes) == 1 else None
 
     linked: set[frozenset[str]] = set()
     for link in deployment.links:
@@ -437,7 +427,7 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
         caller_node = unique_host(agent.name)
         if caller_node is None:
             continue
-        for call in task.graph.call_nodes():
+        for call in task.graph.calls:
             callee_agent = rm.callee_agent_name(agent, call)
             callee_node = unique_host(callee_agent)
             if callee_node is None or callee_node == caller_node:
@@ -450,7 +440,7 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
                     " their nodes",
                     call.span,
                 )
-        for invoke in task.graph.invoke_nodes():
+        for invoke in task.graph.invokes:
             tool_node = unique_host(invoke.tool)
             if tool_node is None or tool_node == caller_node:
                 continue

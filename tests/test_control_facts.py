@@ -1,4 +1,5 @@
-"""Rules V4 and V13 against brute-force oracles, and long-loop regressions.
+"""Rules V4 and V13 against brute-force oracles, long-loop regressions, and
+one build of each body's control facts.
 
 V4 runs as a bitset dataflow and V13 prunes nodes with a guarded exit from
 their SCC before it enumerates circuits; both are compared here with the
@@ -14,7 +15,7 @@ import time
 from collections import Counter
 
 import oracles
-from a4c import model as m
+from a4c import analysis, model as m
 from a4c.analysis import Pattern, classify, loop_facts
 from a4c.parser import parse
 from a4c.render import docs_bundle
@@ -167,3 +168,22 @@ def test_diamond_ladder_check_is_not_exponential():
     diags = check(rm)
     assert time.perf_counter() - began < 2.0
     assert diags == []
+
+
+def test_each_body_builds_its_control_facts_once(monkeypatch):
+    built = Counter()
+    build = analysis.control_facts
+
+    def counted(graph):
+        built[id(graph)] += 1
+        return build(graph)
+
+    monkeypatch.setattr(analysis, "control_facts", counted)
+    for name in CORPUS:
+        rm = load_resolved(corpus_text(name), f"{name}.a4c")
+        bodies = [task.graph for _agent, task in m.iter_tasks(rm.model) if task.graph is not None]
+        built.clear()
+        check(rm)
+        docs_bundle(rm)
+        assert built == Counter({id(graph): 1 for graph in bodies}), name
+        assert all(graph.control is graph.control for graph in bodies)

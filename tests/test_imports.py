@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.resources as ir
-import json
 import os
 import subprocess
 import sys
@@ -16,7 +16,7 @@ SUBMODULES = ("analysis", "cli", "diagnostics", "formatter", "lexer", "model", "
               "records", "render", "resolver", "validate")
 
 # modules that `check` has no use for
-NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "hashlib", "dataclasses")
+NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "hashlib", "dataclasses", "json")
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -25,10 +25,10 @@ def _loaded_modules(code: str) -> set[str]:
     src = os.path.dirname(os.path.dirname(a4c.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    script = f"import sys\n{code}\nprint(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 def test_check_loads_no_renderer_formatter_hashlib_or_dataclasses():

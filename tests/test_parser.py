@@ -134,7 +134,7 @@ def test_empty_body_synthesizes_start_end_edge():
     assert graph.statements == ()
     assert len(graph.edges) == 1
     edge = graph.edges[0]
-    assert edge.synthetic and edge.source == "start" and edge.target == "end"
+    assert edge.source == "start" and edge.target == "end" and edge.guard is None
     assert isinstance(graph.nodes[0], InitialNode)
 
 

@@ -56,7 +56,7 @@ def test_hash_agrees_with_equality():
         m.ArtifactType("A", None, HERE), m.ArtifactType("A", "B", HERE),
         Position(1, 1), Position(1, 2), HERE, THERE,
         m.ActivityEdge("a", "b", None, m.EdgeKind.CONTROL, HERE),
-        m.ActivityEdge("a", "b", None, m.EdgeKind.CONTROL, THERE, False),
+        m.ActivityEdge("a", "b", None, m.EdgeKind.CONTROL, THERE),
     ]
     for a in values:
         for b in values:
@@ -90,14 +90,10 @@ def test_keyword_and_positional_construction_agree():
 
 
 def test_defaults():
-    edge = m.ActivityEdge("a", "b", None, m.EdgeKind.CONTROL, HERE)
-    assert edge.synthetic is False
     assert Diagnostic("E001", Severity.ERROR, "x", HERE).related == ()
     assert m.Model("M", "f.a4c", ()).span.is_synthetic
-    first, second = ResolveResult(None), ResolveResult(None)
-    assert first.diagnostics == [] and second.diagnostics == []
-    first.diagnostics.append(error("E001", "x", HERE))
-    assert second.diagnostics == []
+    with pytest.raises(TypeError):
+        ResolveResult(None)  # no default, so no two instances share one
 
 
 def test_position_order_and_validated_constructors():

@@ -156,8 +156,8 @@ def test_agent_llm_override(resell_rm):
 
 
 def test_host_of(testgen_rm):
-    assert testgen_rm.host_of["GeneratorTeam"] == "GeneratorService"
-    assert testgen_rm.host_of["JenkinsTool"] == "JenkinsHost"
+    assert testgen_rm.hosts["GeneratorTeam"] == ["GeneratorService"]
+    assert testgen_rm.hosts["JenkinsTool"] == ["JenkinsHost"]
 
 
 def test_call_graph_shape(testgen_rm):
