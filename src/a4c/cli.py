@@ -236,11 +236,6 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     print(f"wrote {manifest_path}")
 
 
-def _render_failed(exc) -> int:
-    print(f"a4c: {exc}", file=sys.stderr)
-    return EXIT_FINDINGS if exc.code == "R001" else EXIT_USAGE
-
-
 def _cmd_render(args) -> int:
     from . import render
 
@@ -266,8 +261,9 @@ def _cmd_render(args) -> int:
                 files[f"activity/{stem}.dot"] = render.render_activity(model, agent, task).text
             if task.prompt is not None and level in ("c4", "all"):
                 files[f"prompts/{stem}.md"] = render.render_prompts(agent, task).text
-    except render.RenderError as exc:
-        return _render_failed(exc)
+    except render.RenderError as exc:  # R001: --level c2 without a deployment section
+        print(f"a4c: {exc}", file=sys.stderr)
+        return EXIT_FINDINGS
     _write_outputs(args.out, files)
     return EXIT_OK
 
@@ -337,10 +333,7 @@ def _cmd_docs(args) -> int:
     if rm is None:
         _print_diagnostics(diags, "text", sys.stderr)
         return code
-    try:
-        bundle = render.docs_bundle(rm)
-    except render.RenderError as exc:
-        return _render_failed(exc)
+    bundle = render.docs_bundle(rm)
     files = {f"docs/{rel}": content for rel, content in bundle.files.items()}
     _write_outputs(args.out, files)
     return EXIT_OK

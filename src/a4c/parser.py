@@ -5,11 +5,15 @@ unknown keyword in a keyword position. On an error inside a section the
 parser skips ahead to the next section boundary and keeps going, so one run
 can report several independent mistakes. A Model is only returned when no
 P-class error was recorded.
+
+``_Parser.block`` reads every ``{ ... }`` block below the model, and
+``_Parser.item`` each of its items and each section: the one place that
+dispatches on an item's leading keyword and reports an item that starts wrong.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from . import model as m
 from .diagnostics import Diagnostic, SourceSpan, error, sort_diagnostics
@@ -18,8 +22,6 @@ from .lexer import (
     RBRACE, RBRACKET, STRING, Comment, LexResult, Token, tokenize,
 )
 from .records import record
-
-SECTION_KEYWORDS = ("context", "deployment", "artifact", "llm", "tool", "agent")
 
 
 @record
@@ -93,21 +95,30 @@ class _Parser:
             return True
         return False
 
-    def block_item(self) -> Optional[Token]:
-        """The next token of a ``{ ... }`` block, or None once its closing
-        brace is consumed; the file must not end inside the block."""
-        tok = self.toks[self.i]
-        if tok.type == RBRACE:
-            self.i += 1
-            return None
-        if tok.type == EOF:
-            raise self.fail("expected '}', found end of file")
-        return tok
+    def block(self, parsers: dict[str, Callable], what: str,
+              expected: Optional[str] = None) -> tuple:
+        """The items of a ``{ ... }`` block, each read by ``item``; the file
+        must not end inside the block."""
+        self.expect(LBRACE, "'{'")
+        items = []
+        while not self.accept(RBRACE):
+            if self.at(EOF):
+                raise self.fail("expected '}', found end of file")
+            items.append(self.item(parsers, what, expected))
+        return tuple(items)
 
-    def keyword(self) -> Optional[str]:
-        """The current token's keyword, or None when it is not a keyword."""
+    def item(self, parsers: dict[str, Callable], what: str,
+             expected: Optional[str] = None):
+        """One item, read by the parser listed under its leading keyword, or
+        under IDENT for a plain word. Any other word is an unknown keyword
+        when ``expected`` lists the keywords; anything else is P001."""
         tok = self.toks[self.i]
-        return tok.value if tok.type == KW else None
+        parse = parsers.get(tok.value if tok.type == KW else tok.type)
+        if parse is not None:
+            return parse(self)
+        if tok.type == IDENT and expected is not None:
+            raise self.fail(f"unknown keyword '{tok.value}' (expected {expected})", tok, "P003")
+        raise self.fail(f"expected {what}, found {_describe(tok)}")
 
     def fail(self, message: str, tok: Optional[Token] = None, code: str = "P001") -> _ParseError:
         tok = tok or self.peek()
@@ -127,12 +138,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def unknown_keyword(self, expected: str) -> _ParseError:
-        tok = self.peek()
-        return self.fail(
-            f"unknown keyword '{tok.value}' (expected {expected})", tok, code="P003"
-        )
-
     def token_span(self, tok: Token) -> SourceSpan:
         return self.lex.span(tok.start, tok.end)
 
@@ -151,22 +156,15 @@ class _Parser:
                 if depth == 0:
                     return
                 depth -= 1
-            elif tok.type == KW and tok.value in SECTION_KEYWORDS and depth == 0:
+            elif tok.type == KW and tok.value in self.sections and depth == 0:
                 return
             self.advance()
 
     # --- grammar --------------------------------------------------------
 
     def parse_model(self) -> Optional[m.Model]:
-        tok = self.peek()
-        if not self.at_kw("model"):
-            if tok.type == IDENT:
-                self.diags.append(self.unknown_keyword("'model'").diag)
-            else:
-                self.diags.append(self.fail(f"expected 'model', found {_describe(tok)}").diag)
-            return None
-        start = self.advance()
         try:
+            start = self.item({"model": _Parser.advance}, "'model'", "'model'")
             name = self.expect(STRING, "model name string").value
             self.expect(LBRACE, "'{'")
         except _ParseError as e:
@@ -205,33 +203,18 @@ class _Parser:
         )
 
     def parse_section(self) -> m.Section:
-        tok = self.peek()
-        if tok.type == IDENT:
-            raise self.unknown_keyword("one of: " + ", ".join(sorted(SECTION_KEYWORDS)))
-        parse = {"agent": self.parse_agent, "artifact": self.parse_artifact,
-                 "context": self.parse_context, "deployment": self.parse_deployment,
-                 "llm": self.parse_llm, "tool": self.parse_tool}.get(self.keyword())
-        if parse is None:
-            raise self.fail(f"expected a section, found {_describe(tok)}")
-        return parse()
+        return self.item(self.sections, "a section", self.section_keywords)
 
     def parse_context(self) -> m.ContextSection:
         start = self.expect_kw("context")
-        self.expect(LBRACE, "'{'")
-        items: list[Union[m.Actor, m.ContextFlow]] = []
-        while (tok := self.block_item()) is not None:
-            word = self.keyword()
-            if word in ("system", "user", "external"):
-                kind = m.ActorKind(self.advance().value)
-                name_tok = self.expect(IDENT, "actor name")
-                items.append(m.Actor(kind, name_tok.value, self.span_from(tok)))
-            elif word == "flow":
-                items.append(self.parse_flow())
-            elif tok.type == IDENT:
-                raise self.unknown_keyword("one of: external, flow, system, user")
-            else:
-                raise self.fail(f"expected a context item, found {_describe(tok)}")
-        return m.ContextSection(tuple(items), self.span_from(start))
+        items = self.block(self.context_items, "a context item",
+                           "one of: external, flow, system, user")
+        return m.ContextSection(items, self.span_from(start))
+
+    def parse_actor(self) -> m.Actor:
+        start = self.advance()
+        name = self.expect(IDENT, "actor name").value
+        return m.Actor(m.ActorKind(start.value), name, self.span_from(start))
 
     def parse_flow(self) -> m.ContextFlow:
         start = self.expect_kw("flow")
@@ -273,19 +256,8 @@ class _Parser:
 
     def parse_deployment(self) -> m.DeploymentSection:
         start = self.expect_kw("deployment")
-        self.expect(LBRACE, "'{'")
-        items: list[Union[m.DeploymentNode, m.DeploymentLink]] = []
-        while (tok := self.block_item()) is not None:
-            word = self.keyword()
-            if word == "node":
-                items.append(self.parse_deployment_node())
-            elif word == "link":
-                items.append(self.parse_link())
-            elif tok.type == IDENT:
-                raise self.unknown_keyword("one of: link, node")
-            else:
-                raise self.fail(f"expected a deployment item, found {_describe(tok)}")
-        return m.DeploymentSection(tuple(items), self.span_from(start))
+        items = self.block(self.deployment_items, "a deployment item", "one of: link, node")
+        return m.DeploymentSection(items, self.span_from(start))
 
     def parse_deployment_node(self) -> m.DeploymentNode:
         start = self.expect_kw("node")
@@ -318,19 +290,8 @@ class _Parser:
         llm: Optional[str] = None
         if self.accept_kw("llm"):
             llm = self.expect(IDENT, "llm name").value
-        self.expect(LBRACE, "'{'")
-        members: list[Union[m.Datastore, m.Task]] = []
-        while (tok := self.block_item()) is not None:
-            word = self.keyword()
-            if word == "task":
-                members.append(self.parse_task())
-            elif word == "store":
-                members.append(self.parse_store())
-            elif tok.type == IDENT:
-                raise self.unknown_keyword("one of: store, task")
-            else:
-                raise self.fail(f"expected an agent member, found {_describe(tok)}")
-        return m.Agent(name, llm, tuple(members), self.span_from(start))
+        members = self.block(self.agent_members, "an agent member", "one of: store, task")
+        return m.Agent(name, llm, members, self.span_from(start))
 
     def parse_store(self) -> m.Datastore:
         start = self.expect_kw("store")
@@ -364,23 +325,8 @@ class _Parser:
 
     def parse_body(self) -> m.ActivityGraph:
         start = self.expect_kw("body")
-        self.expect(LBRACE, "'{'")
-        statements: list[Union[m.ActivityNode, m.ActivityEdge]] = []
-        while (tok := self.block_item()) is not None:
-            word = self.keyword()
-            if tok.type == IDENT or word in ("start", "end"):
-                statements.append(self.parse_edge())
-            elif word == "call":
-                statements.append(self.parse_call())
-            elif word == "invoke":
-                statements.append(self.parse_invoke())
-            elif word == "decision":
-                statements.append(self.parse_decision())
-            elif word in ("fork", "join", "merge"):
-                statements.append(self.parse_fork_join())
-            else:
-                raise self.fail(f"expected a body statement, found {_describe(tok)}")
-        return m.ActivityGraph(tuple(statements), self.span_from(start))
+        statements = self.block(self.body_statements, "a body statement")
+        return m.ActivityGraph(statements, self.span_from(start))
 
     def parse_call(self) -> m.CallNode:
         start = self.expect_kw("call")
@@ -483,27 +429,38 @@ class _Parser:
 
     def parse_prompt(self) -> m.PromptSpec:
         start = self.expect_kw("prompt")
-        self.expect(LBRACE, "'{'")
-        rows: list[m.PromptRow] = []
-        while (tok := self.block_item()) is not None:
-            if self.keyword() in ("static", "dynamic"):
-                self.advance()
-                part = m.PromptPart.STATIC if tok.value == "static" else m.PromptPart.TASK_SPECIFIC
-                name = self.expect(IDENT, "prompt row name").value
-                self.expect(EQ, "'='")
-                template = self.expect(STRING, "prompt template string").value
-                rows.append(m.PromptRow(part, name, template, self.span_from(tok)))
-            elif tok.type == IDENT:
-                raise self.unknown_keyword("'static' or 'dynamic'")
-            else:
-                raise self.fail(f"expected a prompt row, found {_describe(tok)}")
-        return m.PromptSpec(tuple(rows), self.span_from(start))
+        rows = self.block(self.prompt_rows, "a prompt row", "'static' or 'dynamic'")
+        return m.PromptSpec(rows, self.span_from(start))
+
+    def parse_prompt_row(self) -> m.PromptRow:
+        start = self.advance()
+        part = m.PromptPart.STATIC if start.value == "static" else m.PromptPart.TASK_SPECIFIC
+        name = self.expect(IDENT, "prompt row name").value
+        self.expect(EQ, "'='")
+        template = self.expect(STRING, "prompt template string").value
+        return m.PromptRow(part, name, template, self.span_from(start))
 
     def parse_identlist(self, what: str) -> tuple[str, ...]:
         names = [self.expect(IDENT, what).value]
         while self.accept(COMMA):
             names.append(self.expect(IDENT, what).value)
         return tuple(names)
+
+    # --- block items ----------------------------------------------------
+    # Each table maps an item's leading keyword, or IDENT for a plain word,
+    # to the method that reads the item; ``item`` calls it with the parser.
+
+    sections = {"agent": parse_agent, "artifact": parse_artifact, "context": parse_context,
+                "deployment": parse_deployment, "llm": parse_llm, "tool": parse_tool}
+    section_keywords = "one of: " + ", ".join(sorted(sections))
+    context_items = {"external": parse_actor, "flow": parse_flow,
+                     "system": parse_actor, "user": parse_actor}
+    deployment_items = {"link": parse_link, "node": parse_deployment_node}
+    agent_members = {"store": parse_store, "task": parse_task}
+    body_statements = {IDENT: parse_edge, "start": parse_edge, "end": parse_edge,
+                       "call": parse_call, "invoke": parse_invoke, "decision": parse_decision,
+                       "fork": parse_fork_join, "join": parse_fork_join, "merge": parse_fork_join}
+    prompt_rows = {"dynamic": parse_prompt_row, "static": parse_prompt_row}
 
 
 def parse(text: str, file: str = "<input>") -> ParseResult:

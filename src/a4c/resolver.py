@@ -35,11 +35,9 @@ class ResolvedModel:
 
     model: m.Model
     artifacts: dict[str, m.ArtifactType]
-    actors: dict[str, m.Actor]
     llms: dict[str, m.LlmDecl]
     tools: dict[str, m.ToolDecl]
     agents: dict[str, m.Agent]
-    nodes: dict[str, m.DeploymentNode]
     default_llm: Optional[m.LlmDecl]
     hosts: dict[str, list[str]]  # agent/tool name -> every node hosting it, once per listing
     tasks: dict[str, dict[str, m.Task]]  # agent name -> task name -> task
@@ -245,11 +243,9 @@ class _Resolver:
         resolved = ResolvedModel(
             model=model,
             artifacts=artifacts,
-            actors=actors,
             llms=llms,
             tools=tools,
             agents=agents,
-            nodes=nodes,
             default_llm=default_llm,
             hosts=hosts,
             tasks=tasks,
@@ -313,16 +309,10 @@ class _Resolver:
             return
         graph = task.graph
 
-        declared: dict[str, m.ActivityNode] = {}
         for node in graph.nodes:
-            if isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
-                continue
-            if node.id in declared:
-                self.duplicate("body node", node.id, node.span, declared[node.id].span)
-            else:
-                declared[node.id] = node
-
-        for node in graph.nodes:
+            first = graph.node_by_id(node.id)
+            if first is not node:
+                self.duplicate("body node", node.id, node.span, first.span)
             if isinstance(node, m.CallNode):
                 if node.agent is not None and node.agent not in agents:
                     self.err("E001", f"unresolved agent '{node.agent}'", node.span)
@@ -343,12 +333,9 @@ class _Resolver:
                 if node.store not in stores:
                     self.err("E001", f"unresolved datastore '{node.store}'", node.span)
 
-        valid_ids = {m.INITIAL_ID, m.FINAL_ID}
-        valid_ids.update(declared)
-        valid_ids.update(n.id for n in graph.nodes if isinstance(n, m.StoreNode))
         for edge in graph.edges:
             for endpoint in (edge.source, edge.target):
-                if endpoint not in valid_ids:
+                if graph.node_by_id(endpoint) is None:
                     self.err("E001", f"unresolved edge endpoint '{endpoint}'", edge.span)
             if edge.guard is not None and not edge.guard.is_else:
                 if edge.guard.subject not in artifacts:

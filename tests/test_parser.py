@@ -177,6 +177,86 @@ def test_p003_unknown_keyword():
     assert "expected" in result.diagnostics[0].message
 
 
+# Each block level: a model with "%s" where one item of the block goes, and a
+# model that ends inside the block.
+BLOCKS = {
+    "section": ('model "X" {\n  %s\n}\n', 'model "X" {\n  artifact A\n'),
+    "context": ('model "X" {\n  context {\n    %s\n  }\n}\n',
+                'model "X" {\n  context {\n    system S\n'),
+    "deployment": ('model "X" {\n  deployment {\n    %s\n  }\n}\n',
+                   'model "X" {\n  deployment {\n    node N { }\n'),
+    "agent": ('model "X" {\n  agent G {\n    %s\n  }\n}\n',
+              'model "X" {\n  agent G {\n    store s : A\n'),
+    "body": ('model "X" {\n  agent G {\n    task t {\n      body {\n        %s\n'
+             '      }\n    }\n  }\n}\n',
+             'model "X" {\n  agent G {\n    task t {\n      body {\n        start -> end\n'),
+    "prompt": ('model "X" {\n  agent G {\n    task t {\n      prompt {\n        %s\n'
+               '      }\n    }\n  }\n}\n',
+               'model "X" {\n  agent G {\n    task t {\n      prompt {\n'
+               '        static r = "x"\n'),
+}
+
+# (block, case) -> every diagnostic as (code, line:column, message). An error
+# inside a block skips to that block's '}', which then closes the model, so
+# the model's own '}' is reported as well; ending inside a block reports the
+# missing '}' of the block and of the model.
+BLOCK_DIAGNOSTICS = {
+    ("section", "word"): [
+        ("P003", "2:3", "unknown keyword 'bogus' (expected one of: agent, artifact,"
+                        " context, deployment, llm, tool)")],
+    ("section", "punct"): [("P001", "2:3", "expected a section, found '='")],
+    ("section", "eof"): [("P001", "3:1", "expected '}', found end of file")],
+    ("context", "word"): [
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: external, flow, system, user)"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("context", "punct"): [
+        ("P001", "3:5", "expected a context item, found '='"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("context", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    ("deployment", "word"): [
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: link, node)"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("deployment", "punct"): [
+        ("P001", "3:5", "expected a deployment item, found '='"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("deployment", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    ("agent", "word"): [
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: store, task)"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("agent", "punct"): [
+        ("P001", "3:5", "expected an agent member, found '='"),
+        ("P001", "5:1", "expected end of file, found '}'")],
+    ("agent", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    # in a body a word starts an edge: 'bogus B' lacks its '->'
+    ("body", "word"): [
+        ("P001", "5:15", "expected '->', found identifier 'B'"),
+        ("P001", "7:5", "expected end of file, found '}'")],
+    ("body", "punct"): [
+        ("P001", "5:9", "expected a body statement, found '='"),
+        ("P001", "7:5", "expected end of file, found '}'")],
+    ("body", "eof"): [("P001", "6:1", "expected '}', found end of file")] * 2,
+    ("prompt", "word"): [
+        ("P003", "5:9", "unknown keyword 'bogus' (expected 'static' or 'dynamic')"),
+        ("P001", "7:5", "expected end of file, found '}'")],
+    ("prompt", "punct"): [
+        ("P001", "5:9", "expected a prompt row, found '='"),
+        ("P001", "7:5", "expected end of file, found '}'")],
+    ("prompt", "eof"): [("P001", "6:1", "expected '}', found end of file")] * 2,
+}
+
+
+def test_block_syntax_errors():
+    for (block, case), expected in BLOCK_DIAGNOSTICS.items():
+        template, ends_inside = BLOCKS[block]
+        text = {"word": template % "bogus B", "punct": template % "= B",
+                "eof": ends_inside}[case]
+        result = parse(text, "b.a4c")
+        found = [(d.code, f"{d.span.start.line}:{d.span.start.column}", d.message)
+                 for d in result.diagnostics]
+        assert found == expected, (block, case)
+        assert not result.ok
+
+
 def test_p001_self_flow():
     result = parse(
         'model "X" { context { system S flow S -> S : A } artifact A }', "p.a4c"
