@@ -10,6 +10,15 @@
   once per body.
 * loop_facts: elementary control-flow circuits of a task body with their
   guarded exit edges.
+* iter_circuits: the elementary circuits one at a time, in sorted order,
+  so a caller that needs the first few (``classify``'s witness, the docs
+  listing) stops the search there. Pending components wait in a heap keyed
+  by their least vertex, and Johnson's search (1975) runs from that vertex
+  over each vertex's distinct successors in sorted order. The root is the
+  least vertex of its component and is tried first, so circuits come out
+  in lexicographic order, each repeated once per choice of parallel edges.
+  Each next circuit costs time linear in the size of the body.
+  ``elementary_circuits`` is the whole list.
 
 The impact relation works at task-signature granularity: a task produces
 its declared outputs plus anything its own tool calls emit, and consumes
@@ -22,10 +31,11 @@ levels are built once per model, as ``ResolvedModel.relations``,
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import model as m
 from .records import record
@@ -317,47 +327,70 @@ def elementary_circuits(adj: dict[str, list[str]],
     """All elementary circuits inside the given cyclic SCCs of ``adj``, each
     rotated to start at its smallest vertex, in sorted order. A circuit over
     parallel edges is listed once per choice of edges."""
-    circuits: list[tuple[str, ...]] = []
-    pending = [set(scc) for scc in sccs]
+    return list(iter_circuits(adj, sccs))
+
+
+def iter_circuits(adj: dict[str, list[str]],
+                  sccs: list[list[str]]) -> Iterator[tuple[str, ...]]:
+    """The circuits of ``elementary_circuits``, in the same order, found one
+    at a time: a caller that stops early pays only for what it took."""
+    pending = [(min(scc), set(scc)) for scc in sccs]  # disjoint: least vertices differ
+    heapq.heapify(pending)
+    edge_counts: dict[str, dict[str, int]] = {}
     while pending:
-        component = pending.pop()
-        least = min(component)
-        _circuits_through(least, component, adj, circuits)
-        component.discard(least)
-        pending.extend(
-            set(scc)
-            for scc in strongly_connected(sorted(component), adj)
-            if _is_cyclic(scc, adj)
-        )
-    return sorted(circuits)
+        root, component = heapq.heappop(pending)
+        yield from _circuits_through(root, component, adj, edge_counts)
+        component.discard(root)
+        for scc in strongly_connected(sorted(component), adj):
+            if _is_cyclic(scc, adj):
+                heapq.heappush(pending, (min(scc), set(scc)))
 
 
 def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
-                      circuits: list[tuple[str, ...]]) -> None:
+                      edge_counts: dict[str, dict[str, int]]) -> Iterator[tuple[str, ...]]:
     """Johnson's CIRCUIT search from ``root`` (Johnson 1975), with explicit
     stacks for CIRCUIT and UNBLOCK so that long loops cannot overflow the
-    interpreter's recursion limit."""
+    interpreter's recursion limit. It follows distinct successors in sorted
+    order and yields each circuit once per choice of parallel edges along
+    it, back to back."""
+
+    def successors(v: str) -> dict[str, int]:
+        counts = edge_counts.get(v)
+        if counts is None:
+            counts = edge_counts[v] = {}
+            for w in adj.get(v, ()):  # sorted, so the keys are too
+                counts[w] = counts.get(w, 0) + 1
+        return counts
+
     blocked = {root}
     blocked_map: dict[str, set[str]] = {}
     path = [root]
+    choices = [1]  # per path vertex: choices of parallel edges along the path to it
     found = [False]  # per path vertex: has a circuit been closed below it?
-    successors = [iter(adj.get(root, ()))]
-    while successors:
-        w = next(successors[-1], None)
+    out = [successors(root)]
+    pending = [iter(out[-1])]
+    while pending:
+        w = next(pending[-1], None)
         if w is not None:
             if w not in component:
                 continue
             if w == root:
-                circuits.append(tuple(path))
+                circuit = tuple(path)
+                for _ in range(choices[-1] * out[-1][w]):
+                    yield circuit
                 found[-1] = True
             elif w not in blocked:
                 path.append(w)
                 blocked.add(w)
+                choices.append(choices[-1] * out[-1][w])
                 found.append(False)
-                successors.append(iter(adj.get(w, ())))
+                out.append(successors(w))
+                pending.append(iter(out[-1]))
             continue
         v = path.pop()
-        successors.pop()
+        choices.pop()
+        v_out = out.pop()
+        pending.pop()
         v_found = found.pop()
         if v_found:
             unblock = [v]
@@ -368,7 +401,7 @@ def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
             if found:
                 found[-1] = True
         else:
-            for x in adj.get(v, ()):
+            for x in v_out:
                 if x in component:
                     blocked_map.setdefault(x, set()).add(v)
 
@@ -376,10 +409,12 @@ def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
 _SOURCE_TARGET = attrgetter("source", "target")
 
 
-def _guarded_exits(facts: ControlFacts, cycle: tuple[str, ...]) -> tuple[m.ActivityEdge, ...]:
-    members = set(cycle)
+def guarded_exits(facts: ControlFacts, members: Iterable[str]) -> tuple[m.ActivityEdge, ...]:
+    """The guarded CONTROL edges from a member to a non-member, by source and
+    target, parallel edges in body order."""
+    inside = set(members)
     guarded = facts.guarded
-    return tuple(sorted((e for v in cycle for e in guarded.get(v, ()) if e.target not in members),
+    return tuple(sorted((e for v in inside for e in guarded.get(v, ()) if e.target not in inside),
                         key=_SOURCE_TARGET))
 
 
@@ -389,7 +424,7 @@ def loop_facts(task: m.Task) -> list[LoopFact]:
     if task.graph is None:
         return []
     facts = task.graph.control
-    return [LoopFact(cycle, _guarded_exits(facts, cycle)) for cycle in facts.circuits]
+    return [LoopFact(cycle, guarded_exits(facts, cycle)) for cycle in facts.circuits]
 
 
 def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
@@ -413,7 +448,7 @@ def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
         remaining = sorted(v for v in scc_of if v not in leaving)
         sccs = [scc for scc in strongly_connected(remaining, facts.succ)
                 if _is_cyclic(scc, facts.succ)]
-    return [c for c in elementary_circuits(facts.succ, sccs) if not _guarded_exits(facts, c)]
+    return [c for c in elementary_circuits(facts.succ, sccs) if not guarded_exits(facts, c)]
 
 
 # --- interaction pattern classification ----------------------------------------
@@ -465,17 +500,19 @@ def classify(rm: ResolvedModel, agent: m.Agent, task: m.Task) -> PatternClass:
         if chain_ok and backward:
             call_ids = {c.id for c in calls}
             decision_ids = {n.id for n in graph.nodes if isinstance(n, m.DecisionNode)}
-            witness = [
-                cy for cy in facts.circuits
-                if set(cy) & call_ids and set(cy) & decision_ids
-            ]
-            if witness:
+            # only an SCC that holds a call and a decision can hold a witness
+            sccs = [scc for scc in facts.cyclic
+                    if not call_ids.isdisjoint(scc) and not decision_ids.isdisjoint(scc)]
+            witness = next((cy for cy in iter_circuits(facts.succ, sccs)
+                            if not call_ids.isdisjoint(cy) and not decision_ids.isdisjoint(cy)),
+                           None)
+            if witness is not None:
                 return PatternClass(
                     Pattern.PIPELINE_WITH_FEEDBACK,
                     (
                         ("chain", chain),
                         ("feedback", tuple(f"{a}->{b}" for a, b in sorted(backward))),
-                        ("cycle-through-decision", witness[0]),
+                        ("cycle-through-decision", witness),
                     ),
                 )
         if chain_ok and not backward and not facts.cyclic:

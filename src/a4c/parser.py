@@ -180,7 +180,10 @@ class _Parser:
                 closed = True
                 break
             if tok.type == EOF:
-                self.diags.append(self.fail("expected '}', found end of file").diag)
+                # a nested block that ran to end of file has said this already
+                diag = self.fail("expected '}', found end of file").diag
+                if not self.diags or self.diags[-1] != diag:
+                    self.diags.append(diag)
                 break
             try:
                 sections.append(self.parse_section())

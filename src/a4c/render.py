@@ -11,11 +11,20 @@ rather than hardcoded colors, so downstream skins stay in control.
 
 from __future__ import annotations
 
+import heapq
+from itertools import islice
+from typing import Iterable
+
 from . import model as m
-from .analysis import classify, loop_facts
+from .analysis import ControlFacts, classify, guarded_exits, iter_circuits
 from .lexer import escape_string
 from .records import record
 from .resolver import ResolvedModel, call_graph
+
+
+# circuits listed per SCC on an agent page; a loop through k decision
+# diamonds has 2**k of them
+LOOP_LISTING_LIMIT = 64
 
 
 class RenderError(Exception):
@@ -398,21 +407,9 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
             for criterion, refs in pattern.evidence:
                 lines.append(f"- {criterion}: {', '.join(refs)}")
             lines.append("")
-            facts = loop_facts(task)
-            exit_texts: dict[int, str] = {}  # by edge identity: one exit leaves many loops
-            for fact in facts:
-                cycle = " -> ".join(fact.cycle)
-                for x in fact.exits:
-                    if id(x) not in exit_texts:
-                        guard = f" {x.guard.display()}" if x.guard is not None else ""
-                        exit_texts[id(x)] = f"{x.source} -> {x.target}{guard}"
-                if fact.exits:
-                    exits = "; ".join(exit_texts[id(x)] for x in fact.exits)
-                    lines.append(f"- loop {cycle}: exits via {exits}")
-                else:
-                    lines.append(f"- loop {cycle}: no guarded exit")
-            if facts:
-                lines.append("")
+            loops = _loop_lines(task.graph.control)
+            if loops:
+                lines += loops + [""]
         if task.graph is not None:
             diagram = render_activity(model, agent, task)
             lines += ["```dot"] + diagram.text.rstrip("\n").split("\n") + ["```", ""]
@@ -427,3 +424,34 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
             for elem_id in table.element_anchors:
                 anchors.setdefault(elem_id, page)
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def _loop_lines(facts: ControlFacts) -> list[str]:
+    """One line per elementary circuit of the body with its guarded exits, at
+    most ``LOOP_LISTING_LIMIT`` per SCC in sorted order, then one line for
+    each SCC that holds more."""
+    listed: list[list[tuple[str, ...]]] = []
+    crowded: list[list[str]] = []
+    for scc in sorted(sorted(scc) for scc in facts.cyclic):
+        circuits = list(islice(iter_circuits(facts.succ, [scc]), LOOP_LISTING_LIMIT + 1))
+        if len(circuits) > LOOP_LISTING_LIMIT:
+            circuits.pop()
+            crowded.append(scc)
+        listed.append(circuits)
+    exit_texts: dict[int, str] = {}  # by edge identity: one exit leaves many loops
+
+    def exits_text(members: Iterable[str]) -> str:
+        exits = guarded_exits(facts, members)
+        for x in exits:
+            if id(x) not in exit_texts:
+                guard = f" {x.guard.display()}" if x.guard is not None else ""
+                exit_texts[id(x)] = f"{x.source} -> {x.target}{guard}"
+        if not exits:
+            return "no guarded exit"
+        return "exits via " + "; ".join(exit_texts[id(x)] for x in exits)
+
+    lines = [f"- loop {' -> '.join(cycle)}: {exits_text(cycle)}"
+             for cycle in heapq.merge(*listed)]
+    lines += [f"- loops through {', '.join(scc)}: more than {LOOP_LISTING_LIMIT} circuits,"
+              f" {exits_text(scc)}" for scc in crowded]
+    return lines

@@ -2,11 +2,11 @@
 
 These deliberately use the slowest, most literal algorithms available:
 change impact runs a fixpoint sweep over a flat edge list, circuit
-enumeration does an exhaustive simple-path search, artifact availability
-searches forward from every producer, and tokenizing walks the text one
-character at a time. They share nothing with the package's graph code
-beyond the metamodel itself, nor with its lexer beyond the token names and
-the keyword set.
+enumeration does an exhaustive simple-path search (over edges, where
+parallel edges count), artifact availability searches forward from every
+producer, and tokenizing walks the text one character at a time. They
+share nothing with the package's graph code beyond the metamodel itself,
+nor with its lexer beyond the token names and the keyword set.
 
 The relation edge table (who produces/consumes/calls/hosts what, and with
 which label per traversal direction) is written out longhand here from the
@@ -224,6 +224,31 @@ def oracle_cycles(graph: m.ActivityGraph) -> set[tuple[str, ...]]:
     for v in vertices:
         search(v, v, [v])
     return cycles
+
+
+def oracle_circuit_list(edges: list[tuple[str, str]]) -> list[tuple[str, ...]]:
+    """Every elementary circuit of a directed multigraph given as an edge
+    list, once per choice of parallel edges, rotated to its smallest vertex,
+    in sorted order. The search walks edges, not vertices, from each origin
+    through larger vertices only, so each choice of edges is found once."""
+    out: dict[str, list[str]] = {}
+    for source, target in edges:
+        out.setdefault(source, []).append(target)
+
+    circuits: list[tuple[str, ...]] = []
+
+    def search(origin: str, path: list[str]) -> None:
+        for nxt in out.get(path[-1], ()):
+            if nxt == origin:
+                circuits.append(tuple(path))
+            elif nxt > origin and nxt not in path:
+                path.append(nxt)
+                search(origin, path)
+                path.pop()
+
+    for v in sorted(out):
+        search(v, [v])
+    return sorted(circuits)
 
 
 def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:

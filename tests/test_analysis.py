@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from a4c import model as m
+from a4c import analysis, model as m
 from a4c.analysis import (
     AnalysisError,
     Direction,
@@ -445,6 +445,32 @@ def test_loop_facts_oracle_equivalence():
         assert ("W113" in codes) == has_unguarded, seed
         saw_cycle = saw_cycle or bool(facts)
     assert saw_cycle
+
+
+def test_circuits_match_ordered_oracle_with_parallel_edges():
+    """Order and multiplicity: one circuit per choice of parallel edges,
+    rotated to its least vertex, sorted; the lazy search yields the same
+    list one circuit at a time."""
+    saw_parallel = saw_self_loop = False
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(1, 7))]
+        edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 16))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # parallel copies
+        succ: dict[str, list[str]] = {}
+        for source, target in edges:
+            succ.setdefault(source, []).append(target)
+        for targets in succ.values():
+            targets.sort()
+        sccs = analysis.strongly_connected(sorted({v for e in edges for v in e}), succ)
+        cyclic = [scc for scc in sccs if len(scc) > 1 or scc[0] in succ.get(scc[0], ())]
+        want = oracles.oracle_circuit_list(edges)
+        assert analysis.elementary_circuits(succ, cyclic) == want, seed
+        lazy = analysis.iter_circuits(succ, cyclic)
+        assert [next(lazy) for _ in want[:5]] == want[:5], seed
+        saw_parallel = saw_parallel or len(set(want)) < len(want)
+        saw_self_loop = saw_self_loop or any(len(c) == 1 for c in want)
+    assert saw_parallel and saw_self_loop
 
 
 def test_generated_models_have_guarded_loops_only(model_pool):

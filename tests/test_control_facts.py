@@ -170,6 +170,39 @@ def test_diamond_ladder_check_is_not_exponential():
     assert diags == []
 
 
+def call_loop_beside_ladder(k: int) -> str:
+    """A loop of two calls with no decision, and apart from it a loop
+    through k decision/merge diamonds with no call: 2**k circuits, none of
+    which holds both a call and a decision."""
+    body = ["call c0 = step on Worker { in R out R }", "call c1 = step on Worker { in R out R }",
+            "decision chk on R", "start -> c0", "c0 -> c1", "c1 -> c0", "c1 -> d1"]
+    for i in range(1, k + 1):
+        body += [
+            f"decision d{i} on R",
+            f"merge a{i}",
+            f"merge b{i}",
+            f"merge m{i}",
+            f"d{i} -> a{i} [R == Left]",
+            f"d{i} -> b{i} [R == Right]",
+            f"a{i} -> m{i}",
+            f"b{i} -> m{i}",
+            f"m{i} -> {f'd{i + 1}' if i < k else 'chk'}",
+        ]
+    body += ["chk -> end [R == Good]", "chk -> d1 [R == Bad]"]
+    return _loop_model(body)
+
+
+def test_classify_and_docs_without_a_feedback_witness_are_not_exponential():
+    rm = load_resolved(call_loop_beside_ladder(20), "split.a4c")
+    agent = rm.agents["Root"]
+    began = time.perf_counter()
+    assert classify(rm, agent, agent.task("run")).value is Pattern.UNCLASSIFIED
+    page = docs_bundle(rm).files["agents/Root.md"]
+    assert time.perf_counter() - began < 2.0
+    assert "- loop c0 -> c1: no guarded exit" in page
+    assert "more than 64 circuits, exits via chk -> end [R == Good]" in page
+
+
 def test_each_body_builds_its_control_facts_once(monkeypatch):
     built = Counter()
     build = analysis.control_facts

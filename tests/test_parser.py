@@ -212,21 +212,21 @@ BLOCK_DIAGNOSTICS = {
     ("context", "punct"): [
         ("P001", "3:5", "expected a context item, found '='"),
         ("P001", "5:1", "expected end of file, found '}'")],
-    ("context", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    ("context", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     ("deployment", "word"): [
         ("P003", "3:5", "unknown keyword 'bogus' (expected one of: link, node)"),
         ("P001", "5:1", "expected end of file, found '}'")],
     ("deployment", "punct"): [
         ("P001", "3:5", "expected a deployment item, found '='"),
         ("P001", "5:1", "expected end of file, found '}'")],
-    ("deployment", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    ("deployment", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     ("agent", "word"): [
         ("P003", "3:5", "unknown keyword 'bogus' (expected one of: store, task)"),
         ("P001", "5:1", "expected end of file, found '}'")],
     ("agent", "punct"): [
         ("P001", "3:5", "expected an agent member, found '='"),
         ("P001", "5:1", "expected end of file, found '}'")],
-    ("agent", "eof"): [("P001", "4:1", "expected '}', found end of file")] * 2,
+    ("agent", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     # in a body a word starts an edge: 'bogus B' lacks its '->'
     ("body", "word"): [
         ("P001", "5:15", "expected '->', found identifier 'B'"),
@@ -234,14 +234,14 @@ BLOCK_DIAGNOSTICS = {
     ("body", "punct"): [
         ("P001", "5:9", "expected a body statement, found '='"),
         ("P001", "7:5", "expected end of file, found '}'")],
-    ("body", "eof"): [("P001", "6:1", "expected '}', found end of file")] * 2,
+    ("body", "eof"): [("P001", "6:1", "expected '}', found end of file")],
     ("prompt", "word"): [
         ("P003", "5:9", "unknown keyword 'bogus' (expected 'static' or 'dynamic')"),
         ("P001", "7:5", "expected end of file, found '}'")],
     ("prompt", "punct"): [
         ("P001", "5:9", "expected a prompt row, found '='"),
         ("P001", "7:5", "expected end of file, found '}'")],
-    ("prompt", "eof"): [("P001", "6:1", "expected '}', found end of file")] * 2,
+    ("prompt", "eof"): [("P001", "6:1", "expected '}', found end of file")],
 }
 
 

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import importlib.resources as ir
 import pathlib
+import random
+import re
 
 import pytest
 
-from a4c.analysis import impact
+from a4c import model as m
+from a4c.analysis import impact, loop_facts
 from a4c.cli import main as cli_main
 from a4c.render import (
+    LOOP_LISTING_LIMIT,
     RenderError,
     docs_bundle,
     render_activity,
@@ -18,6 +22,8 @@ from a4c.render import (
 
 import oracles
 from conftest import CORPUS, corpus_text, load_resolved
+from test_analysis import loop_soup
+from test_control_facts import diamond_ladder
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
 
@@ -222,6 +228,92 @@ def test_docs_agent_page_content(testgen_rm):
     assert "- loop chk -> fx -> tst: exits via chk -> end [Report == IO]" in page
     assert "```dot" in page
     assert "Signature: (in TestSpec, CodeExamples; out TestCode, Report) [C3]" in page
+
+
+# --- bounded loop listing ----------------------------------------------------------
+
+def _exit_text(exits) -> str:
+    if not exits:
+        return "no guarded exit"
+    return "exits via " + "; ".join(f"{x.source} -> {x.target} {x.guard.display()}"
+                                     for x in exits)
+
+
+def reference_loop_lines(task) -> list[str]:
+    """The agent page's loop lines built from the exhaustive ``loop_facts``:
+    the first ``LOOP_LISTING_LIMIT`` circuits of each SCC in sorted order,
+    then a summary of each SCC with more."""
+    sccs = sorted(sorted(scc) for scc in task.graph.control.cyclic)
+    scc_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+    taken = [0] * len(sccs)
+    lines = []
+    for fact in loop_facts(task):
+        i = scc_of[fact.cycle[0]]
+        taken[i] += 1
+        if taken[i] <= LOOP_LISTING_LIMIT:
+            lines.append(f"- loop {' -> '.join(fact.cycle)}: {_exit_text(fact.exits)}")
+    for scc, count in zip(sccs, taken):
+        if count > LOOP_LISTING_LIMIT:
+            inside = set(scc)
+            exits = sorted((e for e in task.graph.edges
+                            if e.kind is m.EdgeKind.CONTROL and e.guard is not None
+                            and e.source in inside and e.target not in inside),
+                           key=lambda e: (e.source, e.target))
+            lines.append(f"- loops through {', '.join(scc)}: more than {LOOP_LISTING_LIMIT}"
+                         f" circuits, {_exit_text(exits)}")
+    return lines
+
+
+def page_loop_lines(page: str) -> list[str]:
+    return [line for line in page.split("\n") if line.startswith("- loop")]
+
+
+@pytest.mark.parametrize("k", [4, 6, 7, 12, 16])
+def test_docs_lists_at_most_the_limit_of_loops_per_scc(k):
+    rm = load_resolved(diamond_ladder(k), "ladder.a4c")
+    task = rm.agents["Root"].task("run")
+    lines = page_loop_lines(docs_bundle(rm).files["agents/Root.md"])
+    listed = [line for line in lines if line.startswith("- loop ")]
+    summaries = [line for line in lines if line.startswith("- loops through ")]
+    assert len(listed) == min(2 ** k, LOOP_LISTING_LIMIT)
+    assert len(summaries) == (1 if 2 ** k > LOOP_LISTING_LIMIT else 0)
+    assert lines == listed + summaries
+    if summaries:
+        members = ["c0", "chk"] + sorted(f"{x}{i}" for i in range(1, k + 1) for x in "abdm")
+        assert summaries[0] == (f"- loops through {', '.join(sorted(members))}: more than 64"
+                                " circuits, exits via chk -> end [R == Good]")
+    if k <= 12:  # 2**16 circuits take the exhaustive listing seconds
+        assert lines == reference_loop_lines(task)
+
+
+def test_docs_loop_listing_stays_small_as_the_ladder_grows():
+    sizes = {k: len(docs_bundle(load_resolved(diamond_ladder(k), "ladder.a4c"))
+                    .files["agents/Root.md"].encode()) for k in (8, 16)}
+    assert sizes[16] <= 2.5 * sizes[8]
+
+
+def dense_soup(seed: int) -> str:
+    """``loop_soup`` with up to 24 more edges between its calls, some of them
+    parallel, so that some SCCs hold more circuits than the listing limit."""
+    rng = random.Random(seed)
+    text = loop_soup(seed)
+    calls = sorted({int(c) for c in re.findall(r"call c(\d+) =", text)})
+    extra = "".join(f"        c{rng.choice(calls)} -> c{rng.choice(calls)}\n"
+                    for _ in range(rng.randint(0, 24)))
+    return text.replace("      }\n    }\n  }\n  agent Helper", extra + "      }\n    }\n  }\n"
+                        "  agent Helper", 1)
+
+
+def test_docs_loop_listing_matches_the_exhaustive_listing():
+    # random bodies: several SCCs per body, some with more circuits than the limit
+    crowded = 0
+    for seed in range(150):
+        rm = load_resolved(dense_soup(seed), f"soup-{seed}")
+        task = rm.model.agents[0].tasks[0]
+        lines = page_loop_lines(docs_bundle(rm).files["agents/Root.md"])
+        assert lines == reference_loop_lines(task), seed
+        crowded += sum(line.startswith("- loops through ") for line in lines)
+    assert crowded > 0
 
 
 def test_docs_artifact_glossary(testgen_rm):
