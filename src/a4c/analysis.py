@@ -24,9 +24,17 @@ The impact relation works at task-signature granularity: a task produces
 its declared outputs plus anything its own tool calls emit, and consumes
 its declared inputs plus its tool calls' inputs. Datastore writes and reads
 count as Produces/Consumes on the store. Decisions join the graph through
-the artifact they gate on. The relation, the seed kinds and the element
-levels are built once per model, as ``ResolvedModel.relations``,
-``seed_kinds`` and ``element_levels``, and shared by every impact query.
+the artifact they gate on. Everything that does not depend on the seed is
+built once per model and shared by every impact query: the seed kinds and
+the element levels (``ResolvedModel.seed_kinds``, ``element_levels``), and
+``ResolvedModel.relations``, which holds the relation as a sorted
+neighbour index per direction, the flows, nodes and links that carry
+impact, and the names that touch C1 or C2 through a flow or link. A query
+is a breadth-first walk over the index of its direction: the frontier is
+visited in sorted order, each vertex's neighbours in ``(name, label)``
+order, and the first discovery of an element fixes its relation and its
+witness path, its discoverer's path plus itself. So every path reported
+is a shortest one.
 """
 
 from __future__ import annotations
@@ -116,15 +124,6 @@ def seed_table(rm: ResolvedModel) -> dict[str, str]:
     return dict(rm.seed_kinds)
 
 
-def _neighbors(rm: ResolvedModel, vertex: str, direction: Direction) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    if direction in (Direction.DOWN, Direction.BOTH):
-        out.extend(rm.relations.down.get(vertex, ()))
-    if direction in (Direction.UP, Direction.BOTH):
-        out.extend(rm.relations.up.get(vertex, ()))
-    return sorted(set(out))
-
-
 def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactReport:
     """Transitive closure of elements affected by changing ``seed``."""
     if isinstance(direction, str):
@@ -134,65 +133,49 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
             raise AnalysisError("A001", f"unknown direction '{direction}'") from None
     if seed not in rm.seed_kinds:
         raise AnalysisError("A001", f"unknown seed element '{seed}'")
+    relations = rm.relations
+    neighbours = getattr(relations, direction.value)
 
-    # breadth-first closure with deterministic first-discovery bookkeeping
-    parent: dict[str, Optional[str]] = {seed: None}
+    # breadth-first, frontier sorted, neighbours in (name, label) order: the
+    # first discovery of an element fixes its relation, and its path is its
+    # discoverer's path plus itself
+    path: dict[str, tuple[str, ...]] = {seed: ()}
     relation: dict[str, str] = {}
     frontier = [seed]
-    order: list[str] = []
     while frontier:
         next_frontier: list[str] = []
         for vertex in sorted(frontier):
-            for neighbor, label in _neighbors(rm, vertex, direction):
-                if neighbor in parent:
-                    continue
-                parent[neighbor] = vertex
-                relation[neighbor] = label
-                order.append(neighbor)
-                next_frontier.append(neighbor)
+            base = path[vertex]
+            for neighbour, label in neighbours.get(vertex, ()):
+                if neighbour not in path:
+                    path[neighbour] = base + (neighbour,)
+                    relation[neighbour] = label
+                    next_frontier.append(neighbour)
         frontier = next_frontier
+    del path[seed]
 
-    def path_of(element: str) -> tuple[str, ...]:
-        chain: list[str] = []
-        cur: Optional[str] = element
-        while cur is not None and cur != seed:
-            chain.append(cur)
-            cur = parent[cur]
-        return tuple(reversed(chain))
-
-    affected: dict[str, Affected] = {}
-    for element in order:
-        affected[element] = Affected(element, relation[element], path_of(element))
-
-    # flows, nodes and links are affected through what they carry or host
-    model = rm.model
-    carriers: list[tuple[str, str, tuple[str, ...]]] = []
-    if model.context is not None:
-        carriers += [(m.flow_display(f), "FlowsOver", f.artifacts) for f in model.context.flows]
-    if model.deployment is not None:
-        carriers += [(n.name, "Hosts", n.hosts) for n in model.deployment.nodes]
-        carriers += [(m.link_display(k), "FlowsOver", k.artifacts) for k in model.deployment.links]
-    affected_set = set(affected)
-    for display, label, carried in carriers:
-        hits = sorted(a for a in carried if a in affected_set)
+    # flows, nodes and links are affected through what they carry or host;
+    # a carrier's path extends its least carried element's path as it stands
+    # when the carrier comes up, which may be an earlier carrier's of the
+    # same name (a node named like the agent it hosts)
+    reached = set(relation)
+    for display, label, carried in relations.carriers:
+        hits = reached.intersection(carried)
         if hits:
-            affected[display] = Affected(display, label, affected[hits[0]].path + (display,))
+            path[display] = path[min(hits)] + (display,)
+            relation[display] = label
 
     level_map = rm.element_levels
-    levels = {level_map[e] for e in affected if e in level_map}
-    if model.context is not None:
-        for flow in model.context.flows:
-            if seed in flow.artifacts or seed in (flow.source, flow.target):
-                levels.add("C1")
-    if model.deployment is not None:
-        for link in model.deployment.links:
-            if seed in link.artifacts:
-                levels.add("C2")
+    levels = {level_map[e] for e in relation if e in level_map}
+    if seed in relations.touches_c1:
+        levels.add("C1")
+    if seed in relations.touches_c2:
+        levels.add("C2")
 
     return ImpactReport(
         seed=seed,
         direction=direction,
-        affected=tuple(sorted(affected.values(), key=lambda a: a.element)),
+        affected=tuple(Affected(e, relation[e], path[e]) for e in sorted(relation)),
         levels_touched=tuple(sorted(levels)),
     )
 

@@ -5,7 +5,9 @@ Subcommands: check, render, impact, classify, docs, fmt.
 Exit codes: 0 success, 1 semantic findings (validation errors, warnings
 under --fail-on-warning, rendering a view the model lacks), 2 input
 failures (unreadable files, parse errors, unformattable input), 3 usage
-errors (bad flags, unknown seed or direction, classifying a leaf task).
+errors (bad flags, unknown seed or direction, classifying a leaf task), 4
+internal errors (a fault in a4c itself, reported as one line on stderr,
+never as a traceback).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -380,6 +383,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"a4c: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault in a4c: one line and a code of its own
+        message = " ".join(str(exc).split())
+        print(f"a4c: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

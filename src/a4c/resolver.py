@@ -8,8 +8,9 @@ rule codes instead: the task named by a TaskCall on a known agent (V1) and
 the tool named by a ToolCall (V8).
 
 A ResolvedModel also holds, built on first use, the facts every impact
-query shares: the seed kinds, the element levels and the labeled impact
-relation between elements (see ``analysis.impact``).
+query shares: the seed kinds, the element levels and ``relations``, the
+labeled impact relation between elements indexed per direction, with the
+flows, nodes and links that carry impact (see ``analysis.impact``).
 """
 
 from __future__ import annotations
@@ -78,56 +79,100 @@ class ResolvedModel:
         return _relations(self)
 
 
+@record
 class Relations:
-    """Labeled impact relations over element display names: ``down[u]``
-    lists ``(v, label)`` for each element v that u influences, ``up[v]``
-    ``(u, label)`` for each element u that influences v."""
+    """The facts of impact that do not depend on the seed, built once per
+    model by ``_relations``.
 
-    def __init__(self) -> None:
-        self.down: dict[str, list[tuple[str, str]]] = {}
-        self.up: dict[str, list[tuple[str, str]]] = {}
+    ``down``, ``up`` and ``both`` are the labeled impact relation over
+    element display names, one neighbour index per direction and named for
+    it: ``down[u]`` lists ``(v, label)`` for each element v that u
+    influences, ``up[v]`` ``(u, label)`` for each element u that influences
+    v, and ``both[w]`` the union of the two. Each list is sorted and holds
+    each pair once.
 
-    def add(self, u: str, v: str, label_down: str, label_up: str) -> None:
-        self.down.setdefault(u, []).append((v, label_down))
-        self.up.setdefault(v, []).append((u, label_up))
+    ``carriers`` lists ``(display, label, carried)`` for every context flow,
+    then every deployment node, then every deployment link, in file order:
+    the element, the relation by which it is affected, and the names whose
+    impact reaches it. ``touches_c1`` holds the names that a flow mentions
+    (its source, its target and its artifacts), and ``touches_c2`` the
+    artifacts a link carries.
+    """
+
+    down: dict[str, list[tuple[str, str]]]
+    up: dict[str, list[tuple[str, str]]]
+    both: dict[str, list[tuple[str, str]]]
+    carriers: list[tuple[str, str, tuple[str, ...]]]
+    touches_c1: set[str]
+    touches_c2: set[str]
 
 
 def _relations(rm: ResolvedModel) -> Relations:
-    g = Relations()
-    for agent in rm.model.agents:
+    down: dict[str, set[tuple[str, str]]] = {}
+    up: dict[str, set[tuple[str, str]]] = {}
+
+    def add(u: str, v: str, label_down: str, label_up: str) -> None:
+        down.setdefault(u, set()).add((v, label_down))
+        up.setdefault(v, set()).add((u, label_up))
+
+    model = rm.model
+    for agent in model.agents:
         llm = rm.llm_of(agent)
         if llm is not None:
-            g.add(llm.name, agent.name, "Consumes", "Consumes")
+            add(llm.name, agent.name, "Consumes", "Consumes")
         for task in agent.tasks:
             tq = m.task_display(agent.name, task.name)
-            g.add(agent.name, tq, "Hosts", "Hosts")
+            add(agent.name, tq, "Hosts", "Hosts")
             produced = set(task.outputs)
             consumed = set(task.inputs)
             if task.graph is not None:
                 for node in task.graph.nodes:
                     if isinstance(node, m.CallNode):
                         callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
-                        g.add(tq, callee, "Calls", "CalledBy")
+                        add(tq, callee, "Calls", "CalledBy")
                     elif isinstance(node, m.InvokeNode):
                         produced.update(node.outputs)
                         consumed.update(node.inputs)
-                        g.add(node.tool, tq, "Consumes", "Consumes")
+                        add(node.tool, tq, "Consumes", "Consumes")
                     elif isinstance(node, m.DecisionNode):
                         dq = m.body_node_display(agent.name, task.name, node.id)
-                        g.add(node.subject, dq, "Gates", "Gates")
-                        g.add(dq, node.subject, "Gates", "Gates")
+                        add(node.subject, dq, "Gates", "Gates")
+                        add(dq, node.subject, "Gates", "Gates")
                 for edge in task.graph.edges:
                     if edge.kind is m.EdgeKind.STORE_WRITE:
                         sq = m.store_display(agent.name, m.store_name_of(edge.target))
-                        g.add(tq, sq, "Produces", "Produces")
+                        add(tq, sq, "Produces", "Produces")
                     elif edge.kind is m.EdgeKind.STORE_READ:
                         sq = m.store_display(agent.name, m.store_name_of(edge.source))
-                        g.add(sq, tq, "Consumes", "Consumes")
-            for art in sorted(produced):
-                g.add(tq, art, "Produces", "Produces")
-            for art in sorted(consumed):
-                g.add(art, tq, "Consumes", "Consumes")
-    return g
+                        add(sq, tq, "Consumes", "Consumes")
+            for art in produced:
+                add(tq, art, "Produces", "Produces")
+            for art in consumed:
+                add(art, tq, "Consumes", "Consumes")
+
+    carriers: list[tuple[str, str, tuple[str, ...]]] = []
+    touches_c1: set[str] = set()
+    touches_c2: set[str] = set()
+    if model.context is not None:
+        for flow in model.context.flows:
+            carriers.append((m.flow_display(flow), "FlowsOver", flow.artifacts))
+            touches_c1.update(flow.artifacts)
+            touches_c1.update((flow.source, flow.target))
+    if model.deployment is not None:
+        carriers += [(node.name, "Hosts", node.hosts) for node in model.deployment.nodes]
+        for link in model.deployment.links:
+            carriers.append((m.link_display(link), "FlowsOver", link.artifacts))
+            touches_c2.update(link.artifacts)
+
+    return Relations(
+        down={u: sorted(pairs) for u, pairs in down.items()},
+        up={v: sorted(pairs) for v, pairs in up.items()},
+        both={w: sorted(down.get(w, set()) | up.get(w, set()))
+              for w in down.keys() | up.keys()},
+        carriers=carriers,
+        touches_c1=touches_c1,
+        touches_c2=touches_c2,
+    )
 
 
 @record

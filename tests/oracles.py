@@ -116,29 +116,77 @@ def oracle_affected_set(model: m.Model, seed: str, direction: str) -> set[str]:
     return closure(oracle_edges(model), seed, direction)
 
 
-def oracle_decorations(model: m.Model, affected: set[str]) -> dict[str, str]:
-    """C1 flows, C2 links, and C2 nodes pulled in by already-affected elements."""
-    decorations: dict[str, str] = {}
+def carriers(model: m.Model) -> list[tuple[str, str, tuple[str, ...]]]:
+    """(display, relation, carried names) of every C1 flow, then every C2
+    node, then every C2 link, in file order."""
+    out: list[tuple[str, str, tuple[str, ...]]] = []
     flow_counts: dict[tuple[str, str], int] = {}
     if model.context is not None:
         for flow in model.context.flows:
             key = (flow.source, flow.target)
             occ = flow_counts.get(key, 0)
             flow_counts[key] = occ + 1
-            if any(a in affected for a in flow.artifacts):
-                decorations[display_flow(flow, occ)] = "FlowsOver"
+            out.append((display_flow(flow, occ), "FlowsOver", flow.artifacts))
     link_counts: dict[tuple[str, str], int] = {}
     if model.deployment is not None:
         for node in model.deployment.nodes:
-            if any(h in affected for h in node.hosts):
-                decorations[node.name] = "Hosts"
+            out.append((node.name, "Hosts", node.hosts))
         for link in model.deployment.links:
             key = (link.source, link.target)
             occ = link_counts.get(key, 0)
             link_counts[key] = occ + 1
-            if any(a in affected for a in link.artifacts):
-                decorations[display_link(link, occ)] = "FlowsOver"
-    return decorations
+            out.append((display_link(link, occ), "FlowsOver", link.artifacts))
+    return out
+
+
+def oracle_decorations(model: m.Model, affected: set[str]) -> dict[str, str]:
+    """C1 flows, C2 links, and C2 nodes pulled in by already-affected elements."""
+    return {display: relation for display, relation, carried in carriers(model)
+            if any(a in affected for a in carried)}
+
+
+def oracle_impact_report(
+    model: m.Model, seed: str, direction: str
+) -> tuple[list[tuple[str, str, tuple[str, ...]]], list[str]]:
+    """The whole impact report by the documented rule, over ``oracle_edges``.
+
+    Breadth-first from the seed: the frontier is visited in sorted order,
+    each vertex's distinct neighbours in (name, label) order, and the first
+    discovery of an element fixes its relation and its path, its
+    discoverer's path plus itself. Then each carrier (``carriers``) that
+    carries or hosts a discovered element is added with its own relation;
+    its path is the path of the least such element, as that path stands
+    when the carrier comes up, plus the carrier. Returns the affected
+    ``(element, relation, path)`` triples sorted by element, and the
+    sorted levels.
+    """
+    adjacency: dict[str, set[tuple[str, str]]] = {}
+    for u, v, label_down, label_up in oracle_edges(model):
+        if direction in ("down", "both"):
+            adjacency.setdefault(u, set()).add((v, label_down))
+        if direction in ("up", "both"):
+            adjacency.setdefault(v, set()).add((u, label_up))
+    path: dict[str, tuple[str, ...]] = {seed: ()}
+    relation: dict[str, str] = {}
+    frontier = [seed]
+    while frontier:
+        discovered = []
+        for vertex in sorted(frontier):
+            for neighbour, label in sorted(adjacency.get(vertex, ())):
+                if neighbour not in path:
+                    path[neighbour] = path[vertex] + (neighbour,)
+                    relation[neighbour] = label
+                    discovered.append(neighbour)
+        frontier = discovered
+    del path[seed]
+    closure_members = set(relation)
+    for display, label, carried in carriers(model):
+        hits = sorted(a for a in carried if a in closure_members)
+        if hits:
+            path[display] = path[hits[0]] + (display,)
+            relation[display] = label
+    affected = [(e, relation[e], path[e]) for e in sorted(relation)]
+    return affected, sorted(oracle_levels(model, seed, set(relation)))
 
 
 def oracle_levels(model: m.Model, seed: str, affected: set[str]) -> set[str]:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from a4c import analysis, model as m
+from a4c import analysis, model as m, resolver
 from a4c.analysis import (
+    Affected,
     AnalysisError,
     Direction,
     Pattern,
@@ -317,6 +319,80 @@ def test_impact_on_names_shared_across_kinds():
                 oracles.oracle_levels(model, seed, affected), (seed, direction)
 
 
+# Deployment nodes named like an artifact (Job, Plan) and like an agent
+# (Runner); Planner names a user, a tool and an agent, Store a system actor
+# and a tool. A node's entry in a report replaces the element it shares a
+# name with, and a later link's path runs through the replaced entry.
+SHARED_NAMES_MODEL = '''model "Shared" {
+  context {
+    user Planner
+    system Store
+    flow Planner -> Store : Job, Plan
+    flow Store -> Planner : Result
+  }
+  artifact Job
+  artifact Plan
+  artifact Result
+  llm Brain default
+  tool Store
+  tool Planner
+  deployment {
+    node Job { hosts Planner }
+    node Plan { hosts Store }
+    node Runner { hosts Runner }
+    link Job -> Plan : "RPC" : Job
+    link Plan -> Runner : "RPC" : Plan, Result
+    link Job -> Runner : "RPC" : Result
+  }
+  agent Planner {
+    task plan {
+      in Job
+      out Plan
+      body {
+        invoke s = Store.put { in Job out Plan }
+        start -> s
+        s -> end
+      }
+    }
+  }
+  agent Runner {
+    task run {
+      in Job, Plan
+      out Result
+      body {
+        call p = plan on Planner { in Job out Plan }
+        invoke q = Planner.ask { in Plan out Result }
+        start -> p
+        p -> q
+        q -> end
+      }
+    }
+  }
+}
+'''
+
+
+def test_impact_report_equals_the_oracle(model_pool):
+    """Every report, with its relations, witness paths, decorations and
+    levels, equals the whole-report oracle for every seed and direction."""
+    texts = [corpus_text(name) for name in CORPUS] + [COLLISION_MODEL, SHARED_NAMES_MODEL]
+    models = [load_resolved(text) for text in texts] + [rm for _i, _text, rm in model_pool]
+    for rm in models:
+        for seed in sorted(seed_table(rm)):
+            for direction in ("up", "down", "both"):
+                report = impact(rm, seed, direction)
+                got = ([(a.element, a.relation, a.path) for a in report.affected],
+                       list(report.levels_touched))
+                want = oracles.oracle_impact_report(rm.model, seed, direction)
+                assert got == want, (rm.model.name, seed, direction)
+    by_element = {a.element: a for a in impact(load_resolved(SHARED_NAMES_MODEL), "Plan",
+                                               "both").affected}
+    assert by_element["Job"] == Affected("Job", "Hosts", ("Planner.plan", "Planner", "Job"))
+    assert by_element["link Job->Plan#0"].path == \
+        ("Planner.plan", "Planner", "Job", "link Job->Plan#0")
+    assert by_element["Runner"].path == ("Runner.run", "Runner", "Runner")
+
+
 def test_impact_oracle_equivalence(model_pool):
     for i, _text, rm in model_pool:
         model = rm.model
@@ -338,18 +414,32 @@ def test_impact_oracle_equivalence(model_pool):
                 assert list(report.levels_touched) == sorted(report.levels_touched)
 
 
-def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery_text):
+def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery_text,
+                                                          monkeypatch):
     """One resolved model, queried for every seed and direction, reports what
-    a freshly resolved model reports for each query alone."""
-    for text in (testgen_text, recovery_text, COLLISION_MODEL):
+    a freshly resolved model reports for each query alone, and builds its
+    impact index once for all of those queries."""
+    built = Counter()
+    build = resolver._relations
+
+    def counted(rm):
+        built[id(rm)] += 1
+        return build(rm)
+
+    monkeypatch.setattr(resolver, "_relations", counted)
+    for text in (testgen_text, recovery_text, COLLISION_MODEL, SHARED_NAMES_MODEL):
         rm = load_resolved(text)
         seed_table(rm).clear()  # the caller's copy, not the model's table
-        relations = rm.relations
+        built.clear()
+        queries = 0
         for direction in ("both", "up", "down"):
             for seed in sorted(seed_table(rm)):
                 fresh = impact(load_resolved(text), seed, direction)
                 assert impact(rm, seed, direction) == fresh, (seed, direction)
-        assert rm.relations is relations
+                queries += 1
+        assert queries == 3 * len(seed_table(rm))
+        assert built[id(rm)] == 1
+        assert rm.relations is rm.relations
 
 
 # --- loop facts -----------------------------------------------------------------

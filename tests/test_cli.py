@@ -9,6 +9,7 @@ import stat
 
 import pytest
 
+from a4c import cli
 from a4c.cli import main as cli_main
 
 from conftest import corpus_text
@@ -181,6 +182,16 @@ def test_impact_unknown_seed_exit3(capsys):
     rc, _, err = run_cli(capsys, "impact", corpus_path("testgen"), "--seed", "Nope")
     assert rc == 3
     assert "A001" in err
+
+
+def test_internal_error_is_one_line_and_exit4(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    rc, out, err = run_cli(capsys, "check", corpus_path("testgen"))
+    assert (rc, out, err) == (4, "", "a4c: internal error: RuntimeError: boom\n")
+    assert "Traceback" not in err
 
 
 # --- classify -----------------------------------------------------------------------
