@@ -1,11 +1,15 @@
 """Tokenizer for the description language.
 
 One compiled pattern matches a run of whitespace and the token after it, as
-in the ``re`` documentation's "Writing a Tokenizer". A token is a light
-record of its type, its value and the character offsets of its text;
-``LexResult`` keeps the offset at which each line starts and turns offsets
-into positions only when asked (``position``, ``span``), so the parser
-builds one ``SourceSpan`` per element rather than one per token.
+in the ``re`` documentation's "Writing a Tokenizer". Tokens are stored as
+columns: ``LexResult`` holds four parallel lists, ``types``, ``values``,
+``starts`` and ``ends`` (the character offsets of a token's text), and token
+``k`` is entry ``k`` of each. No object is built per token; the parser walks
+the columns by index. ``LexResult.tokens`` zips them into ``Token`` records
+for callers that want one value per token. ``LexResult`` also keeps the
+offset at which each line starts and turns offsets into positions only when
+asked (``position``, ``span``), so the parser builds one ``SourceSpan`` per
+element rather than one per token.
 
 A position is a 1-based line and a 1-based column counted in code points.
 Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
@@ -96,30 +100,57 @@ class Comment:
 
 @record
 class LexResult:
-    tokens: list[Token]
+    # token columns, each ending with the EOF entry at len(text)
+    types: list[str]
+    values: list[str]
+    starts: list[int]
+    ends: list[int]
     comments: list[Comment]
     diagnostics: list[Diagnostic]
     file: str
     line_starts: list[int]  # offset of the first character of each line
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The columns as one ``Token`` per token, built on each call."""
+        return list(map(Token, self.types, self.values, self.starts, self.ends))
 
     def position(self, offset: int) -> Position:
         line = bisect_right(self.line_starts, offset)
         return Position(line, offset - self.line_starts[line - 1] + 1)
 
     def span(self, start: int, end: int) -> SourceSpan:
-        return SourceSpan(self.file, self.position(start), self.position(end))
+        """The span from offset ``start`` to offset ``end``, built in one call:
+        the end's line is searched from the start's, and both positions and
+        the span are made with ``tuple.__new__``. ``end < start`` raises
+        ``ValueError``, as ``SourceSpan`` does."""
+        if end < start:
+            raise ValueError(
+                f"span end {self.position(end)} precedes start {self.position(start)}")
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, start)
+        end_line = bisect_right(line_starts, end, line)
+        new = tuple.__new__
+        return new(SourceSpan, (
+            self.file,
+            new(Position, (line, start - line_starts[line - 1] + 1)),
+            new(Position, (end_line, end - line_starts[end_line - 1] + 1)),
+        ))
 
 
 def tokenize(text: str, file: str) -> LexResult:
     line_starts = [0]
     line_starts += [m.end() for m in _NEWLINE.finditer(text)]
-    tokens: list[Token] = []
+    types: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
     comments: list[Comment] = []
     diags: list[Diagnostic] = []
-    lex = LexResult(tokens, comments, diags, file, line_starts)
+    lex = LexResult(types, values, starts, ends, comments, diags, file, line_starts)
 
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    add_type, add_value = types.append, values.append
+    add_start, add_end = starts.append, ends.append
     keywords = KEYWORDS
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -147,9 +178,19 @@ def tokenize(text: str, file: str) -> LexResult:
         elif kind == "BAD":
             diags.append(_unexpected(lex, value, start))
             continue
-        append(new(Token, (kind, value, start, end)))
-    append(Token(EOF, "", len(text), len(text)))
+        add_type(kind)
+        add_value(value)
+        add_start(start)
+        add_end(end)
+    _add(lex, EOF, "", len(text), len(text))
     return lex
+
+
+def _add(lex: LexResult, kind: str, value: str, start: int, end: int) -> None:
+    lex.types.append(kind)
+    lex.values.append(value)
+    lex.starts.append(start)
+    lex.ends.append(end)
 
 
 def _unexpected(lex: LexResult, ch: str, offset: int) -> Diagnostic:
@@ -166,7 +207,7 @@ def _split_word(lex: LexResult, word: str, start: int) -> None:
     if k < len(word):
         rest = word[k:]
         kind = KW if rest in KEYWORDS else IDENT
-        lex.tokens.append(Token(kind, rest, start + k, start + len(word)))
+        _add(lex, kind, rest, start + k, start + len(word))
 
 
 def escape_string(value: str) -> str:

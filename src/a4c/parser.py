@@ -9,6 +9,10 @@ P-class error was recorded.
 ``_Parser.block`` reads every ``{ ... }`` block below the model, and
 ``_Parser.item`` each of its items and each section: the one place that
 dispatches on an item's leading keyword and reports an item that starts wrong.
+
+The parser reads the lexer's token columns through one index, ``_Parser.i``:
+no token record is built, and a span is made from two offsets only where an
+element or a diagnostic needs one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import model as m
 from .diagnostics import Diagnostic, SourceSpan, error, sort_diagnostics
 from .lexer import (
     ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KW, LBRACE, LBRACKET,
-    RBRACE, RBRACKET, STRING, Comment, LexResult, Token, tokenize,
+    RBRACE, RBRACKET, STRING, Comment, LexResult, tokenize,
 )
 from .records import record
 
@@ -41,21 +45,25 @@ class _ParseError(Exception):
         self.diag = diag
 
 
-def _describe(tok: Token) -> str:
-    if tok.type == EOF:
+def _describe(ttype: str, value: str) -> str:
+    if ttype == EOF:
         return "end of file"
-    if tok.type == KW:
-        return f"keyword '{tok.value}'"
-    if tok.type == IDENT:
-        return f"identifier '{tok.value}'"
-    if tok.type == STRING:
+    if ttype == KW:
+        return f"keyword '{value}'"
+    if ttype == IDENT:
+        return f"identifier '{value}'"
+    if ttype == STRING:
         return "string literal"
-    return f"'{tok.value}'"
+    return f"'{value}'"
 
 
 class _Parser:
     def __init__(self, lex: LexResult):
-        self.toks = lex.tokens
+        # token k is entry k of each column; self.i is the next token
+        self.types = lex.types
+        self.values = lex.values
+        self.starts = lex.starts
+        self.ends = lex.ends
         self.i = 0
         self.lex = lex
         self.diags: list[Diagnostic] = list(lex.diagnostics)
@@ -63,34 +71,34 @@ class _Parser:
         self._link_counts: dict[tuple[str, str], int] = {}
 
     # --- cursor helpers -------------------------------------------------
+    # They name a token by its index, never by a record; its text is
+    # ``self.values[i]``.
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.type != EOF:
-            self.i += 1
-        return tok
+    def advance(self) -> int:
+        """Consume the next token, unless it is EOF; its index."""
+        i = self.i
+        if self.types[i] != EOF:
+            self.i = i + 1
+        return i
 
     def at(self, ttype: str) -> bool:
-        return self.toks[self.i].type == ttype
+        return self.types[self.i] == ttype
 
     def at_kw(self, name: str) -> bool:
-        tok = self.toks[self.i]
-        return tok.type == KW and tok.value == name
+        i = self.i
+        return self.types[i] == KW and self.values[i] == name
 
     def accept_kw(self, name: str) -> bool:
         """Consume the keyword ``name`` if it comes next."""
-        tok = self.toks[self.i]
-        if tok.type == KW and tok.value == name:
-            self.i += 1
+        i = self.i
+        if self.types[i] == KW and self.values[i] == name:
+            self.i = i + 1
             return True
         return False
 
     def accept(self, ttype: str) -> bool:
         """Consume a token of type ``ttype`` (never EOF) if one comes next."""
-        if self.toks[self.i].type == ttype:
+        if self.types[self.i] == ttype:
             self.i += 1
             return True
         return False
@@ -103,7 +111,7 @@ class _Parser:
         items = []
         while not self.accept(RBRACE):
             if self.at(EOF):
-                raise self.fail("expected '}', found end of file")
+                raise self.fail_expected("'}'")
             items.append(self.item(parsers, what, expected))
         return tuple(items)
 
@@ -112,60 +120,78 @@ class _Parser:
         """One item, read by the parser listed under its leading keyword, or
         under IDENT for a plain word. Any other word is an unknown keyword
         when ``expected`` lists the keywords; anything else is P001."""
-        tok = self.toks[self.i]
-        parse = parsers.get(tok.value if tok.type == KW else tok.type)
+        i = self.i
+        ttype = self.types[i]
+        parse = parsers.get(self.values[i] if ttype == KW else ttype)
         if parse is not None:
             return parse(self)
-        if tok.type == IDENT and expected is not None:
-            raise self.fail(f"unknown keyword '{tok.value}' (expected {expected})", tok, "P003")
-        raise self.fail(f"expected {what}, found {_describe(tok)}")
+        if ttype == IDENT and expected is not None:
+            raise self.fail(f"unknown keyword '{self.values[i]}' (expected {expected})", i, "P003")
+        raise self.fail_expected(what)
 
-    def fail(self, message: str, tok: Optional[Token] = None, code: str = "P001") -> _ParseError:
-        tok = tok or self.peek()
-        return _ParseError(error(code, message, self.token_span(tok)))
+    def fail(self, message: str, i: Optional[int] = None, code: str = "P001") -> _ParseError:
+        """A ``code`` error at token ``i``, by default the next one."""
+        return _ParseError(error(code, message, self.token_span(self.i if i is None else i)))
 
-    def expect(self, ttype: str, what: str) -> Token:
-        tok = self.toks[self.i]
-        if tok.type != ttype:
-            raise self.fail(f"expected {what}, found {_describe(tok)}")
-        self.i += 1  # never EOF: no caller expects it
-        return tok
+    def fail_expected(self, what: str) -> _ParseError:
+        """P001 at the next token, which is not the ``what`` expected there."""
+        i = self.i
+        return self.fail(f"expected {what}, found {_describe(self.types[i], self.values[i])}")
 
-    def expect_kw(self, name: str) -> Token:
-        tok = self.toks[self.i]
-        if tok.type != KW or tok.value != name:
-            raise self.fail(f"expected '{name}', found {_describe(tok)}")
-        self.i += 1
-        return tok
+    def expect(self, ttype: str, what: str) -> int:
+        """Consume a token of type ``ttype`` (never EOF); its index."""
+        i = self.i
+        if self.types[i] != ttype:
+            raise self.fail_expected(what)
+        self.i = i + 1
+        return i
 
-    def token_span(self, tok: Token) -> SourceSpan:
-        return self.lex.span(tok.start, tok.end)
+    def expect_value(self, ttype: str, what: str) -> str:
+        """Consume a token of type ``ttype`` (never EOF); its text."""
+        i = self.i
+        if self.types[i] != ttype:
+            raise self.fail_expected(what)
+        self.i = i + 1
+        return self.values[i]
 
-    def span_from(self, start: Token) -> SourceSpan:
-        """From the start of ``start`` to the end of the last consumed token."""
-        return self.lex.span(start.start, self.toks[self.i - 1].end)
+    def expect_kw(self, name: str) -> int:
+        i = self.i
+        if self.types[i] != KW or self.values[i] != name:
+            raise self.fail_expected(f"'{name}'")
+        self.i = i + 1
+        return i
+
+    def token_span(self, i: int) -> SourceSpan:
+        return self.lex.span(self.starts[i], self.ends[i])
+
+    def span_from(self, start: int) -> SourceSpan:
+        """From the start of token ``start`` to the end of the last consumed token."""
+        return self.lex.span(self.starts[start], self.ends[self.i - 1])
 
     def sync_to_section(self) -> None:
         """Panic recovery: skip to the next section keyword at this brace depth."""
+        types, values = self.types, self.values
         depth = 0
-        while not self.at(EOF):
-            tok = self.peek()
-            if tok.type == LBRACE:
+        i = self.i
+        while types[i] != EOF:
+            ttype = types[i]
+            if ttype == LBRACE:
                 depth += 1
-            elif tok.type == RBRACE:
+            elif ttype == RBRACE:
                 if depth == 0:
-                    return
+                    break
                 depth -= 1
-            elif tok.type == KW and tok.value in self.sections and depth == 0:
-                return
-            self.advance()
+            elif ttype == KW and values[i] in self.sections and depth == 0:
+                break
+            i += 1
+        self.i = i
 
     # --- grammar --------------------------------------------------------
 
     def parse_model(self) -> Optional[m.Model]:
         try:
             start = self.item({"model": _Parser.advance}, "'model'", "'model'")
-            name = self.expect(STRING, "model name string").value
+            name = self.expect_value(STRING, "model name string")
             self.expect(LBRACE, "'{'")
         except _ParseError as e:
             self.diags.append(e.diag)
@@ -174,14 +200,12 @@ class _Parser:
         sections: list[m.Section] = []
         closed = False
         while True:
-            tok = self.peek()
-            if tok.type == RBRACE:
-                self.advance()
+            if self.accept(RBRACE):
                 closed = True
                 break
-            if tok.type == EOF:
+            if self.at(EOF):
                 # a nested block that ran to end of file has said this already
-                diag = self.fail("expected '}', found end of file").diag
+                diag = self.fail_expected("'}'").diag
                 if not self.diags or self.diags[-1] != diag:
                     self.diags.append(diag)
                 break
@@ -197,7 +221,7 @@ class _Parser:
                     closed = True
                     break
         if closed and not self.at(EOF):
-            self.diags.append(self.fail(f"expected end of file, found {_describe(self.peek())}").diag)
+            self.diags.append(self.fail_expected("end of file").diag)
         return m.Model(
             name=name,
             file=self.lex.file,
@@ -216,44 +240,45 @@ class _Parser:
 
     def parse_actor(self) -> m.Actor:
         start = self.advance()
-        name = self.expect(IDENT, "actor name").value
-        return m.Actor(m.ActorKind(start.value), name, self.span_from(start))
+        name = self.expect_value(IDENT, "actor name")
+        return m.Actor(m.ActorKind(self.values[start]), name, self.span_from(start))
 
     def parse_flow(self) -> m.ContextFlow:
         start = self.expect_kw("flow")
-        src = self.expect(IDENT, "flow source").value
+        src = self.expect_value(IDENT, "flow source")
         self.expect(ARROW, "'->'")
-        dst_tok = self.expect(IDENT, "flow target")
-        if dst_tok.value == src:
+        dst_i = self.expect(IDENT, "flow target")
+        dst = self.values[dst_i]
+        if dst == src:
             self.diags.append(
-                error("P001", "flow target matches its source", self.token_span(dst_tok)))
+                error("P001", "flow target matches its source", self.token_span(dst_i)))
         self.expect(COLON, "':'")
         arts = self.parse_identlist("artifact name")
-        occ = self._flow_counts.get((src, dst_tok.value), 0)
-        self._flow_counts[(src, dst_tok.value)] = occ + 1
-        return m.ContextFlow(src, dst_tok.value, arts, self.span_from(start), occ)
+        occ = self._flow_counts.get((src, dst), 0)
+        self._flow_counts[(src, dst)] = occ + 1
+        return m.ContextFlow(src, dst, arts, self.span_from(start), occ)
 
     def parse_artifact(self) -> m.ArtifactType:
         start = self.expect_kw("artifact")
-        name = self.expect(IDENT, "artifact name").value
+        name = self.expect_value(IDENT, "artifact name")
         element: Optional[str] = None
         if self.accept_kw("collection"):
             self.expect_kw("of")
-            element = self.expect(IDENT, "element artifact name").value
+            element = self.expect_value(IDENT, "element artifact name")
         return m.ArtifactType(name, element, self.span_from(start))
 
     def parse_llm(self) -> m.LlmDecl:
         start = self.expect_kw("llm")
-        name = self.expect(IDENT, "llm name").value
+        name = self.expect_value(IDENT, "llm name")
         version: Optional[str] = None
         if self.accept_kw("version"):
-            version = self.expect(STRING, "version string").value
+            version = self.expect_value(STRING, "version string")
         default = self.accept_kw("default")
         return m.LlmDecl(name, version, default, self.span_from(start))
 
     def parse_tool(self) -> m.ToolDecl:
         start = self.expect_kw("tool")
-        name = self.expect(IDENT, "tool name").value
+        name = self.expect_value(IDENT, "tool name")
         external = self.accept_kw("external")
         return m.ToolDecl(name, external, self.span_from(start))
 
@@ -264,7 +289,7 @@ class _Parser:
 
     def parse_deployment_node(self) -> m.DeploymentNode:
         start = self.expect_kw("node")
-        name = self.expect(IDENT, "node name").value
+        name = self.expect_value(IDENT, "node name")
         external = self.accept_kw("external")
         self.expect(LBRACE, "'{'")
         hosts: tuple[str, ...] = ()
@@ -275,11 +300,11 @@ class _Parser:
 
     def parse_link(self) -> m.DeploymentLink:
         start = self.expect_kw("link")
-        src = self.expect(IDENT, "link source node").value
+        src = self.expect_value(IDENT, "link source node")
         self.expect(ARROW, "'->'")
-        dst = self.expect(IDENT, "link target node").value
+        dst = self.expect_value(IDENT, "link target node")
         self.expect(COLON, "':'")
-        protocol = self.expect(STRING, "protocol string").value
+        protocol = self.expect_value(STRING, "protocol string")
         arts: tuple[str, ...] = ()
         if self.accept(COLON):
             arts = self.parse_identlist("artifact name")
@@ -289,23 +314,23 @@ class _Parser:
 
     def parse_agent(self) -> m.Agent:
         start = self.expect_kw("agent")
-        name = self.expect(IDENT, "agent name").value
+        name = self.expect_value(IDENT, "agent name")
         llm: Optional[str] = None
         if self.accept_kw("llm"):
-            llm = self.expect(IDENT, "llm name").value
+            llm = self.expect_value(IDENT, "llm name")
         members = self.block(self.agent_members, "an agent member", "one of: store, task")
         return m.Agent(name, llm, members, self.span_from(start))
 
     def parse_store(self) -> m.Datastore:
         start = self.expect_kw("store")
-        name = self.expect(IDENT, "datastore name").value
+        name = self.expect_value(IDENT, "datastore name")
         self.expect(COLON, "':'")
-        artifact = self.expect(IDENT, "artifact name").value
+        artifact = self.expect_value(IDENT, "artifact name")
         return m.Datastore(name, artifact, self.span_from(start))
 
     def parse_task(self) -> m.Task:
         start = self.expect_kw("task")
-        name = self.expect(IDENT, "task name").value
+        name = self.expect_value(IDENT, "task name")
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         graph: Optional[m.ActivityGraph] = None
@@ -333,15 +358,15 @@ class _Parser:
 
     def parse_call(self) -> m.CallNode:
         start = self.expect_kw("call")
-        node_id = self.expect(IDENT, "call binding name").value
+        node_id = self.expect_value(IDENT, "call binding name")
         self.expect(EQ, "'='")
-        task = self.expect(IDENT, "task name").value
+        task = self.expect_value(IDENT, "task name")
         agent: Optional[str] = None
         if self.accept_kw("on"):
-            agent = self.expect(IDENT, "agent name").value
+            agent = self.expect_value(IDENT, "agent name")
         each: Optional[str] = None
         if self.accept_kw("each"):
-            each = self.expect(IDENT, "collection artifact name").value
+            each = self.expect_value(IDENT, "collection artifact name")
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         self.expect(RBRACE, "'}'")
@@ -349,11 +374,11 @@ class _Parser:
 
     def parse_invoke(self) -> m.InvokeNode:
         start = self.expect_kw("invoke")
-        node_id = self.expect(IDENT, "invoke binding name").value
+        node_id = self.expect_value(IDENT, "invoke binding name")
         self.expect(EQ, "'='")
-        tool = self.expect(IDENT, "tool name").value
+        tool = self.expect_value(IDENT, "tool name")
         self.expect(DOT, "'.'")
-        op = self.expect(IDENT, "operation name").value
+        op = self.expect_value(IDENT, "operation name")
         self.expect(LBRACE, "'{'")
         inputs, outputs = self.parse_io()
         self.expect(RBRACE, "'}'")
@@ -361,53 +386,55 @@ class _Parser:
 
     def parse_decision(self) -> m.DecisionNode:
         start = self.expect_kw("decision")
-        node_id = self.expect(IDENT, "decision binding name").value
+        node_id = self.expect_value(IDENT, "decision binding name")
         self.expect_kw("on")
-        subject = self.expect(IDENT, "artifact name").value
+        subject = self.expect_value(IDENT, "artifact name")
         return m.DecisionNode(node_id, self.span_from(start), subject)
 
     def parse_fork_join(self) -> m.ActivityNode:
-        tok = self.advance()
-        node_id = self.expect(IDENT, f"{tok.value} binding name").value
-        span = self.span_from(tok)
-        if tok.value == "fork":
+        start = self.advance()
+        kind = self.values[start]
+        node_id = self.expect_value(IDENT, f"{kind} binding name")
+        span = self.span_from(start)
+        if kind == "fork":
             return m.ForkNode(node_id, span)
-        if tok.value == "join":
+        if kind == "join":
             return m.JoinNode(node_id, span)
         return m.MergeNode(node_id, span)
 
-    def parse_endpoint(self) -> tuple[str, Optional[str], Token]:
-        """Returns (node id, datastore access, first token)."""
-        tok = self.peek()
+    def parse_endpoint(self) -> tuple[str, Optional[str], int]:
+        """Returns (node id, datastore access, index of the first token)."""
+        first = self.i
         if self.accept_kw("start"):
-            return m.INITIAL_ID, None, tok
+            return m.INITIAL_ID, None, first
         if self.accept_kw("end"):
-            return m.FINAL_ID, None, tok
-        name_tok = self.expect(IDENT, "edge endpoint")
+            return m.FINAL_ID, None, first
+        name = self.expect_value(IDENT, "edge endpoint")
         if self.accept(DOT):
-            access_tok = self.expect(IDENT, "'read' or 'write'")
-            if access_tok.value not in ("read", "write"):
-                raise self.fail("expected 'read' or 'write'", access_tok)
-            return m.store_node_id(name_tok.value), access_tok.value, name_tok
-        return name_tok.value, None, name_tok
+            access_i = self.expect(IDENT, "'read' or 'write'")
+            access = self.values[access_i]
+            if access not in ("read", "write"):
+                raise self.fail("expected 'read' or 'write'", access_i)
+            return m.store_node_id(name), access, first
+        return name, None, first
 
     def parse_edge(self) -> m.ActivityEdge:
-        src, src_access, src_tok = self.parse_endpoint()
+        src, src_access, src_i = self.parse_endpoint()
         if src_access == "write":
             self.diags.append(
                 error("P001", "a '.write' endpoint cannot start an edge",
-                      self.token_span(src_tok))
+                      self.token_span(src_i))
             )
         self.expect(ARROW, "'->'")
-        dst, dst_access, dst_tok = self.parse_endpoint()
+        dst, dst_access, dst_i = self.parse_endpoint()
         if dst_access == "read":
             self.diags.append(
-                error("P001", "a '.read' endpoint cannot end an edge", self.token_span(dst_tok))
+                error("P001", "a '.read' endpoint cannot end an edge", self.token_span(dst_i))
             )
         if src_access is not None and dst_access is not None:
             self.diags.append(
                 error("P001", "an edge may touch at most one datastore endpoint",
-                      self.token_span(dst_tok))
+                      self.token_span(dst_i))
             )
         guard: Optional[m.Guard] = None
         if self.at(LBRACKET):
@@ -417,16 +444,16 @@ class _Parser:
             kind = m.EdgeKind.STORE_READ
         elif dst_access == "write":
             kind = m.EdgeKind.STORE_WRITE
-        return m.ActivityEdge(src, dst, guard, kind, self.span_from(src_tok))
+        return m.ActivityEdge(src, dst, guard, kind, self.span_from(src_i))
 
     def parse_guard(self) -> m.Guard:
         start = self.expect(LBRACKET, "'['")
         if self.accept_kw("else"):
             self.expect(RBRACKET, "']'")
             return m.Guard(None, None, True, self.span_from(start))
-        subject = self.expect(IDENT, "artifact name").value
+        subject = self.expect_value(IDENT, "artifact name")
         self.expect(EQEQ, "'=='")
-        literal = self.expect(IDENT, "guard literal").value
+        literal = self.expect_value(IDENT, "guard literal")
         self.expect(RBRACKET, "']'")
         return m.Guard(subject, literal, False, self.span_from(start))
 
@@ -437,16 +464,16 @@ class _Parser:
 
     def parse_prompt_row(self) -> m.PromptRow:
         start = self.advance()
-        part = m.PromptPart.STATIC if start.value == "static" else m.PromptPart.TASK_SPECIFIC
-        name = self.expect(IDENT, "prompt row name").value
+        part = m.PromptPart.STATIC if self.values[start] == "static" else m.PromptPart.TASK_SPECIFIC
+        name = self.expect_value(IDENT, "prompt row name")
         self.expect(EQ, "'='")
-        template = self.expect(STRING, "prompt template string").value
+        template = self.expect_value(STRING, "prompt template string")
         return m.PromptRow(part, name, template, self.span_from(start))
 
     def parse_identlist(self, what: str) -> tuple[str, ...]:
-        names = [self.expect(IDENT, what).value]
+        names = [self.expect_value(IDENT, what)]
         while self.accept(COMMA):
-            names.append(self.expect(IDENT, what).value)
+            names.append(self.expect_value(IDENT, what))
         return tuple(names)
 
     # --- block items ----------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import importlib.resources as ir
+import importlib.util
+import pathlib
 
 import pytest
 
+from a4c.cli import main as cli_main
 from a4c.parser import parse
 from a4c.resolver import ResolvedModel, resolve
 
@@ -12,6 +15,25 @@ CORPUS = ("testgen", "recovery", "resell")
 
 def corpus_text(name: str) -> str:
     return (ir.files("a4c") / "corpus" / f"{name}.a4c").read_text(encoding="utf-8")
+
+
+def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
+    """``a4c *argv`` in process: (exit code, stdout, stderr)."""
+    try:
+        rc = cli_main(list(argv))
+    except SystemExit as exc:
+        rc = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def load_shapes():
+    """The benchmark's synthetic model shapes, ``bench/shapes.py``."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "shapes.py"
+    spec = importlib.util.spec_from_file_location("shapes", path)
+    shapes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shapes)
+    return shapes
 
 
 def load_resolved(text: str, file: str = "<test>") -> ResolvedModel:

@@ -4,6 +4,7 @@ Emits source text that is valid by construction: it parses, resolves, and
 validates with zero errors. Used for the randomized impact-oracle and
 formatter-law suites, so generation is independent of both the formatter
 (hand-rolled emission with optional whitespace noise) and the analyses.
+``mutate`` breaks a model text at random lines, for the fuzz suites.
 """
 
 from __future__ import annotations
@@ -351,3 +352,23 @@ def generate_body_model(seed: int) -> str:
         "  }\n"
         "}\n"
     )
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One to three line deletions, duplications or token edits: the same
+    edits, drawn the same way, as the benchmark's ``bench/inputs.mutate``."""
+    lines = text.split("\n")
+    words = sorted({w for w in text.split() if w.isidentifier()})
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.choice(("delete", "duplicate", "edit"))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            toks = lines[i].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(
+                words + ["->", "{", "}", "[", "]", "==", '"x"', ""])
+            lines[i] = " ".join(toks)
+    return "\n".join(lines)

@@ -10,22 +10,12 @@ import stat
 import pytest
 
 from a4c import cli
-from a4c.cli import main as cli_main
 
-from conftest import corpus_text
+from conftest import corpus_text, run_cli
 
 
 def corpus_path(name: str) -> str:
     return str(ir.files("a4c") / "corpus" / f"{name}.a4c")
-
-
-def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    try:
-        rc = cli_main(list(argv))
-    except SystemExit as exc:
-        rc = int(exc.code or 0)
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
 
 
 @pytest.fixture()

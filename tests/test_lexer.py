@@ -9,15 +9,14 @@ one below.
 
 from __future__ import annotations
 
-import importlib.util
 import pathlib
 import random
 
 import pytest
 
-from a4c.diagnostics import Position
-from a4c.lexer import EOF, IDENT, KW, STRING, tokenize
-from conftest import CORPUS, corpus_text
+from a4c.diagnostics import Position, SourceSpan
+from a4c.lexer import EOF, IDENT, KW, STRING, Token, tokenize
+from conftest import CORPUS, corpus_text, load_shapes
 from genmodels import generate_body_model, generate_model
 from oracles import oracle_tokenize
 
@@ -46,13 +45,6 @@ def assert_same(texts) -> int:
         assert lexed(text) == oracle_tokenize(text, FILE), repr(text[:200])
         count += 1
     return count
-
-
-def _shapes():
-    spec = importlib.util.spec_from_file_location("shapes", HERE.parent / "bench" / "shapes.py")
-    shapes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(shapes)
-    return shapes
 
 
 def _mutants(text: str, rng: random.Random, count: int) -> list[str]:
@@ -92,7 +84,7 @@ def test_generated_models_and_bodies(noisy_texts):
 
 
 def test_benchmark_shapes():
-    shapes = _shapes()
+    shapes = load_shapes()
     texts = [shapes.chain(n, 7) for n in (1, 30)] + [shapes.fan(n, 7) for n in (1, 30)]
     texts += [shapes.ladder(k, 7) for k in (1, 4)] + [shapes.feedback(n, 7) for n in (2, 40)]
     assert assert_same(texts) == 8
@@ -115,6 +107,32 @@ def test_line_mutants():
     for name in CORPUS:
         texts += _mutants(corpus_text(name), rng, 200)
     assert assert_same(texts) == 600
+
+
+# --- columns and spans ----------------------------------------------------------
+
+def test_columns_are_parallel_and_end_with_one_eof():
+    rng = random.Random(13)
+    texts = [corpus_text(name) for name in CORPUS] + ["", "a", "a\r", 'x "a\\"\ny', "²x"]
+    texts += _mutants(corpus_text("resell"), rng, 100)
+    for text in texts:
+        lex = tokenize(text, FILE)
+        columns = (lex.types, lex.values, lex.starts, lex.ends)
+        assert len({len(column) for column in columns}) == 1
+        assert [column[-1] for column in columns] == [EOF, "", len(text), len(text)]
+        assert lex.types.count(EOF) == 1
+        assert lex.tokens == [Token(*entry) for entry in zip(*columns)]
+
+
+def test_span_equals_its_two_positions():
+    text = "ab\n\ncd\r\nef\n"
+    lex = tokenize(text, FILE)
+    for start in range(len(text) + 1):
+        for end in range(start, len(text) + 1):
+            assert lex.span(start, end) == SourceSpan(FILE, lex.position(start),
+                                                      lex.position(end)), (start, end)
+    with pytest.raises(ValueError, match="precedes start"):
+        lex.span(4, 3)
 
 
 # --- pinned traps ---------------------------------------------------------------

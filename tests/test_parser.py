@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from a4c.diagnostics import Severity
-from a4c.lexer import tokenize
+from a4c.lexer import LexResult, tokenize
 from a4c.model import (
     CallNode,
     DecisionNode,
@@ -245,12 +245,14 @@ BLOCK_DIAGNOSTICS = {
 }
 
 
+def block_case(block: str, case: str) -> str:
+    template, ends_inside = BLOCKS[block]
+    return {"word": template % "bogus B", "punct": template % "= B", "eof": ends_inside}[case]
+
+
 def test_block_syntax_errors():
     for (block, case), expected in BLOCK_DIAGNOSTICS.items():
-        template, ends_inside = BLOCKS[block]
-        text = {"word": template % "bogus B", "punct": template % "= B",
-                "eof": ends_inside}[case]
-        result = parse(text, "b.a4c")
+        result = parse(block_case(block, case), "b.a4c")
         found = [(d.code, f"{d.span.start.line}:{d.span.start.column}", d.message)
                  for d in result.diagnostics]
         assert found == expected, (block, case)
@@ -388,3 +390,20 @@ def test_comments_collected_not_tokenized(testgen_text):
     lexed = tokenize(testgen_text, "t.a4c")
     assert len(lexed.comments) >= 2
     assert all(t.type != "COMMENT" for t in lexed.tokens)
+
+
+def test_parse_never_reads_the_token_view(monkeypatch, testgen_text):
+    """The parser walks the lexer's columns; ``LexResult.tokens`` is a view
+    for other callers, built anew on each read."""
+    def unread(self):
+        raise AssertionError("the parser read LexResult.tokens")
+
+    monkeypatch.setattr(LexResult, "tokens", property(unread))
+    texts = [corpus_text(name) for name in CORPUS]
+    texts += [block_case(block, case) for block, case in BLOCK_DIAGNOSTICS]
+    texts += ['model "X" { artifact }', 'model "X { }', 'model "X" { widget W }',
+              'model "X" { context { flow A -> A : B } widget W }',
+              testgen_text.rstrip().rstrip("}"),
+              testgen_text.replace("artifact TestSpec", "artifact artifact", 1)]
+    for text in texts:
+        parse(text, "v.a4c")
