@@ -33,8 +33,8 @@ _ORIGIN = {name: module for module, names in {
     "validate": ("RULES", "check", "is_valid"),
 }.items() for name in names}
 
-_SUBMODULES = frozenset({"analysis", "cli", "diagnostics", "formatter", "lexer", "model",
-                         "parser", "records", "render", "resolver", "validate"})
+_SUBMODULES = frozenset({"analysis", "cli", "diagnostics", "flow", "formatter", "lexer",
+                         "model", "parser", "records", "render", "resolver", "validate"})
 
 __all__ = sorted(_ORIGIN) + ["__version__"]
 

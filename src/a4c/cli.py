@@ -8,20 +8,25 @@ failures (unreadable files, parse errors, unformattable input), 3 usage
 errors (bad flags, unknown seed or direction, classifying a leaf task), 4
 internal errors (a fault in a4c itself, reported as one line on stderr,
 never as a traceback).
+
+Each command imports the modules it runs when it runs, so ``fmt`` never
+loads the resolver and ``--help`` loads neither parser nor resolver.
+``run`` is the process entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import model as m
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
-from .parser import parse
-from .resolver import ResolvedModel, resolve
+
+if TYPE_CHECKING:
+    from .resolver import ResolvedModel
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -139,6 +144,9 @@ def _read(path: str) -> Optional[str]:
 
 def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic], int]:
     """Parse and resolve one file: (resolved, diagnostics, failing exit code)."""
+    from .parser import parse
+    from .resolver import resolve
+
     text = _read(path)
     if text is None:
         return None, [], EXIT_INPUT
@@ -240,7 +248,7 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
 
 
 def _cmd_render(args) -> int:
-    from . import render
+    from . import model as m, render
 
     rm, diags, code = _load_resolved(args.file)
     if rm is None:
@@ -297,6 +305,7 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import model as m
     from .analysis import classify
 
     rm, diags, code = _load_resolved(args.file)
@@ -389,5 +398,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv: Optional[list[str]] = None) -> int:
+    """``main`` for a process that ends with it (the ``a4c`` script and
+    ``python -m a4c.cli``). Whatever ``main`` leaves alive lives until exit,
+    so ``gc.freeze()`` moves it all into the permanent generation, which the
+    interpreter's final collections skip; the ``finally`` covers argparse's
+    ``SystemExit`` too. Callers that go on running call ``main``, which
+    leaves the collector as it is."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

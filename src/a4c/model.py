@@ -20,7 +20,7 @@ from .diagnostics import SYNTHETIC, SourceSpan
 from .records import record
 
 if TYPE_CHECKING:
-    from .analysis import ControlFacts
+    from .flow import ControlFacts
 
 INITIAL_ID = "start"
 FINAL_ID = "end"
@@ -265,7 +265,7 @@ class ActivityGraph:
     @cached_property
     def control(self) -> ControlFacts:
         """The body's control-flow facts, shared by every rule and analysis."""
-        from .analysis import control_facts
+        from .flow import control_facts
 
         return control_facts(self)
 

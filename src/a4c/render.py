@@ -16,7 +16,8 @@ from itertools import islice
 from typing import Iterable
 
 from . import model as m
-from .analysis import ControlFacts, classify, guarded_exits, iter_circuits
+from .analysis import classify
+from .flow import ControlFacts, guarded_exits, iter_circuits
 from .lexer import escape_string
 from .records import record
 from .resolver import ResolvedModel, call_graph

@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import deque
 
 from . import model as m
-from .analysis import ControlFacts, reachable, strongly_connected, unguarded_circuits
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
+from .flow import ControlFacts, reachable, strongly_connected, unguarded_circuits
 from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
 

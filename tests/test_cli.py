@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.resources as ir
 import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -182,6 +185,50 @@ def test_internal_error_is_one_line_and_exit4(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "check", corpus_path("testgen"))
     assert (rc, out, err) == (4, "", "a4c: internal error: RuntimeError: boom\n")
     assert "Traceback" not in err
+
+
+# --- process exit -------------------------------------------------------------------
+
+@pytest.fixture()
+def freezes(monkeypatch):
+    """The calls to ``gc.freeze``, recorded instead of made."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+    return calls
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "check", corpus_path("testgen"))[0] == 0
+    assert run_cli(capsys, "--help")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", corpus_path("testgen")], 0),
+    (["--help"], 0),
+    (["check"], 3),
+])
+def test_run_freezes_once_and_keeps_the_exit_code(capsys, freezes, argv, code):
+    try:
+        rc = cli.run(argv)
+    except SystemExit as exc:  # argparse ends --help and usage errors this way
+        rc = exc.code
+    capsys.readouterr()
+    assert (rc, freezes) == (code, [None])
+
+
+def test_python_dash_m_ends_through_run_and_keeps_atexit(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              f"sys.argv = ['a4c', 'check', {corpus_path('testgen')!r}]\n"
+              "runpy.run_module('a4c.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen True\n", "")
+    pyproject = pathlib.Path(src).parent / "pyproject.toml"
+    assert 'a4c = "a4c.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
 
 
 # --- classify -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 
 import oracles
-from a4c import analysis, model as m
+from a4c import flow, model as m
 from a4c.analysis import Pattern, classify, loop_facts
 from a4c.parser import parse
 from a4c.render import docs_bundle
@@ -205,13 +205,13 @@ def test_classify_and_docs_without_a_feedback_witness_are_not_exponential():
 
 def test_each_body_builds_its_control_facts_once(monkeypatch):
     built = Counter()
-    build = analysis.control_facts
+    build = flow.control_facts
 
     def counted(graph):
         built[id(graph)] += 1
         return build(graph)
 
-    monkeypatch.setattr(analysis, "control_facts", counted)
+    monkeypatch.setattr(flow, "control_facts", counted)
     for name in CORPUS:
         rm = load_resolved(corpus_text(name), f"{name}.a4c")
         bodies = [task.graph for _agent, task in m.iter_tasks(rm.model) if task.graph is not None]

@@ -1,4 +1,5 @@
-"""What importing the package and running `check` load."""
+"""What importing the package and running each command load: a per-command
+load budget, so start-up cost cannot creep back unseen."""
 
 from __future__ import annotations
 
@@ -12,11 +13,14 @@ import a4c
 
 from conftest import CORPUS
 
-SUBMODULES = ("analysis", "cli", "diagnostics", "formatter", "lexer", "model", "parser",
-              "records", "render", "resolver", "validate")
+SUBMODULES = ("analysis", "cli", "diagnostics", "flow", "formatter", "lexer", "model",
+              "parser", "records", "render", "resolver", "validate")
 
-# modules that `check` has no use for
-NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "hashlib", "dataclasses", "json")
+# modules that each command has no use for
+NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "a4c.analysis", "hashlib", "dataclasses",
+                 "json")
+NOT_FOR_FMT = ("a4c.resolver", "a4c.validate", "a4c.analysis")
+NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -31,12 +35,33 @@ def _loaded_modules(code: str) -> set[str]:
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
+def _after_cli(argv: list[str]) -> set[str]:
+    """The modules loaded once ``a4c *argv`` has run in a fresh interpreter."""
+    return _loaded_modules("from a4c.cli import main\n"
+                           f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass")
+
+
+def _corpus_files() -> list[str]:
+    return [str(ir.files("a4c") / "corpus" / f"{name}.a4c") for name in CORPUS]
+
+
 def test_check_loads_no_renderer_formatter_hashlib_or_dataclasses():
-    files = [str(ir.files("a4c") / "corpus" / f"{name}.a4c") for name in CORPUS]
     baseline = _loaded_modules("")  # what this interpreter's start-up preloads
-    after_check = _loaded_modules(f"from a4c.cli import main\nmain(['check', *{files!r}])")
-    assert "a4c.validate" in after_check
+    after_check = _after_cli(["check", *_corpus_files()])
+    assert {"a4c.validate", "a4c.flow"} <= after_check
     assert {name for name in NOT_FOR_CHECK if name not in baseline} & after_check == set()
+
+
+def test_fmt_loads_no_resolver_validator_or_analysis():
+    after_fmt = _after_cli(["fmt", "--stdout", *_corpus_files()])
+    assert "a4c.formatter" in after_fmt
+    assert set(NOT_FOR_FMT) & after_fmt == set()
+
+
+def test_help_loads_no_parser_or_resolver():
+    after_help = _after_cli(["--help"])
+    assert "a4c.cli" in after_help
+    assert set(NOT_FOR_HELP) & after_help == set()
 
 
 def test_package_serves_every_public_name_and_submodule():
