@@ -32,8 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from . import model as m
-# elementary_circuits and strongly_connected: still read as a4c.analysis.X by callers
-from .flow import elementary_circuits, guarded_exits, iter_circuits, strongly_connected
+from .flow import guarded_exits, iter_circuits
 from .records import record
 from .resolver import ResolvedModel
 
@@ -176,7 +175,8 @@ def loop_facts(task: m.Task) -> list[LoopFact]:
     if task.graph is None:
         return []
     facts = task.graph.control
-    return [LoopFact(cycle, guarded_exits(facts, cycle)) for cycle in facts.circuits]
+    return [LoopFact(cycle, guarded_exits(facts, cycle))
+            for cycle in iter_circuits(facts.succ, facts.cyclic)]
 
 
 # --- interaction pattern classification ----------------------------------------

@@ -3,8 +3,7 @@
 * control_facts: the control-flow facts of one task body (successors,
   predecessors, reachability, SCCs, guarded out-edges). The body builds
   them once, as ``ActivityGraph.control``, and the rules and the analyses
-  all read that one copy; its ``circuits`` are likewise enumerated once
-  per body.
+  all read that one copy.
 * iter_circuits: the elementary circuits one at a time, in sorted order,
   so a caller that needs the first few (``classify``'s witness, the docs
   listing) stops the search there. Pending components wait in a heap keyed
@@ -13,7 +12,6 @@
   least vertex of its component and is tried first, so circuits come out
   in lexicographic order, each repeated once per choice of parallel edges.
   Each next circuit costs time linear in the size of the body.
-  ``elementary_circuits`` is the whole list.
 * guarded_exits and unguarded_circuits: the guarded edges that leave a
   circuit, and the circuits that no guarded edge leaves (rule V13).
 
@@ -24,7 +22,6 @@ loading ``analysis``.
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -50,11 +47,6 @@ class ControlFacts:
     sccs: list[list[str]]  # every SCC, sinks first (reverse topological order)
     cyclic: list[list[str]]  # the SCCs that hold a cycle
     guarded: dict[str, list[m.ActivityEdge]]  # guarded CONTROL out-edges by source
-
-    @cached_property
-    def circuits(self) -> list[tuple[str, ...]]:
-        """Every elementary circuit of the body, in sorted order."""
-        return elementary_circuits(self.succ, self.cyclic)
 
 
 def control_facts(graph: m.ActivityGraph) -> ControlFacts:
@@ -155,18 +147,12 @@ def _is_cyclic(scc: list[str], adj: dict[str, list[str]]) -> bool:
 
 # --- elementary circuits (Johnson's algorithm) ---------------------------------
 
-def elementary_circuits(adj: dict[str, list[str]],
-                        sccs: list[list[str]]) -> list[tuple[str, ...]]:
-    """All elementary circuits inside the given cyclic SCCs of ``adj``, each
-    rotated to start at its smallest vertex, in sorted order. A circuit over
-    parallel edges is listed once per choice of edges."""
-    return list(iter_circuits(adj, sccs))
-
-
 def iter_circuits(adj: dict[str, list[str]],
                   sccs: list[list[str]]) -> Iterator[tuple[str, ...]]:
-    """The circuits of ``elementary_circuits``, in the same order, found one
-    at a time: a caller that stops early pays only for what it took."""
+    """The elementary circuits inside the given cyclic SCCs of ``adj``, each
+    rotated to start at its smallest vertex, in sorted order, found one at a
+    time: a caller that stops early pays only for what it took. A circuit
+    over parallel edges is yielded once per choice of edges."""
     pending = [(min(scc), set(scc)) for scc in sccs]  # disjoint: least vertices differ
     heapq.heapify(pending)
     edge_counts: dict[str, dict[str, int]] = {}
@@ -274,4 +260,4 @@ def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
         remaining = sorted(v for v in scc_of if v not in leaving)
         sccs = [scc for scc in strongly_connected(remaining, facts.succ)
                 if _is_cyclic(scc, facts.succ)]
-    return [c for c in elementary_circuits(facts.succ, sccs) if not guarded_exits(facts, c)]
+    return [c for c in iter_circuits(facts.succ, sccs) if not guarded_exits(facts, c)]

@@ -418,8 +418,9 @@ class Model:
 #
 # A task, body node, datastore, prompt row, flow or link has one display
 # form, the name that `impact`, `classify` and diagnostics print; its id (the
-# source_map and anchor key) is a kind prefix on that form. A repeated flow or link is told
-# apart by its occurrence number, which the parser counts.
+# source_map and anchor key) is a kind prefix on that form, and only the
+# element walk below builds one. A repeated flow or link is told apart by
+# its occurrence number, which the parser counts.
 
 def task_display(agent: str, task: str) -> str:
     return f"{agent}.{task}"
@@ -447,54 +448,6 @@ def flow_display(flow: ContextFlow) -> str:
 
 def link_display(link: DeploymentLink) -> str:
     return f"link {_arrow(link)}"
-
-
-def artifact_id(name: str) -> str:
-    return f"artifact:{name}"
-
-
-def actor_id(name: str) -> str:
-    return f"actor:{name}"
-
-
-def flow_id(flow: ContextFlow) -> str:
-    return f"flow:{_arrow(flow)}"
-
-
-def llm_id(name: str) -> str:
-    return f"llm:{name}"
-
-
-def tool_id(name: str) -> str:
-    return f"tool:{name}"
-
-
-def deployment_node_id(name: str) -> str:
-    return f"node:{name}"
-
-
-def link_id(link: DeploymentLink) -> str:
-    return f"link:{_arrow(link)}"
-
-
-def agent_id(name: str) -> str:
-    return f"agent:{name}"
-
-
-def store_elem_id(agent: str, store: str) -> str:
-    return f"store:{store_display(agent, store)}"
-
-
-def task_id(agent: str, task: str) -> str:
-    return f"task:{task_display(agent, task)}"
-
-
-def activity_node_id(agent: str, task: str, node: str) -> str:
-    return f"anode:{body_node_display(agent, task, node)}"
-
-
-def prompt_row_id(agent: str, task: str, row: str) -> str:
-    return f"prow:{prompt_row_display(agent, task, row)}"
 
 
 def store_node_id(store: str) -> str:
@@ -535,21 +488,21 @@ def _elements(sections: tuple[Section, ...]) -> Iterator[Element]:
         if isinstance(s, ContextSection):
             for i in s.items:
                 if isinstance(i, Actor):
-                    yield Element("actor", i.name, actor_id(i.name), "C1", i.span)
+                    yield Element("actor", i.name, f"actor:{i.name}", "C1", i.span)
                 else:
-                    yield Element("flow", flow_display(i), flow_id(i), "C1", i.span)
+                    yield Element("flow", flow_display(i), f"flow:{_arrow(i)}", "C1", i.span)
         elif isinstance(s, DeploymentSection):
             for i in s.items:
                 if isinstance(i, DeploymentNode):
-                    yield Element("node", i.name, deployment_node_id(i.name), "C2", i.span)
+                    yield Element("node", i.name, f"node:{i.name}", "C2", i.span)
                 else:
-                    yield Element("link", link_display(i), link_id(i), "C2", i.span)
+                    yield Element("link", link_display(i), f"link:{_arrow(i)}", "C2", i.span)
         elif isinstance(s, ArtifactType):
-            yield Element("artifact", s.name, artifact_id(s.name), None, s.span)
+            yield Element("artifact", s.name, f"artifact:{s.name}", None, s.span)
         elif isinstance(s, LlmDecl):
-            yield Element("llm", s.name, llm_id(s.name), "C1", s.span)
+            yield Element("llm", s.name, f"llm:{s.name}", "C1", s.span)
         elif isinstance(s, ToolDecl):
-            yield Element("tool", s.name, tool_id(s.name), "C1", s.span)
+            yield Element("tool", s.name, f"tool:{s.name}", "C1", s.span)
         else:
             yield from _agent_elements(s)
 
@@ -558,22 +511,23 @@ def _agent_elements(agent: Agent) -> Iterator[Element]:
     a = agent.name
     for member in agent.members:
         if isinstance(member, Datastore):
-            yield Element("store", store_display(a, member.name),
-                          store_elem_id(a, member.name), "C3", member.span)
+            store = store_display(a, member.name)
+            yield Element("store", store, f"store:{store}", "C3", member.span)
             continue
         t = member.name
         level = level_of(member)
         if member.graph is not None:
             for node in member.graph.statements:
                 if isinstance(node, ActivityNode):
-                    yield Element("body node", body_node_display(a, t, node.id),
-                                  activity_node_id(a, t, node.id), level, node.span)
+                    display = body_node_display(a, t, node.id)
+                    yield Element("body node", display, f"anode:{display}", level, node.span)
         if member.prompt is not None:
             for row in member.prompt.rows:
-                yield Element("prompt row", prompt_row_display(a, t, row.name),
-                              prompt_row_id(a, t, row.name), None, row.span)
-        yield Element("task", task_display(a, t), task_id(a, t), level, member.span)
-    yield Element("agent", a, agent_id(a), "C3", agent.span)
+                display = prompt_row_display(a, t, row.name)
+                yield Element("prompt row", display, f"prow:{display}", None, row.span)
+        task = task_display(a, t)
+        yield Element("task", task, f"task:{task}", level, member.span)
+    yield Element("agent", a, f"agent:{a}", "C3", agent.span)
 
 
 # --- structural fingerprint ---------------------------------------------------

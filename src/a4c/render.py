@@ -12,6 +12,7 @@ rather than hardcoded colors, so downstream skins stay in control.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -39,19 +40,36 @@ class RenderError(Exception):
 class DiagramText:
     kind: str  # c1 | c2 | c3 | c4 | prompt
     text: str
-    element_anchors: dict[str, str]
+
+
+# the page that documents each kind of element; a body node or prompt row is
+# on its agent's page, named by its display form up to the first '.'
+_PAGE_OF_KIND = {
+    "actor": "c1.md", "flow": "c1.md", "artifact": "c1.md", "llm": "c1.md", "tool": "c1.md",
+    "node": "c2.md", "link": "c2.md",
+    "agent": "c3.md", "store": "c3.md", "task": "c3.md",
+}
 
 
 @record
 class DocsBundle:
+    """The pages of one model's docs, and the page each element is on."""
+
     files: dict[str, str]  # relative path -> content
-    anchors: dict[str, str]  # element id -> page it is documented on
+    model: m.Model
+
+    @cached_property
+    def anchors(self) -> dict[str, str]:
+        """Element id -> the page it is documented on, one entry per id in
+        ``Model.source_map``. Built on first use, since writing the files
+        never reads it."""
+        return {e.id: _PAGE_OF_KIND.get(e.kind) or f"agents/{e.display.partition('.')[0]}.md"
+                for e in self.model.elements}
 
 
 # --- C1: system context ----------------------------------------------------------
 
 def render_context(model: m.Model) -> DiagramText:
-    anchors: dict[str, str] = {}
     lines = ["@startuml", "skinparam shadowing false", ""]
     context = model.context
     if context is not None:
@@ -60,23 +78,19 @@ def render_context(model: m.Model) -> DiagramText:
             lines.append(
                 f'{shape} "{actor.name}" as {actor.name} <<{actor.kind}>>'
             )
-            anchors[m.actor_id(actor.name)] = actor.name
     for llm in model.llms:
         label = llm.name if llm.version is None else f"{llm.name}\\n{llm.version}"
         lines.append(f'rectangle "{label}" as {llm.name} <<llm>>')
-        anchors[m.llm_id(llm.name)] = llm.name
     for tool in model.tools:
         tags = "<<tool>> <<external>>" if tool.external else "<<tool>>"
         lines.append(f'rectangle "{tool.name}" as {tool.name} {tags}')
-        anchors[m.tool_id(tool.name)] = tool.name
     if context is not None:
         lines.append("")
         for flow in context.flows:
             label = ", ".join(flow.artifacts)
             lines.append(f"{flow.source} --> {flow.target} : {label}")
-            anchors[m.flow_id(flow)] = f"{flow.source} --> {flow.target}"
     lines.append("@enduml")
-    return DiagramText("c1", "\n".join(lines) + "\n", anchors)
+    return DiagramText("c1", "\n".join(lines) + "\n")
 
 
 # --- C2: deployment --------------------------------------------------------------
@@ -87,7 +101,6 @@ def render_deployment(model: m.Model) -> DiagramText:
         raise RenderError("R001", "model has no deployment section")
     agent_names = {a.name for a in model.agents}
     tool_names = {t.name for t in model.tools}
-    anchors: dict[str, str] = {}
     lines = ["@startuml", "skinparam shadowing false", ""]
     for node in deployment.nodes:
         tags = "<<node>> <<external>>" if node.external else "<<node>>"
@@ -101,16 +114,14 @@ def render_deployment(model: m.Model) -> DiagramText:
                 tag = "<<component>>"
             lines.append(f'  component "{hosted}" as {hosted} {tag}')
         lines.append("}")
-        anchors[m.deployment_node_id(node.name)] = node.name
     lines.append("")
     for link in deployment.links:
         label = link.protocol
         if link.artifacts:
             label += " : " + ", ".join(link.artifacts)
         lines.append(f"{link.source} --> {link.target} : {label}")
-        anchors[m.link_id(link)] = f"{link.source} --> {link.target}"
     lines.append("@enduml")
-    return DiagramText("c2", "\n".join(lines) + "\n", anchors)
+    return DiagramText("c2", "\n".join(lines) + "\n")
 
 
 # --- C3/C4: task activity --------------------------------------------------------
@@ -136,7 +147,6 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     if task.graph is None:
         raise RenderError("R002", f"task '{title}' has no body")
     graph = task.graph
-    anchors: dict[str, str] = {m.task_id(agent.name, task.name): title}
     lines = [
         f"digraph {escape_string(title)} {{",
         "  rankdir=TB;",
@@ -152,8 +162,6 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     object_edges: list[str] = []
     for node in graph.nodes:
         nid = escape_string(node.id)
-        if not isinstance(node, (m.InitialNode, m.FinalNode, m.StoreNode)):
-            anchors[m.activity_node_id(agent.name, task.name, node.id)] = node.id
         if isinstance(node, m.InitialNode):
             lines.append(f"  {nid} [shape=circle, style=filled, fillcolor=black,"
                          ' label="", width=0.2];')
@@ -183,7 +191,6 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
             store = agent.datastore(node.store)
             label = node.store if store is None else f"{node.store} : {store.artifact}"
             lines.append(f"  {nid} [shape=cylinder, label={escape_string(label)}];")
-            anchors[m.store_elem_id(agent.name, node.store)] = node.id
     if object_lines:
         lines.append("")
         lines.extend(object_lines)
@@ -199,7 +206,7 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
     lines.extend(object_edges)
     lines.append("}")
     kind = "c3" if task.is_composite else "c4"
-    return DiagramText(kind, "\n".join(lines) + "\n", anchors)
+    return DiagramText(kind, "\n".join(lines) + "\n")
 
 
 def _attach_objects(artifacts: dict[str, m.ArtifactType], node: m.ActivityNode,
@@ -225,14 +232,12 @@ def render_prompts(agent: m.Agent, task: m.Task) -> DiagramText:
     title = m.task_display(agent.name, task.name)
     if task.prompt is None:
         raise RenderError("R003", f"task '{title}' has no prompt")
-    anchors: dict[str, str] = {m.task_id(agent.name, task.name): title}
     lines = [f"# Prompt: {title}", "", "| Part | Content |", "| --- | --- |"]
     ordered = [r for r in task.prompt.rows if r.part is m.PromptPart.STATIC]
     ordered += [r for r in task.prompt.rows if r.part is not m.PromptPart.STATIC]
     for row in ordered:
         lines.append(f"| {row.part} {row.name} | {_md_escape(row.template)} |")
-        anchors[m.prompt_row_id(agent.name, task.name, row.name)] = row.name
-    return DiagramText("prompt", "\n".join(lines) + "\n", anchors)
+    return DiagramText("prompt", "\n".join(lines) + "\n")
 
 
 # --- docs bundle ------------------------------------------------------------------
@@ -240,20 +245,19 @@ def render_prompts(agent: m.Agent, task: m.Task) -> DiagramText:
 def docs_bundle(rm: ResolvedModel) -> DocsBundle:
     model = rm.model
     files: dict[str, str] = {}
-    anchors: dict[str, str] = {}
 
-    files["c1.md"] = _page_context(model, anchors)
+    files["c1.md"] = _page_context(model)
     if model.deployment is not None:
-        files["c2.md"] = _page_deployment(model, anchors)
+        files["c2.md"] = _page_deployment(model)
     if model.agents:
-        files["c3.md"] = _page_agents_overview(rm, anchors)
+        files["c3.md"] = _page_agents_overview(rm)
     leaf_tasks = [(a, t) for a, t in m.iter_tasks(model) if t.is_leaf]
     if leaf_tasks:
-        files["c4.md"] = _page_leaves(model, leaf_tasks, anchors)
+        files["c4.md"] = _page_leaves(model, leaf_tasks)
     for agent in model.agents:
-        files[f"agents/{agent.name}.md"] = _page_agent(rm, agent, anchors)
+        files[f"agents/{agent.name}.md"] = _page_agent(rm, agent)
     files["index.md"] = _page_index(model, sorted(files))
-    return DocsBundle(files, anchors)
+    return DocsBundle(files, model)
 
 
 def _page_index(model: m.Model, paths: list[str]) -> str:
@@ -263,21 +267,19 @@ def _page_index(model: m.Model, paths: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _page_context(model: m.Model, anchors: dict[str, str]) -> str:
+def _page_context(model: m.Model) -> str:
     lines = [f"# {model.name}: context", ""]
     context = model.context
     if context is not None and context.actors:
         lines += ["## Actors", "", "| Name | Kind |", "| --- | --- |"]
         for actor in context.actors:
             lines.append(f"| {actor.name} | {actor.kind} |")
-            anchors.setdefault(m.actor_id(actor.name), "c1.md")
         lines.append("")
     if context is not None and context.flows:
         lines += ["## Flows", ""]
         for flow in context.flows:
             arts = ", ".join(flow.artifacts)
             lines.append(f"- {flow.source} to {flow.target}: {arts}")
-            anchors.setdefault(m.flow_id(flow), "c1.md")
         lines.append("")
     if model.llms:
         lines += ["## Models", "", "| Name | Version | Default |", "| --- | --- | --- |"]
@@ -285,25 +287,22 @@ def _page_context(model: m.Model, anchors: dict[str, str]) -> str:
             version = llm.version if llm.version is not None else ""
             default = "yes" if llm.default else ""
             lines.append(f"| {llm.name} | {version} | {default} |")
-            anchors.setdefault(m.llm_id(llm.name), "c1.md")
         lines.append("")
     if model.tools:
         lines += ["## Tools", "", "| Name | External |", "| --- | --- |"]
         for tool in model.tools:
             lines.append(f"| {tool.name} | {'yes' if tool.external else ''} |")
-            anchors.setdefault(m.tool_id(tool.name), "c1.md")
         lines.append("")
     if model.artifacts:
         lines += ["## Artifacts", "", "| Name | Collection of |", "| --- | --- |"]
         for art in model.artifacts:
             elem = art.element_type if art.is_collection else ""
             lines.append(f"| {art.name} | {elem} |")
-            anchors.setdefault(m.artifact_id(art.name), "c1.md")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _page_deployment(model: m.Model, anchors: dict[str, str]) -> str:
+def _page_deployment(model: m.Model) -> str:
     deployment = model.deployment
     assert deployment is not None
     lines = [f"# {model.name}: deployment", "", "## Nodes", ""]
@@ -311,17 +310,15 @@ def _page_deployment(model: m.Model, anchors: dict[str, str]) -> str:
         ext = " (external)" if node.external else ""
         hosts = ", ".join(node.hosts) if node.hosts else "nothing"
         lines.append(f"- {node.name}{ext}: hosts {hosts}")
-        anchors.setdefault(m.deployment_node_id(node.name), "c2.md")
     if deployment.links:
         lines += ["", "## Links", ""]
         for link in deployment.links:
             arts = f" carrying {', '.join(link.artifacts)}" if link.artifacts else ""
             lines.append(f"- {link.source} to {link.target} over {link.protocol}{arts}")
-            anchors.setdefault(m.link_id(link), "c2.md")
     return "\n".join(lines) + "\n"
 
 
-def _page_agents_overview(rm: ResolvedModel, anchors: dict[str, str]) -> str:
+def _page_agents_overview(rm: ResolvedModel) -> str:
     model = rm.model
     lines = [f"# {model.name}: agents", ""]
     for agent in model.agents:
@@ -332,14 +329,11 @@ def _page_agents_overview(rm: ResolvedModel, anchors: dict[str, str]) -> str:
         lines.append(f"Model binding: {binding}. Details: [agents/{agent.name}.md]"
                      f"(agents/{agent.name}.md)")
         lines.append("")
-        anchors.setdefault(m.agent_id(agent.name), "c3.md")
         for store in agent.datastores:
             lines.append(f"- store {store.name}: {store.artifact}")
-            anchors.setdefault(m.store_elem_id(agent.name, store.name), "c3.md")
         for task in agent.tasks:
             sig = _signature(task)
             lines.append(f"- task {task.name}{sig} [{m.level_of(task)}]")
-            anchors.setdefault(m.task_id(agent.name, task.name), "c3.md")
         lines.append("")
     edges = call_graph(rm)
     edge_lines = []
@@ -363,13 +357,12 @@ def _signature(task: m.Task) -> str:
     return f" ({'; '.join(parts)})" if parts else ""
 
 
-def _page_leaves(model: m.Model, leaf_tasks, anchors: dict[str, str]) -> str:
+def _page_leaves(model: m.Model, leaf_tasks) -> str:
     lines = [f"# {model.name}: leaf tasks", ""]
     for agent, task in leaf_tasks:
         title = m.task_display(agent.name, task.name)
         lines.append(f"## {title}")
         lines.append("")
-        anchors.setdefault(m.task_id(agent.name, task.name), "c4.md")
         if task.graph is not None:
             for invoke in task.graph.invokes:
                 lines.append(f"- tool call: {m.invoke_display(invoke)}")
@@ -382,23 +375,19 @@ def _page_leaves(model: m.Model, leaf_tasks, anchors: dict[str, str]) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> str:
+def _page_agent(rm: ResolvedModel, agent: m.Agent) -> str:
     model = rm.model
-    page = f"agents/{agent.name}.md"
     llm = rm.llm_of(agent)
     binding = llm.name if llm is not None else "none"
     lines = [f"# Agent {agent.name}", "", f"Model binding: {binding}", ""]
-    anchors.setdefault(m.agent_id(agent.name), page)
     if agent.datastores:
         lines += ["## Datastores", ""]
         for store in agent.datastores:
             lines.append(f"- {store.name}: {store.artifact}")
-            anchors.setdefault(m.store_elem_id(agent.name, store.name), page)
         lines.append("")
     for task in agent.tasks:
         lines.append(f"## Task {task.name}")
         lines.append("")
-        anchors.setdefault(m.task_id(agent.name, task.name), page)
         sig = _signature(task)
         lines.append(f"Signature:{sig if sig else ' none'} [{m.level_of(task)}]")
         lines.append("")
@@ -414,16 +403,12 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent, anchors: dict[str, str]) -> s
         if task.graph is not None:
             diagram = render_activity(model, agent, task)
             lines += ["```dot"] + diagram.text.rstrip("\n").split("\n") + ["```", ""]
-            for elem_id in diagram.element_anchors:
-                anchors.setdefault(elem_id, page)
         if task.graph is not None and task.is_leaf:
             for invoke in task.graph.invokes:
                 lines.append(f"- tool call: {m.invoke_display(invoke)}")
         if task.prompt is not None:
             table = render_prompts(agent, task)
             lines += [""] + table.text.rstrip("\n").split("\n")[2:] + [""]
-            for elem_id in table.element_anchors:
-                anchors.setdefault(elem_id, page)
     return "\n".join(lines).rstrip("\n") + "\n"
 
 

@@ -23,7 +23,7 @@ from a4c.validate import check
 import oracles
 from conftest import CORPUS, corpus_text, load_resolved
 from test_analysis import composite_patterns, find_task
-from test_render import anchor_union, read_tree
+from test_render import anchor_misses, anchor_union, read_tree
 from test_validate import all_codes, mutations
 from util import alpha_rename
 
@@ -201,8 +201,12 @@ def test_criterion_7_rendering_determinism(tmp_path, testgen_rm, recovery_rm, re
         missing = set(rm.model.source_map) - anchor_union(rm)
         if missing:
             failures.append(f"unanchored elements: {sorted(missing)[:5]}")
+        misses = anchor_misses(rm)
+        if misses:
+            failures.append(f"anchors on pages that do not name them: {misses[:5]}")
     report(7, "rendering determinism", not failures,
-           failures or "two process runs byte-identical to goldens; every element anchored")
+           failures or "two process runs byte-identical to goldens; every element anchored"
+           " to a page that names it")
 
 
 def test_criterion_8_cli_contract(tmp_path, testgen_text):

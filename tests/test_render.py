@@ -325,18 +325,7 @@ def test_docs_artifact_glossary(testgen_rm):
 # --- anchor coverage ---------------------------------------------------------------
 
 def anchor_union(rm) -> set[str]:
-    model = rm.model
-    keys = set(render_context(model).element_anchors)
-    if model.deployment is not None:
-        keys |= set(render_deployment(model).element_anchors)
-    for agent in model.agents:
-        for task in agent.tasks:
-            if task.graph is not None:
-                keys |= set(render_activity(model, agent, task).element_anchors)
-            if task.prompt is not None:
-                keys |= set(render_prompts(agent, task).element_anchors)
-    keys |= set(docs_bundle(rm).anchors)
-    return keys
+    return set(docs_bundle(rm).anchors)
 
 
 def test_every_element_is_anchored(testgen_rm, recovery_rm, resell_rm):
@@ -352,6 +341,38 @@ def test_generated_models_stay_anchored(model_pool):
     for _i, _text, rm in model_pool[:30]:
         missing = set(rm.model.source_map) - anchor_union(rm)
         assert not missing, missing
+
+
+def own_names(element: m.Element) -> list[str]:
+    """What an element's page must mention: a flow's or link's source and
+    target, else the last segment of its display form."""
+    if element.kind in ("flow", "link"):
+        return element.display.split(" ", 1)[1].rpartition("#")[0].split("->")
+    return [re.split(r"[./]", element.display)[-1]]
+
+
+def anchor_misses(rm) -> list[str]:
+    """Elements whose anchor names no page of the bundle, or a page that
+    does not mention them."""
+    bundle = docs_bundle(rm)
+    misses = []
+    for element in rm.model.elements:
+        page = bundle.anchors[element.id]
+        text = bundle.files.get(page)
+        if text is None or not all(name in text for name in own_names(element)):
+            misses.append(f"{element.id} -> {page}")
+    return misses
+
+
+def test_every_anchor_names_a_page_that_mentions_its_element(model_pool):
+    corpus = [load_resolved(corpus_text(name), f"{name}.a4c") for name in CORPUS]
+    for rm in corpus:
+        docs_bundle(rm)
+        assert "elements" not in rm.model.__dict__  # the anchors are built on first use
+    models = corpus + [rm for _i, _text, rm in model_pool[:30]]
+    for rm in models:
+        assert not anchor_misses(rm), (rm.model.file, anchor_misses(rm)[:5])
+    assert sum(len(rm.model.elements) for rm in models) > 1000
 
 
 # --- repeated flows and links ------------------------------------------------------
@@ -393,8 +414,6 @@ def test_repeated_flows_and_links_are_numbered():
     assert [k for k in source_map if k.startswith(("flow:", "link:"))] == ids
     spans = [model.source_map[k].start.line for k in ids]
     assert spans == [5, 6, 14, 15]
-    assert [k for k in render_context(model).element_anchors if k.startswith("flow:")] == ids[:2]
-    assert list(render_deployment(model).element_anchors)[2:] == ids[2:]
     anchors = docs_bundle(rm).anchors
     assert [anchors[k] for k in ids] == ["c1.md", "c1.md", "c2.md", "c2.md"]
 
