@@ -1,14 +1,15 @@
 """Recursive-descent parser producing a Model with source spans.
 
 Error codes: P001 unexpected token, P002 unterminated string (lexer), P003
-unknown keyword in a keyword position. On an error inside a section the
-parser skips ahead to the next section boundary and keeps going, so one run
-can report several independent mistakes. A Model is only returned when no
-P-class error was recorded.
+unknown keyword in a keyword position. After an error in an item of a
+``{ ... }`` block, parsing resumes at the next item of the same block that
+begins a line, or at that block's ``}``, so one run can report several
+independent mistakes; a file that ends inside blocks reports the missing
+``}`` once. A Model is only returned when no P-class error was recorded.
 
-``_Parser.block`` reads every ``{ ... }`` block below the model, and
-``_Parser.item`` each of its items and each section: the one place that
-dispatches on an item's leading keyword and reports an item that starts wrong.
+``_Parser.block`` reads every ``{ ... }`` block, the model's included, and
+``_Parser.item`` each of its items: the one place that dispatches on an
+item's leading keyword and reports an item that starts wrong.
 
 The parser reads the lexer's token columns through one index, ``_Parser.i``:
 no token record is built, and a span is made from two offsets only where an
@@ -105,15 +106,47 @@ class _Parser:
 
     def block(self, parsers: dict[str, Callable], what: str,
               expected: Optional[str] = None) -> tuple:
-        """The items of a ``{ ... }`` block, each read by ``item``; the file
-        must not end inside the block."""
+        """The items of a ``{ ... }`` block, each read by ``item``. After an
+        error in an item, reading resumes at the next item of this block that
+        begins a line, or at its ``}`` (``skip_item``). An error at end of
+        file, such as a missing ``}``, goes up to ``parse_model`` unrecorded,
+        so it is reported once."""
         self.expect(LBRACE, "'{'")
         items = []
         while not self.accept(RBRACE):
             if self.at(EOF):
                 raise self.fail_expected("'}'")
-            items.append(self.item(parsers, what, expected))
+            start = self.i
+            try:
+                items.append(self.item(parsers, what, expected))
+            except _ParseError as e:
+                if self.at(EOF):
+                    raise
+                self.diags.append(e.diag)
+                self.skip_item(parsers, start)
         return tuple(items)
+
+    def skip_item(self, parsers: dict[str, Callable], start: int) -> None:
+        """Panic recovery after a broken item that began at token ``start``:
+        move to the ``}`` that closes the block, or to the next token at the
+        block's depth that can start one of its items and begins a line."""
+        types, values, starts, ends = self.types, self.values, self.starts, self.ends
+        position = self.lex.position
+        depth = 0
+        i = start
+        while types[i] != EOF:
+            ttype = types[i]
+            if ttype == LBRACE:
+                depth += 1
+            elif ttype == RBRACE:
+                if depth == 0:
+                    break
+                depth -= 1
+            elif (depth == 0 and i > start and (values[i] if ttype == KW else ttype) in parsers
+                  and position(starts[i]).line > position(ends[i - 1]).line):
+                break
+            i += 1
+        self.i = i
 
     def item(self, parsers: dict[str, Callable], what: str,
              expected: Optional[str] = None):
@@ -168,69 +201,20 @@ class _Parser:
         """From the start of token ``start`` to the end of the last consumed token."""
         return self.lex.span(self.starts[start], self.ends[self.i - 1])
 
-    def sync_to_section(self) -> None:
-        """Panic recovery: skip to the next section keyword at this brace depth."""
-        types, values = self.types, self.values
-        depth = 0
-        i = self.i
-        while types[i] != EOF:
-            ttype = types[i]
-            if ttype == LBRACE:
-                depth += 1
-            elif ttype == RBRACE:
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ttype == KW and values[i] in self.sections and depth == 0:
-                break
-            i += 1
-        self.i = i
-
     # --- grammar --------------------------------------------------------
 
     def parse_model(self) -> Optional[m.Model]:
         try:
             start = self.item({"model": _Parser.advance}, "'model'", "'model'")
             name = self.expect_value(STRING, "model name string")
-            self.expect(LBRACE, "'{'")
+            sections = self.block(self.sections, "a section", self.section_keywords)
+            if not self.at(EOF):
+                raise self.fail_expected("end of file")
         except _ParseError as e:
             self.diags.append(e.diag)
             return None
-
-        sections: list[m.Section] = []
-        closed = False
-        while True:
-            if self.accept(RBRACE):
-                closed = True
-                break
-            if self.at(EOF):
-                # a nested block that ran to end of file has said this already
-                diag = self.fail_expected("'}'").diag
-                if not self.diags or self.diags[-1] != diag:
-                    self.diags.append(diag)
-                break
-            try:
-                sections.append(self.parse_section())
-            except _ParseError as e:
-                self.diags.append(e.diag)
-                self.sync_to_section()
-                if self.at(RBRACE):
-                    # could close either the broken section or the model;
-                    # treat it as the model's brace to avoid cascade errors
-                    self.advance()
-                    closed = True
-                    break
-        if closed and not self.at(EOF):
-            self.diags.append(self.fail_expected("end of file").diag)
-        return m.Model(
-            name=name,
-            file=self.lex.file,
-            sections=tuple(sections),
-            span=self.span_from(start),
-        )
-
-    def parse_section(self) -> m.Section:
-        return self.item(self.sections, "a section", self.section_keywords)
+        return m.Model(name=name, file=self.lex.file, sections=sections,
+                       span=self.span_from(start))
 
     def parse_context(self) -> m.ContextSection:
         start = self.expect_kw("context")

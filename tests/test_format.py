@@ -10,7 +10,8 @@ from a4c.formatter import FormatError, canonical_format, parse_roundtrip
 from a4c.model import fingerprint
 from a4c.parser import parse
 
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, run_cli
+from test_parser import BLOCK_DIAGNOSTICS, TWO_MISTAKES, block_case
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -90,16 +91,28 @@ def test_random_models_laws(noisy_texts):
         assert fingerprint(after) == fingerprint(before), k
 
 
-def test_format_error_carries_parse_diagnostics():
-    broken = 'model "Broken" {\n  artifact \n}\n'
-    with pytest.raises(FormatError) as exc:
-        canonical_format(broken, "broken.a4c")
-    err = exc.value
-    assert err.diagnostic.code == "F001"
-    assert err.diagnostic.severity is Severity.ERROR
-    assert err.causes
-    assert all(d.code.startswith("P") for d in err.causes)
-    assert err.diagnostic.span.file == "broken.a4c"
+def broken_inputs() -> list[str]:
+    """Inputs with syntax errors, among them every recovery case of the parser."""
+    texts = ['model "Broken" {\n  artifact \n}\n', TWO_MISTAKES]
+    return texts + [block_case(block, case) for block, case in BLOCK_DIAGNOSTICS]
+
+
+def test_format_error_carries_parse_diagnostics(tmp_path, capsys):
+    path = tmp_path / "broken.a4c"
+    for text in broken_inputs():
+        with pytest.raises(FormatError) as exc:
+            canonical_format(text, "broken.a4c")
+        err = exc.value
+        assert err.diagnostic.code == "F001"
+        assert err.diagnostic.severity is Severity.ERROR
+        assert err.causes == parse(text, "broken.a4c").diagnostics, text
+        assert err.causes
+        assert all(d.code.startswith("P") for d in err.causes)
+        assert err.diagnostic.span.file == "broken.a4c"
+        path.write_bytes(text.encode("utf-8"))
+        rc, _, _ = run_cli(capsys, "fmt", str(path))
+        assert rc == 2, text
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_format_error_on_unterminated_string():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 from a4c.diagnostics import Severity
 from a4c.lexer import LexResult, tokenize
 from a4c.model import (
@@ -196,10 +198,10 @@ BLOCKS = {
                '        static r = "x"\n'),
 }
 
-# (block, case) -> every diagnostic as (code, line:column, message). An error
-# inside a block skips to that block's '}', which then closes the model, so
-# the model's own '}' is reported as well; ending inside a block reports the
-# missing '}' of the block and of the model.
+# (block, case) -> every diagnostic as (code, line:column, message). A broken
+# item is reported once and skipped to its block's '}', which closes only that
+# block, so the enclosing blocks and the model close without a report; ending
+# inside blocks reports the missing '}' once.
 BLOCK_DIAGNOSTICS = {
     ("section", "word"): [
         ("P003", "2:3", "unknown keyword 'bogus' (expected one of: agent, artifact,"
@@ -207,40 +209,24 @@ BLOCK_DIAGNOSTICS = {
     ("section", "punct"): [("P001", "2:3", "expected a section, found '='")],
     ("section", "eof"): [("P001", "3:1", "expected '}', found end of file")],
     ("context", "word"): [
-        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: external, flow, system, user)"),
-        ("P001", "5:1", "expected end of file, found '}'")],
-    ("context", "punct"): [
-        ("P001", "3:5", "expected a context item, found '='"),
-        ("P001", "5:1", "expected end of file, found '}'")],
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: external, flow, system, user)")],
+    ("context", "punct"): [("P001", "3:5", "expected a context item, found '='")],
     ("context", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     ("deployment", "word"): [
-        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: link, node)"),
-        ("P001", "5:1", "expected end of file, found '}'")],
-    ("deployment", "punct"): [
-        ("P001", "3:5", "expected a deployment item, found '='"),
-        ("P001", "5:1", "expected end of file, found '}'")],
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: link, node)")],
+    ("deployment", "punct"): [("P001", "3:5", "expected a deployment item, found '='")],
     ("deployment", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     ("agent", "word"): [
-        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: store, task)"),
-        ("P001", "5:1", "expected end of file, found '}'")],
-    ("agent", "punct"): [
-        ("P001", "3:5", "expected an agent member, found '='"),
-        ("P001", "5:1", "expected end of file, found '}'")],
+        ("P003", "3:5", "unknown keyword 'bogus' (expected one of: store, task)")],
+    ("agent", "punct"): [("P001", "3:5", "expected an agent member, found '='")],
     ("agent", "eof"): [("P001", "4:1", "expected '}', found end of file")],
     # in a body a word starts an edge: 'bogus B' lacks its '->'
-    ("body", "word"): [
-        ("P001", "5:15", "expected '->', found identifier 'B'"),
-        ("P001", "7:5", "expected end of file, found '}'")],
-    ("body", "punct"): [
-        ("P001", "5:9", "expected a body statement, found '='"),
-        ("P001", "7:5", "expected end of file, found '}'")],
+    ("body", "word"): [("P001", "5:15", "expected '->', found identifier 'B'")],
+    ("body", "punct"): [("P001", "5:9", "expected a body statement, found '='")],
     ("body", "eof"): [("P001", "6:1", "expected '}', found end of file")],
     ("prompt", "word"): [
-        ("P003", "5:9", "unknown keyword 'bogus' (expected 'static' or 'dynamic')"),
-        ("P001", "7:5", "expected end of file, found '}'")],
-    ("prompt", "punct"): [
-        ("P001", "5:9", "expected a prompt row, found '='"),
-        ("P001", "7:5", "expected end of file, found '}'")],
+        ("P003", "5:9", "unknown keyword 'bogus' (expected 'static' or 'dynamic')")],
+    ("prompt", "punct"): [("P001", "5:9", "expected a prompt row, found '='")],
     ("prompt", "eof"): [("P001", "6:1", "expected '}', found end of file")],
 }
 
@@ -250,13 +236,104 @@ def block_case(block: str, case: str) -> str:
     return {"word": template % "bogus B", "punct": template % "= B", "eof": ends_inside}[case]
 
 
+def located(diags) -> list[tuple[str, str, str]]:
+    return [(d.code, f"{d.span.start.line}:{d.span.start.column}", d.message) for d in diags]
+
+
 def test_block_syntax_errors():
     for (block, case), expected in BLOCK_DIAGNOSTICS.items():
         result = parse(block_case(block, case), "b.a4c")
-        found = [(d.code, f"{d.span.start.line}:{d.span.start.column}", d.message)
-                 for d in result.diagnostics]
-        assert found == expected, (block, case)
+        assert located(result.diagnostics) == expected, (block, case)
         assert not result.ok
+
+
+# a broken context item and a broken section after it, all on one line
+TWO_MISTAKES = 'model "X" { context { bogus } artifact A widget W }'
+
+
+def test_mistake_in_a_block_does_not_hide_a_later_section():
+    result = parse(TWO_MISTAKES, "p.a4c")
+    assert located(result.diagnostics) == [
+        ("P003", "1:23", "unknown keyword 'bogus' (expected one of: external, flow, system, user)"),
+        ("P003", "1:42", "unknown keyword 'widget' (expected one of: agent, artifact, context,"
+                         " deployment, llm, tool)"),
+    ]
+
+
+def test_each_broken_item_reports_once():
+    body = BLOCKS["body"][0]
+    # 'b' ends the broken edge's line, so it does not restart an edge
+    result = parse(body % "a -> -> b\n        c -> d", "p.a4c")
+    assert located(result.diagnostics) == [("P001", "5:14", "expected edge endpoint, found '->'")]
+
+    n = 4000
+    lines = "\n        ".join(f"a{k} -> -> b{k}" for k in range(n))
+    text = body.replace("\n}\n", "\n  bogus B\n}\n") % lines
+    diags = parse(text, "p.a4c").diagnostics
+    assert len(diags) == n + 1
+    assert [d.span.start.line for d in diags[:n]] == list(range(5, 5 + n))
+    assert [d.code for d in diags] == ["P001"] * n + ["P003"]
+
+
+# Replacements for one token of a line: a word of the model or one of these.
+# None is a brace, so a mutant keeps the model's block structure.
+RECALL_EDITS = ["->", "[", "]", "==", '"x"', ""]
+
+
+def diagnostic_keys(text: str) -> list[tuple]:
+    return sorted((d.code, d.span.start.line, d.span.start.column, d.message)
+                  for d in parse(text, "r.a4c").diagnostics)
+
+
+def brace_lines(text: str) -> list[tuple[int, str]]:
+    lex = tokenize(text, "r.a4c")
+    return [(lex.position(t.start).line, t.type) for t in lex.tokens
+            if t.type in ("LBRACE", "RBRACE")]
+
+
+def broken_lines(text: str, rng: random.Random, count: int) -> list[tuple]:
+    """``count`` one-token edits of distinct lines of ``text``, each inside a
+    top-level section, keeping every brace and failing to parse: (section
+    index, line index, edited line, the edited file's diagnostic keys)."""
+    lines = text.split("\n")
+    words = sorted({w for w in text.split() if w.isidentifier()})
+    sections = [range(s.span.start.line - 1, s.span.end.line)
+                for s in parse(text, "r.a4c").model.sections]
+    braces = brace_lines(text)
+    edits: dict[int, tuple] = {}
+    while len(edits) < count:
+        k = rng.randrange(len(sections))
+        i = rng.choice(sections[k])
+        toks = lines[i].split(" ")
+        toks[rng.randrange(len(toks))] = rng.choice(words + RECALL_EDITS)
+        line = " ".join(toks)
+        mutant = "\n".join(lines[:i] + [line] + lines[i + 1:])
+        if i not in edits and brace_lines(mutant) == braces:
+            report = diagnostic_keys(mutant)
+            if report:
+                edits[i] = (k, i, line, report)
+    return list(edits.values())
+
+
+def test_recovery_recall_on_corpus_mutant_pairs():
+    """Two mistakes in top-level sections with a section between them do not
+    interact: the file with both reports exactly the diagnostics of the two
+    files with one each."""
+    rng = random.Random(1531)
+    checked, failed = 0, []
+    for name in CORPUS:
+        text = corpus_text(name)
+        lines = text.split("\n")
+        singles = broken_lines(text, rng, 40)
+        pairs = [(a, b) for a in singles for b in singles if b[0] >= a[0] + 2]
+        for (_ka, i, line_a, report_a), (_kb, j, line_b, report_b) in rng.sample(pairs, 110):
+            both = list(lines)
+            both[i], both[j] = line_a, line_b
+            checked += 1
+            if diagnostic_keys("\n".join(both)) != sorted(report_a + report_b):
+                failed.append((name, i + 1, j + 1))
+    assert checked >= 300
+    assert failed == [], f"{len(failed)} of {checked} pairs: {failed[:5]}"
 
 
 def test_p001_self_flow():
@@ -285,10 +362,14 @@ def test_store_endpoint_orientation_errors():
 
 def test_recovery_continues_after_broken_section(testgen_text):
     broken = testgen_text.replace("artifact TestSpec", "artifact artifact", 1)
+    # a second mistake, in a prompt row of a later agent
+    broken = broken.replace("dynamic code =", "dynamic code :", 1)
     result = parse(broken, "p.a4c")
     assert not result.ok
-    # later sections still produce diagnostics-free structure in this parse
-    assert any(d.code == "P001" for d in result.diagnostics)
+    assert located(result.diagnostics) == [
+        ("P001", "13:12", "expected artifact name, found keyword 'artifact'"),
+        ("P001", "73:22", "expected '=', found ':'"),
+    ]
 
 
 def test_diagnostics_sorted_by_position():
