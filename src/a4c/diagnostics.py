@@ -1,15 +1,22 @@
 """Source spans and coded diagnostics shared by every pipeline stage.
 
+A ``Position`` is a record: a 1-based line and column. A ``SourceSpan`` is
+not a named-tuple record, since a span that the lexer makes holds two
+offsets and its file's line table rather than two positions, but it is a
+``Record`` and keeps a record's contract, except that spans are not
+ordered. ``line_of`` is the one line lookup behind every position.
+
 Code classes: P### parse, E0## resolution, E1##/W1## validation rules,
 R### rendering, A### analysis, F### formatting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from typing import Any
 
-from .records import record
+from .records import Record, record
 
 
 @record
@@ -20,22 +27,68 @@ class Position:
     column: int
 
 
-@record
-class SourceSpan:
-    """Half-open region of one source file; ``end`` points past the last character."""
+def line_of(line_starts: list[int], offset: int) -> int:
+    """The 1-based line that holds character ``offset``, given the offset at
+    which each line starts: the one line lookup behind every position."""
+    return bisect_right(line_starts, offset)
 
-    file: str
-    start: Position
-    end: Position
 
+def position_at(line_starts: list[int], offset: int) -> Position:
+    line = line_of(line_starts, offset)
+    # tuple.__new__ skips the named tuple's argument handling
+    return tuple.__new__(Position, (line, offset - line_starts[line - 1] + 1))
+
+
+class SourceSpan(Record):
+    """Half-open region of one source file; ``end`` points past the last character.
+
+    ``SourceSpan(file, start, end)`` holds two positions. The lexer makes a
+    span from two character offsets and its file's line table instead
+    (``LexResult.span``), and ``start`` and ``end`` work out a position on
+    each read, so a span that nothing reads never builds one. Either way a
+    span equals and hashes as its ``(file, start, end)``, never equals a
+    plain tuple, and refuses attribute assignment. Spans are not ordered:
+    ``<`` and its kin raise ``TypeError``.
+    """
+
+    __slots__ = ()
+    _compared = staticmethod(lambda s: (s[0], s.start, s.end))
+
+    # stored as (file, start, end, line_starts): positions with line_starts
+    # None, or offsets into the file whose lines start at line_starts
     def __new__(cls, file: str, start: Position, end: Position) -> SourceSpan:
         if end < start:
             raise ValueError(f"span end {end} precedes start {start}")
-        return tuple.__new__(cls, (file, start, end))
+        return tuple.__new__(cls, (file, start, end, None))
+
+    @property
+    def file(self) -> str:
+        return self[0]
+
+    @property
+    def start(self) -> Position:
+        _, start, _, lines = self
+        return start if lines is None else position_at(lines, start)
+
+    @property
+    def end(self) -> Position:
+        _, _, end, lines = self
+        return end if lines is None else position_at(lines, end)
 
     @property
     def is_synthetic(self) -> bool:
-        return self.file == "<generated>"
+        return self[0] == "<generated>"
+
+    def _unordered(self, other):
+        raise TypeError("source spans are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __repr__(self) -> str:
+        return f"SourceSpan(file={self[0]!r}, start={self.start!r}, end={self.end!r})"
+
+    def __reduce__(self):
+        return SourceSpan, self._compared(self)
 
 
 SYNTHETIC = SourceSpan("<generated>", Position(1, 1), Position(1, 1))
@@ -72,26 +125,23 @@ class Diagnostic:
         return tuple.__new__(cls, (code, severity, message, span, related))
 
     def sort_key(self) -> tuple:
-        return (self.span.file, self.span.start.line, self.span.start.column, self.code)
+        start = self.span.start
+        return (self.span.file, start.line, start.column, self.code)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "code": self.code,
             "severity": str(self.severity),
             "message": self.message,
-            "file": self.span.file,
-            "start": [self.span.start.line, self.span.start.column],
-            "end": [self.span.end.line, self.span.end.column],
-            "related": [
-                {
-                    "message": r.message,
-                    "file": r.span.file,
-                    "start": [r.span.start.line, r.span.start.column],
-                    "end": [r.span.end.line, r.span.end.column],
-                }
-                for r in self.related
-            ],
+            **_location(self.span),
+            "related": [{"message": r.message, **_location(r.span)} for r in self.related],
         }
+
+
+def _location(span: SourceSpan) -> dict[str, Any]:
+    start, end = span.start, span.end
+    return {"file": span.file, "start": [start.line, start.column],
+            "end": [end.line, end.column]}
 
 
 def error(code: str, message: str, span: SourceSpan, related: tuple[Related, ...] = ()) -> Diagnostic:

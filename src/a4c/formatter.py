@@ -49,7 +49,8 @@ def parse_roundtrip(model: m.Model) -> str:
 class _Emitter:
     def __init__(self, comments: list[Comment]):
         self.lines: list[str] = []
-        self.queue = sorted(comments, key=lambda c: c.span.start)
+        # each comment with its start, worked out once: no two comments share one
+        self.queue = sorted((c.span.start, c) for c in comments)
         self.pos = 0
         self.indent = 0
 
@@ -65,16 +66,14 @@ class _Emitter:
         return f"// {body}" if body else "//"
 
     def flush_before(self, pos: Position) -> None:
-        while self.pos < len(self.queue) and self.queue[self.pos].span.start < pos:
-            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos]))
+        while self.pos < len(self.queue) and self.queue[self.pos][0] < pos:
+            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos][1]))
             self.pos += 1
 
     def _take_trailing(self, line: int, min_pos: Optional[Position] = None) -> str:
         if self.pos < len(self.queue):
-            c = self.queue[self.pos]
-            if c.span.start.line == line and (
-                min_pos is None or not (c.span.start < min_pos)
-            ):
+            start, c = self.queue[self.pos]
+            if start.line == line and (min_pos is None or not (start < min_pos)):
                 self.pos += 1
                 return " " + self._comment_line(c)
         return ""
@@ -83,11 +82,17 @@ class _Emitter:
         if self.lines and self.lines[-1] != "":
             self.lines.append("")
 
+    def _placing(self, span) -> bool:
+        """Whether ``span`` places a comment: one is still queued and the span
+        is from the source. Only then is a position read off the span."""
+        return self.pos < len(self.queue) and span is not None and not span.is_synthetic
+
     def line(self, content: str, span=None) -> None:
         trailing = ""
-        if span is not None and not span.is_synthetic:
-            self.flush_before(span.start)
-            trailing = self._take_trailing(span.start.line)
+        if self._placing(span):
+            start = span.start
+            self.flush_before(start)
+            trailing = self._take_trailing(start.line)
         self.lines.append(self._pad() + content + trailing)
 
     def open(self, content: str, span=None) -> None:
@@ -96,17 +101,18 @@ class _Emitter:
 
     def close(self, span=None) -> None:
         trailing = ""
-        if span is not None and not span.is_synthetic:
-            self.flush_before(span.end)
+        if self._placing(span):
+            end = span.end
+            self.flush_before(end)
             self.indent -= 1
-            trailing = self._take_trailing(span.end.line, span.end)
+            trailing = self._take_trailing(end.line, end)
         else:
             self.indent -= 1
         self.lines.append(self._pad() + "}" + trailing)
 
     def flush_rest(self) -> None:
         while self.pos < len(self.queue):
-            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos]))
+            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos][1]))
             self.pos += 1
 
 

@@ -7,9 +7,11 @@ columns: ``LexResult`` holds four parallel lists, ``types``, ``values``,
 ``k`` is entry ``k`` of each. No object is built per token; the parser walks
 the columns by index. ``LexResult.tokens`` zips them into ``Token`` records
 for callers that want one value per token. ``LexResult`` also keeps the
-offset at which each line starts and turns offsets into positions only when
-asked (``position``, ``span``), so the parser builds one ``SourceSpan`` per
-element rather than one per token.
+offset at which each line starts. ``LexResult.span`` is the one place that
+turns two offsets into a ``SourceSpan``: the span keeps the offsets and that
+line table, and builds a ``Position`` only when its ``start`` or ``end`` is
+read. The parser makes one span per element rather than one per token, and
+a parse that reports nothing builds no position at all.
 
 A position is a 1-based line and a 1-based column counted in code points.
 Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
@@ -20,11 +22,10 @@ can reattach them; they never reach the parser's token stream.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 import re
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Position, SourceSpan, error
+from .diagnostics import Diagnostic, Position, SourceSpan, error, position_at
 from .records import record
 
 KEYWORDS = frozenset(
@@ -116,26 +117,16 @@ class LexResult:
         return list(map(Token, self.types, self.values, self.starts, self.ends))
 
     def position(self, offset: int) -> Position:
-        line = bisect_right(self.line_starts, offset)
-        return Position(line, offset - self.line_starts[line - 1] + 1)
+        return position_at(self.line_starts, offset)
 
     def span(self, start: int, end: int) -> SourceSpan:
-        """The span from offset ``start`` to offset ``end``, built in one call:
-        the end's line is searched from the start's, and both positions and
-        the span are made with ``tuple.__new__``. ``end < start`` raises
-        ``ValueError``, as ``SourceSpan`` does."""
+        """The span from offset ``start`` to offset ``end``, which works out
+        its positions from this file's line table when they are read.
+        ``end < start`` raises ``ValueError``, as ``SourceSpan`` does."""
         if end < start:
             raise ValueError(
                 f"span end {self.position(end)} precedes start {self.position(start)}")
-        line_starts = self.line_starts
-        line = bisect_right(line_starts, start)
-        end_line = bisect_right(line_starts, end, line)
-        new = tuple.__new__
-        return new(SourceSpan, (
-            self.file,
-            new(Position, (line, start - line_starts[line - 1] + 1)),
-            new(Position, (end_line, end - line_starts[end_line - 1] + 1)),
-        ))
+        return tuple.__new__(SourceSpan, (self.file, start, end, self.line_starts))
 
 
 def tokenize(text: str, file: str) -> LexResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import model as m
-from .diagnostics import Diagnostic, SourceSpan, error, sort_diagnostics
+from .diagnostics import Diagnostic, SourceSpan, error, line_of, sort_diagnostics
 from .lexer import (
     ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KW, LBRACE, LBRACKET,
     RBRACE, RBRACKET, STRING, Comment, LexResult, tokenize,
@@ -131,7 +131,7 @@ class _Parser:
         move to the ``}`` that closes the block, or to the next token at the
         block's depth that can start one of its items and begins a line."""
         types, values, starts, ends = self.types, self.values, self.starts, self.ends
-        position = self.lex.position
+        line_starts = self.lex.line_starts
         depth = 0
         i = start
         while types[i] != EOF:
@@ -143,7 +143,7 @@ class _Parser:
                     break
                 depth -= 1
             elif (depth == 0 and i > start and (values[i] if ttype == KW else ttype) in parsers
-                  and position(starts[i]).line > position(ends[i - 1]).line):
+                  and line_of(line_starts, starts[i]) > line_of(line_starts, ends[i - 1])):
                 break
             i += 1
         self.i = i

@@ -9,7 +9,10 @@ one below.
 
 from __future__ import annotations
 
+import copy
+import operator
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -125,14 +128,56 @@ def test_columns_are_parallel_and_end_with_one_eof():
 
 
 def test_span_equals_its_two_positions():
-    text = "ab\n\ncd\r\nef\n"
+    text = "ab\n\ncé\r\nf\rg²\n\n  h"  # \r\n, a lone \r, blank lines, no final newline
     lex = tokenize(text, FILE)
+    again = tokenize(text, FILE)
     for start in range(len(text) + 1):
         for end in range(start, len(text) + 1):
-            assert lex.span(start, end) == SourceSpan(FILE, lex.position(start),
-                                                      lex.position(end)), (start, end)
+            span = lex.span(start, end)
+            made = SourceSpan(FILE, lex.position(start), lex.position(end))
+            where = (start, end)
+            assert span == made and made == span and not span != made, where
+            assert span == again.span(start, end), where
+            assert hash(span) == hash(made), where
+            assert repr(span) == repr(made), where
+            assert (span.file, span.start, span.end) == (made.file, made.start, made.end)
+            assert span != (FILE, made.start, made.end), where
+            assert span != (FILE, start, end), where
+            assert copy.copy(span) == span, where
+            assert pickle.loads(pickle.dumps(span)) == span, where
+            with pytest.raises(AttributeError):
+                span.file = "other.a4c"
+            with pytest.raises(AttributeError):
+                span.note = "x"
+    assert lex.span(0, 1) != lex.span(0, 2) and lex.span(0, 1) != tokenize(text, "b").span(0, 1)
     with pytest.raises(ValueError, match="precedes start"):
         lex.span(4, 3)
+
+
+def test_span_made_from_positions():
+    span = SourceSpan(file=FILE, start=Position(1, 2), end=Position(3, 1))
+    assert span == SourceSpan(FILE, Position(1, 2), Position(3, 1))
+    assert (span.file, span.start, span.end) == (FILE, Position(1, 2), Position(3, 1))
+    assert repr(span) == ("SourceSpan(file='lex.a4c', start=Position(line=1, column=2), "
+                          "end=Position(line=3, column=1))")
+    assert not span.is_synthetic and SourceSpan("<generated>", span.start, span.end).is_synthetic
+    assert span != (FILE, Position(1, 2), Position(3, 1))
+    assert copy.copy(span) == span and pickle.loads(pickle.dumps(span)) == span
+    with pytest.raises(AttributeError):
+        span.start = Position(1, 1)
+    with pytest.raises(ValueError, match="precedes start"):
+        SourceSpan(FILE, Position(2, 1), Position(1, 9))
+
+
+def test_spans_are_not_ordered():
+    made = SourceSpan(FILE, Position(1, 1), Position(1, 2))
+    lexed = tokenize("ab", FILE).span(0, 1)
+    pairs = [(made, made), (made, lexed), (lexed, made), (lexed, tokenize("ab", FILE).span(0, 1)),
+             (lexed, (FILE, 0, 1, None)), ((FILE, 0, 1, None), lexed)]
+    for a, b in pairs:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="not ordered"):
+                op(a, b)
 
 
 # --- pinned traps ---------------------------------------------------------------

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from a4c import diagnostics, parser
 from a4c.diagnostics import Severity
+from a4c.formatter import canonical_format
 from a4c.lexer import LexResult, tokenize
 from a4c.model import (
     CallNode,
@@ -16,6 +20,9 @@ from a4c.model import (
     fingerprint,
 )
 from a4c.parser import parse
+from a4c.render import docs_bundle
+from a4c.resolver import resolve
+from a4c.validate import check
 
 from conftest import CORPUS, corpus_text
 
@@ -488,3 +495,28 @@ def test_parse_never_reads_the_token_view(monkeypatch, testgen_text):
               testgen_text.replace("artifact TestSpec", "artifact artifact", 1)]
     for text in texts:
         parse(text, "v.a4c")
+
+
+def test_a_clean_run_never_works_out_a_position(monkeypatch):
+    """A span holds two offsets and its file's line table; a position is
+    built only when one is read. Parsing, resolving, checking, docs and
+    formatting a model that has no findings and no comments read none."""
+    def unread(line_starts, offset):
+        raise AssertionError("a line was looked up")
+
+    for module in (diagnostics, parser):
+        monkeypatch.setattr(module, "line_of", unread)
+    with pytest.raises(AssertionError, match="looked up"):
+        tokenize("a\nb", "v.a4c").span(2, 3).start
+    with pytest.raises(AssertionError, match="looked up"):
+        parse('model "X" { artifact artifact A }', "v.a4c")
+    for name in CORPUS:
+        lines = corpus_text(name).split("\n")
+        text = "\n".join(line for line in lines if not line.lstrip().startswith("//"))
+        assert not tokenize(text, "v.a4c").comments
+        result = parse(text, f"{name}.a4c")
+        resolved = resolve(result.model)
+        assert not result.diagnostics and not resolved.diagnostics
+        assert check(resolved.model) == []
+        docs_bundle(resolved.model)
+        canonical_format(text, f"{name}.a4c")
