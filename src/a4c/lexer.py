@@ -1,17 +1,35 @@
 """Tokenizer for the description language.
 
-One compiled pattern matches a run of whitespace and the token after it, as
-in the ``re`` documentation's "Writing a Tokenizer". Tokens are stored as
-columns: ``LexResult`` holds four parallel lists, ``types``, ``values``,
-``starts`` and ``ends`` (the character offsets of a token's text), and token
-``k`` is entry ``k`` of each. No object is built per token; the parser walks
-the columns by index. ``LexResult.tokens`` zips them into ``Token`` records
-for callers that want one value per token. ``LexResult`` also keeps the
-offset at which each line starts. ``LexResult.span`` is the one place that
-turns two offsets into a ``SourceSpan``: the span keeps the offsets and that
-line table, and builds a ``Position`` only when its ``start`` or ``end`` is
-read. The parser makes one span per element rather than one per token, and
-a parse that reports nothing builds no position at all.
+Tokens are stored as columns: ``LexResult`` holds four parallel lists,
+``types``, ``values``, ``starts`` and ``ends`` (the character offsets of a
+token's text), and token ``k`` is entry ``k`` of each. No object is built
+per token; the parser walks the columns by index. ``LexResult.tokens`` zips
+them into ``Token`` records for callers that want one value per token.
+``LexResult`` also keeps the offset at which each line starts.
+``LexResult.span`` is the one place that turns two offsets into a
+``SourceSpan``: the span keeps the offsets and that line table, and builds a
+``Position`` only when its ``start`` or ``end`` is read. The parser makes one
+span per element rather than one per token, and a parse that reports
+nothing builds no position at all.
+
+The scan keeps its per-token work in C. One ``findall`` of a pattern with no
+group cuts the text into pieces, each a run of whitespace and then one
+token; the last piece, empty or whitespace only, is the EOF entry. The token
+in the pattern is optional, so the pattern matches at every position and
+the pieces tile the text. With a required token, a run of whitespace that
+ends the text could match only by backtracking into it, and where that
+failed, ``findall`` would retry at each of its characters, which is
+quadratic in the run's length. The columns come from ``map``
+and ``accumulate`` over the pieces: the ends from their lengths, the values
+by stripping the whitespace, the starts from both, and the types from one
+table of keywords and punctuation, then one of first characters that maps an
+ASCII letter to IDENT and anything else to SPECIAL. One forward pass then
+settles each SPECIAL entry in file order, so diagnostics come in file order:
+a string (its body unescaped, or P002 when it is unterminated), a comment, a
+stray character (P001), or a word that starts with a non-ASCII letter or a
+non-letter, such as ``²b`` (one P001 per leading non-letter, and the rest of
+the word kept in place). The entries that leave the token stream go in one
+``compress`` per column.
 
 A position is a 1-based line and a 1-based column counted in code points.
 Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
@@ -23,6 +41,8 @@ can reattach them; they never reach the parser's token stream.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Position, SourceSpan, error, position_at
@@ -54,36 +74,31 @@ EQEQ = "EQEQ"
 DOT = "DOT"
 EOF = "EOF"
 
-# Group names are token types, so a match's ``lastgroup`` is its type. A word
-# starts with a character of ``[^\W\d_]``, a wider class than ``str.isalpha``
-# (it holds "²"), so ``tokenize`` checks the first character again. The
-# closing quote of a string is optional: nothing after the string body can
-# fail, so the engine never backtracks into it, and ``"a\"`` at the end of a
-# line stays unterminated instead of closing at its escaped quote.
-_TOKEN = re.compile(
-    r"""
-    [ \t\r\n]*
-    (?:
-        (?P<IDENT>[^\W\d_]\w*)
-      | (?P<ARROW>->)
-      | (?P<EQEQ>==)
-      | (?P<EQ>=)
-      | (?P<LBRACE>\{)
-      | (?P<RBRACE>\})
-      | (?P<LBRACKET>\[)
-      | (?P<RBRACKET>\])
-      | (?P<COLON>:)
-      | (?P<COMMA>,)
-      | (?P<DOT>\.)
-      | (?P<STRING>"(?P<body>[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*)"?)
-      | (?P<COMMENT>//[^\n]*)
-      | (?P<BAD>.)
-    )?
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# A word starts with a character of ``[^\W\d_]``, a wider class than
+# ``str.isalpha`` (it holds "²"); ``[a-zA-Z]\w*`` comes first only because it
+# is the quicker test for most words. The closing quote of a string is
+# optional: nothing after the string body can fail, so the engine never
+# backtracks into it, and ``"a\"`` at the end of a line stays unterminated
+# instead of closing at its escaped quote.
+_STRING_BODY = r'[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*'
+_SCAN = re.compile(
+    rf'[ \t\r\n]*(?:[a-zA-Z]\w*|[{{}}\[\]:,.]|->|==?|"{_STRING_BODY}"?|//[^\n]*|[^\W\d_]\w*|.)?',
+    re.DOTALL)
+_STRING = re.compile(f'"({_STRING_BODY})')
+_WHITESPACE = " \t\r\n"
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r'\\(["\\])')
+
+# A piece's type: keywords and punctuation by their whole text, the EOF
+# entry by its empty text, other words that start with an ASCII letter by
+# that letter, and everything else SPECIAL, which ``tokenize`` settles one by
+# one in file order.
+_SPECIAL = "SPECIAL"
+_KIND = dict.fromkeys(KEYWORDS, KW)
+_KIND.update({"->": ARROW, "==": EQEQ, "=": EQ, "{": LBRACE, "}": RBRACE, "[": LBRACKET,
+              "]": RBRACKET, ":": COLON, ",": COMMA, ".": DOT, "": EOF})
+_LEAD = dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", IDENT)
+_HEAD = itemgetter(slice(1))
 
 
 class Token(NamedTuple):
@@ -132,73 +147,49 @@ class LexResult:
 def tokenize(text: str, file: str) -> LexResult:
     line_starts = [0]
     line_starts += [m.end() for m in _NEWLINE.finditer(text)]
-    types: list[str] = []
-    values: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    pieces = _SCAN.findall(text)
+    if len(pieces) > 1 and not pieces[-2].lstrip(_WHITESPACE):
+        pieces.pop()  # the whitespace that ends the text is the EOF entry's piece
+    ends = list(accumulate(map(len, pieces)))
+    values = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
+    starts = list(map(sub, ends, map(len, values)))
+    types = list(map(_KIND.get, values, map(_LEAD.get, map(_HEAD, values), repeat(_SPECIAL))))
     comments: list[Comment] = []
     diags: list[Diagnostic] = []
     lex = LexResult(types, values, starts, ends, comments, diags, file, line_starts)
 
-    add_type, add_value = types.append, values.append
-    add_start, add_end = starts.append, ends.append
-    keywords = KEYWORDS
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # trailing whitespace
-            continue
-        value = m[kind]
-        end = m.end()
-        start = end - len(value)
-        if kind == IDENT:
-            if value in keywords:
-                kind = KW
-            elif not value[0].isalpha():
-                _split_word(lex, value, start)
+    keep = None
+    i = -1
+    for _ in range(types.count(_SPECIAL)):
+        i = types.index(_SPECIAL, i + 1)
+        value, start, end = values[i], starts[i], ends[i]
+        if value[0] == '"':
+            body = _STRING.match(value)[1]
+            if len(body) + 2 == len(value):
+                types[i] = STRING
+                values[i] = _ESCAPE.sub(r"\1", body) if "\\" in body else body
                 continue
-        elif kind == STRING:
-            if m.end("body") == end:
-                diags.append(error("P002", "unterminated string literal", lex.span(start, end)))
-                continue
-            value = m["body"]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-        elif kind == "COMMENT":
+            diags.append(error("P002", "unterminated string literal", lex.span(start, end)))
+        elif value.startswith("//"):
             comments.append(Comment(value[2:].strip(), lex.span(start, end)))
-            continue
-        elif kind == "BAD":
-            diags.append(_unexpected(lex, value, start))
-            continue
-        add_type(kind)
-        add_value(value)
-        add_start(start)
-        add_end(end)
-    _add(lex, EOF, "", len(text), len(text))
+        else:  # a stray character, or a word that does not start with an ASCII letter
+            k = 0
+            while k < len(value) and not value[k].isalpha():
+                diags.append(error("P001", f"unexpected character {value[k]!r}",
+                                   lex.span(start + k, start + k + 1)))
+                k += 1
+            if k < len(value):
+                types[i] = KW if value[k:] in KEYWORDS else IDENT
+                values[i] = value[k:]
+                starts[i] = start + k
+                continue
+        if keep is None:
+            keep = [True] * len(types)
+        keep[i] = False  # a comment, a P001 or a P002 leaves the token stream
+    if keep is not None:
+        for column in (types, values, starts, ends):
+            column[:] = compress(column, keep)
     return lex
-
-
-def _add(lex: LexResult, kind: str, value: str, start: int, end: int) -> None:
-    lex.types.append(kind)
-    lex.values.append(value)
-    lex.starts.append(start)
-    lex.ends.append(end)
-
-
-def _unexpected(lex: LexResult, ch: str, offset: int) -> Diagnostic:
-    return error("P001", f"unexpected character {ch!r}", lex.span(offset, offset + 1))
-
-
-def _split_word(lex: LexResult, word: str, start: int) -> None:
-    """A word whose first character is not a letter: each leading non-letter
-    is an unexpected character, and the rest from the first letter is a word."""
-    k = 0
-    while k < len(word) and not word[k].isalpha():
-        lex.diagnostics.append(_unexpected(lex, word[k], start + k))
-        k += 1
-    if k < len(word):
-        rest = word[k:]
-        kind = KW if rest in KEYWORDS else IDENT
-        _add(lex, kind, rest, start + k, start + len(word))
 
 
 def escape_string(value: str) -> str:

@@ -14,14 +14,15 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import model as m
-from .analysis import classify
-from .flow import ControlFacts, guarded_exits, iter_circuits
 from .lexer import escape_string
 from .records import record
 from .resolver import ResolvedModel, call_graph
+
+if TYPE_CHECKING:
+    from .flow import ControlFacts
 
 
 # circuits listed per SCC on an agent page; a loop through k decision
@@ -376,6 +377,8 @@ def _page_leaves(model: m.Model, leaf_tasks) -> str:
 
 
 def _page_agent(rm: ResolvedModel, agent: m.Agent) -> str:
+    from .analysis import classify  # only docs pages classify: `a4c render` never loads it
+
     model = rm.model
     llm = rm.llm_of(agent)
     binding = llm.name if llm is not None else "none"
@@ -416,6 +419,8 @@ def _loop_lines(facts: ControlFacts) -> list[str]:
     """One line per elementary circuit of the body with its guarded exits, at
     most ``LOOP_LISTING_LIMIT`` per SCC in sorted order, then one line for
     each SCC that holds more."""
+    from .flow import guarded_exits, iter_circuits
+
     listed: list[list[tuple[str, ...]]] = []
     crowded: list[list[str]] = []
     for scc in sorted(sorted(scc) for scc in facts.cyclic):

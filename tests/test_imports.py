@@ -20,6 +20,7 @@ SUBMODULES = ("analysis", "cli", "diagnostics", "flow", "formatter", "lexer", "m
 NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "a4c.analysis", "hashlib", "dataclasses",
                  "json")
 NOT_FOR_FMT = ("a4c.resolver", "a4c.validate", "a4c.analysis")
+NOT_FOR_RENDER = ("a4c.analysis", "a4c.flow", "a4c.validate", "a4c.formatter")
 NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
 
 
@@ -56,6 +57,15 @@ def test_fmt_loads_no_resolver_validator_or_analysis():
     after_fmt = _after_cli(["fmt", "--stdout", *_corpus_files()])
     assert "a4c.formatter" in after_fmt
     assert set(NOT_FOR_FMT) & after_fmt == set()
+
+
+def test_render_loads_no_analysis_flow_validator_or_formatter(tmp_path):
+    runs = [["render", "--out", str(tmp_path / str(k)), path]
+            for k, path in enumerate(_corpus_files())]
+    after_render = _loaded_modules("from a4c.cli import main\n"
+                                   f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]")
+    assert "a4c.render" in after_render and len(list(tmp_path.rglob("*.dot"))) > 3
+    assert set(NOT_FOR_RENDER) & after_render == set()
 
 
 def test_help_loads_no_parser_or_resolver():

@@ -3,8 +3,8 @@
 Token types, values and line/column spans, comments and diagnostics must be
 identical to ``oracles.oracle_tokenize`` on the corpus, the messy fixture,
 generated models and bodies, the benchmark's synthetic shapes, random
-strings and line mutants. The traps of a one-pattern lexer are pinned one by
-one below.
+strings, line mutants and inputs of about 10**5 characters. The traps of a
+one-pattern lexer are pinned one by one below.
 """
 
 from __future__ import annotations
@@ -110,6 +110,29 @@ def test_line_mutants():
     for name in CORPUS:
         texts += _mutants(corpus_text(name), rng, 200)
     assert assert_same(texts) == 600
+
+
+# About 10**5 characters each: a run of whitespace that ends the text, and
+# one input per path that settles a piece the scan cannot type by its text
+# alone. A scan that retried at every character of the run, or rescanned the
+# columns once per such piece, would take minutes here instead of
+# milliseconds.
+LONG_INPUTS = {
+    "trailing_spaces": "a" + " " * 10**5,
+    "unterminated_strings": "".join(f'"s{i % 7}\\"\n' if i % 3 else f'x "q{i % 10}\n'
+                                    for i in range(10**4)),
+    "comment_lines": "".join(f"// note {i % 10}\nn\n" for i in range(10**4)),
+    "non_letter_words": " ".join(["²b", "_x", "1y", "²³model"] * 2500) + " \n",
+    "stray_hashes": "a #\t" * 10**4 + "b",
+    "accented_words": "\n".join(f"été{i % 10} {{" for i in range(10**4)),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_long_inputs(name):
+    text = LONG_INPUTS[name]
+    assert 4 * 10**4 <= len(text) <= 2 * 10**5
+    assert assert_same([text]) == 1
 
 
 # --- columns and spans ----------------------------------------------------------
