@@ -26,9 +26,10 @@ table of keywords and punctuation, then one of first characters that maps an
 ASCII letter to IDENT and anything else to SPECIAL. One forward pass then
 settles each SPECIAL entry in file order, so diagnostics come in file order:
 a string (its body unescaped, or P002 when it is unterminated), a comment, a
-stray character (P001), or a word that starts with a non-ASCII letter or a
-non-letter, such as ``²b`` (one P001 per leading non-letter, and the rest of
-the word kept in place). The entries that leave the token stream go in one
+stray character (P001), or a word (``\\w+``) that does not start with an
+ASCII letter, such as ``é``, ``_x``, ``1y`` or ``²b`` (one P001 per leading
+character that is not ``str.isalpha``, and the rest of the word, if any,
+kept in place). The entries that leave the token stream go in one
 ``compress`` per column.
 
 A position is a 1-based line and a 1-based column counted in code points.
@@ -74,15 +75,12 @@ EQEQ = "EQEQ"
 DOT = "DOT"
 EOF = "EOF"
 
-# A word starts with a character of ``[^\W\d_]``, a wider class than
-# ``str.isalpha`` (it holds "²"); ``[a-zA-Z]\w*`` comes first only because it
-# is the quicker test for most words. The closing quote of a string is
-# optional: nothing after the string body can fail, so the engine never
-# backtracks into it, and ``"a\"`` at the end of a line stays unterminated
-# instead of closing at its escaped quote.
+# The closing quote of a string is optional: nothing after the string body
+# can fail, so the engine never backtracks into it, and ``"a\"`` at the end
+# of a line stays unterminated instead of closing at its escaped quote.
 _STRING_BODY = r'[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*'
 _SCAN = re.compile(
-    rf'[ \t\r\n]*(?:[a-zA-Z]\w*|[{{}}\[\]:,.]|->|==?|"{_STRING_BODY}"?|//[^\n]*|[^\W\d_]\w*|.)?',
+    rf'[ \t\r\n]*(?:\w+|[{{}}\[\]:,.]|->|==?|"{_STRING_BODY}"?|//[^\n]*|.)?',
     re.DOTALL)
 _STRING = re.compile(f'"({_STRING_BODY})')
 _WHITESPACE = " \t\r\n"

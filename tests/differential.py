@@ -1,13 +1,14 @@
 """Differential run: the working tree's ``src/a4c`` against a git revision's.
 
-    python tests/differential.py REV [--count N] [--seed S] [--expect OBS ...]
+    python tests/differential.py REV [--count N] [--expect OBS ...]
 
 It extracts ``git archive REV src/a4c`` to a temporary directory and builds
-one set of inputs: the corpus, ``messy.a4c``, ``--count`` each of seeded
-clean, noisy and body models from ``genmodels``, the benchmark's shapes, and
-``--count`` ``mutate`` mutants of each corpus model. Then it runs one
-observer per side in a subprocess with that side's ``PYTHONPATH``, so no
-module is imported under two names, and compares their records.
+one fixed set of inputs: the corpus, ``messy.a4c``, ``--count`` each of
+clean, noisy and body models from ``genmodels`` (seeds 0 to N-1), the
+benchmark's shapes, and ``--count`` ``mutate`` mutants of each corpus
+model. Then it runs one observer per side in a subprocess with that side's
+``PYTHONPATH``, so no module is imported under two names, and compares
+their records.
 
 An observer records, per input, the token columns and comments, the parse
 diagnostics, the model's ``fingerprint``, ``Model.elements`` with spans, the
@@ -76,7 +77,7 @@ CLI_TABLE = (
 
 # --- inputs (working tree only) ---------------------------------------------------
 
-def build_inputs(count: int, seed: int) -> dict[str, str]:
+def build_inputs(count: int) -> dict[str, str]:
     sys.path[:0] = [str(HERE), str(REPO / "bench")]
     import shapes
     from genmodels import generate_body_model, generate_model, mutate
@@ -87,14 +88,14 @@ def build_inputs(count: int, seed: int) -> dict[str, str]:
     inputs["messy.a4c"] = (HERE / "fixtures" / "messy.a4c").read_text(encoding="utf-8")
     inputs["broken.a4c"] = BROKEN
     for i in range(count):
-        inputs[f"clean-{i}"] = generate_model(seed * 10**6 + i)
-        inputs[f"noisy-{i}"] = generate_model(seed * 10**6 + i, noise=True)
-        inputs[f"body-{i}"] = generate_body_model(seed * 10**6 + i)
+        inputs[f"clean-{i}"] = generate_model(i)
+        inputs[f"noisy-{i}"] = generate_model(i, noise=True)
+        inputs[f"body-{i}"] = generate_body_model(i)
     for shape, sizes in ((shapes.chain, (1, 30)), (shapes.fan, (1, 30)),
                          (shapes.ladder, (1, 6)), (shapes.feedback, (2, 40))):
         for n in sizes:
-            inputs[f"{shape.__name__}-{n}"] = shape(n, seed)
-    rng = random.Random(seed)
+            inputs[f"{shape.__name__}-{n}"] = shape(n, 0)
+    rng = random.Random(0)
     for name, text in corpus.items():
         for i in range(count):
             inputs[f"mutant-{name}-{i}"] = mutate(text, rng)
@@ -286,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("rev", help="git revision whose src/a4c is the reference side")
     ap.add_argument("--count", type=int, default=100,
                     help="generated models of each kind, and mutants per corpus model")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--expect", action="append", default=[], choices=OBSERVABLES,
                     metavar="OBS", help="an observable allowed to differ (repeatable)")
     args = ap.parse_args(argv)
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="a4c-differential-") as name:
         tmp = pathlib.Path(name)
         old_src = extract(args.rev, tmp / "rev")
-        inputs = build_inputs(args.count, args.seed)
+        inputs = build_inputs(args.count)
         inputs_path = tmp / "inputs.json"
         inputs_path.write_text(json.dumps(inputs), encoding="utf-8")
         old = run_side(old_src, inputs_path, tmp, "rev")
