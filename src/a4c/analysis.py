@@ -13,17 +13,17 @@ The impact relation works at task-signature granularity: a task produces
 its declared outputs plus anything its own tool calls emit, and consumes
 its declared inputs plus its tool calls' inputs. Datastore writes and reads
 count as Produces/Consumes on the store. Decisions join the graph through
-the artifact they gate on. Everything that does not depend on the seed is
-built once per model and shared by every impact query: the seed kinds and
-the element levels (``ResolvedModel.seed_kinds``, ``element_levels``), and
-``ResolvedModel.relations``, which holds the relation as a sorted
-neighbour index per direction, the flows, nodes and links that carry
-impact, and the names that touch C1 or C2 through a flow or link. A query
-is a breadth-first walk over the index of its direction: the frontier is
-visited in sorted order, each vertex's neighbours in ``(name, label)``
-order, and the first discovery of an element fixes its relation and its
-witness path, its discoverer's path plus itself. So every path reported
-is a shortest one.
+the artifact they gate on. Every impact fact that does not depend on the
+seed lives in one record, ``Relations``: the seed table, the element
+levels, the relation as a sorted neighbour index per direction, the flows,
+nodes and links that carry impact, and the names that touch C1 or C2
+through a flow or link. ``impact_relations`` builds it in one pass on the
+first query, and ``ResolvedModel.relations`` keeps it for every later one.
+A query is a breadth-first walk over the index of its direction: the
+frontier is visited in sorted order, each vertex's neighbours in
+``(name, label)`` order, and the first discovery of an element fixes its
+relation and its witness path, its discoverer's path plus itself. So every
+path reported is a shortest one.
 """
 
 from __future__ import annotations
@@ -105,10 +105,124 @@ class LoopFact:
 
 # --- impact -------------------------------------------------------------------
 
+# the kinds of element an impact seed can name, lowest precedence first
+_SEED_RANK = {kind: i for i, kind in enumerate(
+    ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
+
+
+@record
+class Relations:
+    """The facts of impact that do not depend on the seed, built once per
+    model by ``impact_relations``.
+
+    ``seeds`` maps each name that can be a seed to its element's kind, and
+    ``levels`` each element display name to its C4 level. A name shared by
+    several elements takes the kind of highest precedence and the highest level.
+
+    ``down``, ``up`` and ``both`` are the labeled impact relation over
+    element display names, one neighbour index per direction and named for
+    it: ``down[u]`` lists ``(v, label)`` for each element v that u
+    influences, ``up[v]`` ``(u, label)`` for each element u that influences
+    v, and ``both[w]`` the union of the two. Each list is sorted and holds
+    each pair once.
+
+    ``carriers`` lists ``(display, label, carried)`` for every context flow,
+    then every deployment node, then every deployment link, in file order:
+    the element, the relation by which it is affected, and the names whose
+    impact reaches it. ``touches_c1`` holds the names that a flow mentions
+    (its source, its target and its artifacts), and ``touches_c2`` the
+    artifacts a link carries.
+    """
+
+    seeds: dict[str, str]
+    levels: dict[str, str]
+    down: dict[str, list[tuple[str, str]]]
+    up: dict[str, list[tuple[str, str]]]
+    both: dict[str, list[tuple[str, str]]]
+    carriers: list[tuple[str, str, tuple[str, ...]]]
+    touches_c1: set[str]
+    touches_c2: set[str]
+
+
+def impact_relations(rm: ResolvedModel) -> Relations:
+    """Build the model's ``Relations``; ``rm.relations`` keeps them."""
+    down: dict[str, set[tuple[str, str]]] = {}
+    up: dict[str, set[tuple[str, str]]] = {}
+
+    def add(u: str, v: str, label_down: str, label_up: str) -> None:
+        down.setdefault(u, set()).add((v, label_down))
+        up.setdefault(v, set()).add((u, label_up))
+
+    model = rm.model
+    for agent in model.agents:
+        llm = rm.llm_of(agent)
+        if llm is not None:
+            add(llm.name, agent.name, "Consumes", "Consumes")
+        for task in agent.tasks:
+            tq = m.task_display(agent.name, task.name)
+            add(agent.name, tq, "Hosts", "Hosts")
+            produced = set(task.outputs)
+            consumed = set(task.inputs)
+            if task.graph is not None:
+                for node in task.graph.nodes:
+                    if isinstance(node, m.CallNode):
+                        callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
+                        add(tq, callee, "Calls", "CalledBy")
+                    elif isinstance(node, m.InvokeNode):
+                        produced.update(node.outputs)
+                        consumed.update(node.inputs)
+                        add(node.tool, tq, "Consumes", "Consumes")
+                    elif isinstance(node, m.DecisionNode):
+                        dq = m.body_node_display(agent.name, task.name, node.id)
+                        add(node.subject, dq, "Gates", "Gates")
+                        add(dq, node.subject, "Gates", "Gates")
+                for edge in task.graph.edges:
+                    if edge.kind is m.EdgeKind.STORE_WRITE:
+                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
+                        add(tq, sq, "Produces", "Produces")
+                    elif edge.kind is m.EdgeKind.STORE_READ:
+                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
+                        add(sq, tq, "Consumes", "Consumes")
+            for art in produced:
+                add(tq, art, "Produces", "Produces")
+            for art in consumed:
+                add(art, tq, "Consumes", "Consumes")
+
+    carriers: list[tuple[str, str, tuple[str, ...]]] = []
+    touches_c1: set[str] = set()
+    touches_c2: set[str] = set()
+    if model.context is not None:
+        for flow in model.context.flows:
+            carriers.append((m.flow_display(flow), "FlowsOver", flow.artifacts))
+            touches_c1.update(flow.artifacts)
+            touches_c1.update((flow.source, flow.target))
+    if model.deployment is not None:
+        carriers += [(node.name, "Hosts", node.hosts) for node in model.deployment.nodes]
+        for link in model.deployment.links:
+            carriers.append((m.link_display(link), "FlowsOver", link.artifacts))
+            touches_c2.update(link.artifacts)
+
+    # sorted by ascending precedence or level, so the highest is written last
+    ranked = sorted((e for e in model.elements if e.kind in _SEED_RANK),
+                    key=lambda e: _SEED_RANK[e.kind])
+    leveled = sorted((e for e in model.elements if e.level is not None),
+                     key=lambda e: e.level)
+    return Relations(
+        seeds={e.display: e.kind for e in ranked},
+        levels={e.display: e.level for e in leveled},
+        down={u: sorted(pairs) for u, pairs in down.items()},
+        up={v: sorted(pairs) for v, pairs in up.items()},
+        both={w: sorted(down.get(w, set()) | up.get(w, set()))
+              for w in down.keys() | up.keys()},
+        carriers=carriers,
+        touches_c1=touches_c1,
+        touches_c2=touches_c2,
+    )
+
+
 def seed_table(rm: ResolvedModel) -> dict[str, str]:
-    """Known seed names -> element kind; a name shared by elements of
-    several kinds takes the kind of highest precedence."""
-    return dict(rm.seed_kinds)
+    """Known seed names -> element kind, as a copy the caller may change."""
+    return dict(rm.relations.seeds)
 
 
 def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactReport:
@@ -118,9 +232,9 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
             direction = Direction(direction.lower())
         except ValueError:
             raise AnalysisError("A001", f"unknown direction '{direction}'") from None
-    if seed not in rm.seed_kinds:
-        raise AnalysisError("A001", f"unknown seed element '{seed}'")
     relations = rm.relations
+    if seed not in relations.seeds:
+        raise AnalysisError("A001", f"unknown seed element '{seed}'")
     neighbours = getattr(relations, direction.value)
 
     # breadth-first, frontier sorted, neighbours in (name, label) order: the
@@ -152,7 +266,7 @@ def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactRe
             path[display] = path[min(hits)] + (display,)
             relation[display] = label
 
-    level_map = rm.element_levels
+    level_map = relations.levels
     levels = {level_map[e] for e in relation if e in level_map}
     if seed in relations.touches_c1:
         levels.add("C1")

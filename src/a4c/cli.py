@@ -21,7 +21,7 @@ import gc
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
 
@@ -160,6 +160,20 @@ def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic]
     return rresult.model, diags, EXIT_OK
 
 
+def _on_resolved(command: Callable[..., int]) -> Callable[..., int]:
+    """Run ``command(args, rm)`` on the resolved model of ``args.file``, or print
+    on stderr why the file does not resolve and return the exit code. A model
+    that resolves has no diagnostics to print: loading reports only errors."""
+    def run(args) -> int:
+        rm, diags, code = _load_resolved(args.file)
+        if rm is None:
+            _print_diagnostics(diags, "text", sys.stderr)
+            return code
+        return command(args, rm)
+
+    return run
+
+
 # --- commands (each imports what only it runs: `check` loads no renderer) --------
 
 def _cmd_check(args) -> int:
@@ -247,13 +261,10 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     print(f"wrote {manifest_path}")
 
 
-def _cmd_render(args) -> int:
+@_on_resolved
+def _cmd_render(args, rm: ResolvedModel) -> int:
     from . import model as m, render
 
-    rm, diags, code = _load_resolved(args.file)
-    if rm is None:
-        _print_diagnostics(diags, "text", sys.stderr)
-        return code
     model = rm.model
     files: dict[str, str] = {}
     level = args.level
@@ -279,13 +290,10 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_impact(args) -> int:
+@_on_resolved
+def _cmd_impact(args, rm: ResolvedModel) -> int:
     from .analysis import AnalysisError, impact
 
-    rm, diags, code = _load_resolved(args.file)
-    if rm is None:
-        _print_diagnostics(diags, "text", sys.stderr)
-        return code
     try:
         report = impact(rm, args.seed, args.direction)
     except AnalysisError as exc:
@@ -304,14 +312,11 @@ def _cmd_impact(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+@_on_resolved
+def _cmd_classify(args, rm: ResolvedModel) -> int:
     from . import model as m
     from .analysis import classify
 
-    rm, diags, code = _load_resolved(args.file)
-    if rm is None:
-        _print_diagnostics(diags, "text", sys.stderr)
-        return code
     rows = []
     for agent, task in m.iter_tasks(rm.model):
         if not task.is_composite:
@@ -338,13 +343,10 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_docs(args) -> int:
+@_on_resolved
+def _cmd_docs(args, rm: ResolvedModel) -> int:
     from . import render
 
-    rm, diags, code = _load_resolved(args.file)
-    if rm is None:
-        _print_diagnostics(diags, "text", sys.stderr)
-        return code
     bundle = render.docs_bundle(rm)
     files = {f"docs/{rel}": content for rel, content in bundle.files.items()}
     _write_outputs(args.out, files)

@@ -6,28 +6,22 @@ a reference that binds to nothing, E002 a duplicate declaration. Two name
 classes are deliberately left to the validator so their diagnostics carry
 rule codes instead: the task named by a TaskCall on a known agent (V1) and
 the tool named by a ToolCall (V8).
-
-A ResolvedModel also holds, built on first use, the facts every impact
-query shares: the seed kinds, the element levels and ``relations``, the
-labeled impact relation between elements indexed per direction, with the
-flows, nodes and links that carry impact (see ``analysis.impact``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 import re
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import model as m
 from .diagnostics import Diagnostic, Related, error, has_errors, sort_diagnostics
 from .records import record
 
-PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
+if TYPE_CHECKING:
+    from .analysis import Relations
 
-# the kinds of element an impact seed can name, lowest precedence first
-_SEED_RANK = {kind: i for i, kind in enumerate(
-    ("actor", "node", "body node", "store", "llm", "tool", "artifact", "task", "agent"))}
+PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
 
 
 @record
@@ -55,124 +49,13 @@ class ResolvedModel:
     def callee_agent_name(self, owner: m.Agent, call: m.CallNode) -> str:
         return call.agent if call.agent is not None else owner.name
 
-    # The facts below serve every impact query on this model, whatever its
-    # seed; each is built on first use and kept, like ``Model.elements``.
-
-    @cached_property
-    def seed_kinds(self) -> dict[str, str]:
-        """Impact seed name -> element kind; a name shared by elements of
-        several kinds takes the kind of highest precedence."""
-        seeds = sorted((e for e in self.model.elements if e.kind in _SEED_RANK),
-                       key=lambda e: _SEED_RANK[e.kind])
-        return {e.display: e.kind for e in seeds}
-
-    @cached_property
-    def element_levels(self) -> dict[str, str]:
-        """Element display name -> C4 level; a name shared by several
-        elements counts at the highest of their levels."""
-        leveled = sorted((e for e in self.model.elements if e.level is not None),
-                         key=lambda e: e.level)
-        return {e.display: e.level for e in leveled}
-
     @cached_property
     def relations(self) -> Relations:
-        return _relations(self)
+        """Built by ``analysis`` on first use and kept for its later queries: a
+        record can be neither hashed nor weakly referenced, so no outside cache can."""
+        from .analysis import impact_relations
 
-
-@record
-class Relations:
-    """The facts of impact that do not depend on the seed, built once per
-    model by ``_relations``.
-
-    ``down``, ``up`` and ``both`` are the labeled impact relation over
-    element display names, one neighbour index per direction and named for
-    it: ``down[u]`` lists ``(v, label)`` for each element v that u
-    influences, ``up[v]`` ``(u, label)`` for each element u that influences
-    v, and ``both[w]`` the union of the two. Each list is sorted and holds
-    each pair once.
-
-    ``carriers`` lists ``(display, label, carried)`` for every context flow,
-    then every deployment node, then every deployment link, in file order:
-    the element, the relation by which it is affected, and the names whose
-    impact reaches it. ``touches_c1`` holds the names that a flow mentions
-    (its source, its target and its artifacts), and ``touches_c2`` the
-    artifacts a link carries.
-    """
-
-    down: dict[str, list[tuple[str, str]]]
-    up: dict[str, list[tuple[str, str]]]
-    both: dict[str, list[tuple[str, str]]]
-    carriers: list[tuple[str, str, tuple[str, ...]]]
-    touches_c1: set[str]
-    touches_c2: set[str]
-
-
-def _relations(rm: ResolvedModel) -> Relations:
-    down: dict[str, set[tuple[str, str]]] = {}
-    up: dict[str, set[tuple[str, str]]] = {}
-
-    def add(u: str, v: str, label_down: str, label_up: str) -> None:
-        down.setdefault(u, set()).add((v, label_down))
-        up.setdefault(v, set()).add((u, label_up))
-
-    model = rm.model
-    for agent in model.agents:
-        llm = rm.llm_of(agent)
-        if llm is not None:
-            add(llm.name, agent.name, "Consumes", "Consumes")
-        for task in agent.tasks:
-            tq = m.task_display(agent.name, task.name)
-            add(agent.name, tq, "Hosts", "Hosts")
-            produced = set(task.outputs)
-            consumed = set(task.inputs)
-            if task.graph is not None:
-                for node in task.graph.nodes:
-                    if isinstance(node, m.CallNode):
-                        callee = m.task_display(rm.callee_agent_name(agent, node), node.task)
-                        add(tq, callee, "Calls", "CalledBy")
-                    elif isinstance(node, m.InvokeNode):
-                        produced.update(node.outputs)
-                        consumed.update(node.inputs)
-                        add(node.tool, tq, "Consumes", "Consumes")
-                    elif isinstance(node, m.DecisionNode):
-                        dq = m.body_node_display(agent.name, task.name, node.id)
-                        add(node.subject, dq, "Gates", "Gates")
-                        add(dq, node.subject, "Gates", "Gates")
-                for edge in task.graph.edges:
-                    if edge.kind is m.EdgeKind.STORE_WRITE:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
-                        add(tq, sq, "Produces", "Produces")
-                    elif edge.kind is m.EdgeKind.STORE_READ:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
-                        add(sq, tq, "Consumes", "Consumes")
-            for art in produced:
-                add(tq, art, "Produces", "Produces")
-            for art in consumed:
-                add(art, tq, "Consumes", "Consumes")
-
-    carriers: list[tuple[str, str, tuple[str, ...]]] = []
-    touches_c1: set[str] = set()
-    touches_c2: set[str] = set()
-    if model.context is not None:
-        for flow in model.context.flows:
-            carriers.append((m.flow_display(flow), "FlowsOver", flow.artifacts))
-            touches_c1.update(flow.artifacts)
-            touches_c1.update((flow.source, flow.target))
-    if model.deployment is not None:
-        carriers += [(node.name, "Hosts", node.hosts) for node in model.deployment.nodes]
-        for link in model.deployment.links:
-            carriers.append((m.link_display(link), "FlowsOver", link.artifacts))
-            touches_c2.update(link.artifacts)
-
-    return Relations(
-        down={u: sorted(pairs) for u, pairs in down.items()},
-        up={v: sorted(pairs) for v, pairs in up.items()},
-        both={w: sorted(down.get(w, set()) | up.get(w, set()))
-              for w in down.keys() | up.keys()},
-        carriers=carriers,
-        touches_c1=touches_c1,
-        touches_c2=touches_c2,
-    )
+        return impact_relations(self)
 
 
 @record

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import model as m
-from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
+from .diagnostics import Diagnostic, Severity, error, has_errors, sort_diagnostics, warning
 from .flow import ControlFacts, reachable, strongly_connected, unguarded_circuits
 from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
@@ -80,7 +80,7 @@ def check(rm: ResolvedModel) -> list[Diagnostic]:
 
 
 def is_valid(rm: ResolvedModel) -> bool:
-    return not any(d.severity is Severity.ERROR for d in check(rm))
+    return not has_errors(check(rm))
 
 
 # --- V1 ------------------------------------------------------------------------

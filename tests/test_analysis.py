@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from a4c import flow, model as m, resolver
+from a4c import analysis, flow, model as m
 from a4c.analysis import (
     Affected,
     AnalysisError,
@@ -414,23 +414,29 @@ def test_impact_oracle_equivalence(model_pool):
                 assert list(report.levels_touched) == sorted(report.levels_touched)
 
 
-def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery_text,
-                                                          monkeypatch):
-    """One resolved model, queried for every seed and direction, reports what
-    a freshly resolved model reports for each query alone, and builds its
-    impact index once for all of those queries."""
+@pytest.fixture
+def built(monkeypatch) -> Counter:
+    """How often ``impact_relations`` has built each model's record, by the
+    model's ``id``."""
     built = Counter()
-    build = resolver._relations
+    build = analysis.impact_relations
 
     def counted(rm):
         built[id(rm)] += 1
         return build(rm)
 
-    monkeypatch.setattr(resolver, "_relations", counted)
+    monkeypatch.setattr(analysis, "impact_relations", counted)
+    return built
+
+
+def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery_text, built):
+    """One resolved model, queried for every seed and direction, reports what
+    a freshly resolved model reports for each query alone, and builds its
+    impact index once for all of those queries."""
     for text in (testgen_text, recovery_text, COLLISION_MODEL, SHARED_NAMES_MODEL):
         rm = load_resolved(text)
-        seed_table(rm).clear()  # the caller's copy, not the model's table
         built.clear()
+        seed_table(rm).clear()  # the caller's copy, not the model's table
         queries = 0
         for direction in ("both", "up", "down"):
             for seed in sorted(seed_table(rm)):
@@ -440,6 +446,22 @@ def test_impact_facts_kept_on_the_model_serve_every_query(testgen_text, recovery
         assert queries == 3 * len(seed_table(rm))
         assert built[id(rm)] == 1
         assert rm.relations is rm.relations
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_check_builds_no_impact_facts_and_a_failed_query_builds_them_once(name, built):
+    rm = load_resolved(corpus_text(name))
+    check(rm)
+    assert "relations" not in vars(rm)
+    assert built[id(rm)] == 0
+    with pytest.raises(AnalysisError) as exc:
+        impact(rm, "no such element", "both")
+    assert exc.value.code == "A001"
+    seed = min(rm.relations.seeds)
+    impact(rm, seed, "down")
+    assert built[id(rm)] == 1
+    seed_table(rm).clear()  # the caller's copy, not the model's table
+    assert seed in seed_table(rm)
 
 
 # --- loop facts -----------------------------------------------------------------
