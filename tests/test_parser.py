@@ -343,6 +343,15 @@ def test_recovery_recall_on_corpus_mutant_pairs():
     assert failed == [], f"{len(failed)} of {checked} pairs: {failed[:5]}"
 
 
+def test_one_token_deletions_match_the_golden():
+    """Each corpus model with one token cut out reports the diagnostics in
+    ``golden/parse_deletions.txt``: text, position, order and recovery."""
+    from make_goldens import GOLDEN, parse_deletions
+
+    golden = (GOLDEN / "parse_deletions.txt").read_text(encoding="utf-8")
+    assert parse_deletions() == golden
+
+
 def test_p001_self_flow():
     result = parse(
         'model "X" { context { system S flow S -> S : A } artifact A }', "p.a4c"
