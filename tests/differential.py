@@ -3,10 +3,11 @@
     python tests/differential.py REV [--count N] [--expect OBS ...]
 
 It extracts ``git archive REV src/a4c`` to a temporary directory and builds
-one fixed set of inputs: the corpus, ``messy.a4c``, ``--count`` each of
-clean, noisy and body models from ``genmodels`` (seeds 0 to N-1), the
-benchmark's shapes, and ``--count`` ``mutate`` mutants of each corpus
-model. Then it runs one observer per side in a subprocess with that side's
+one fixed set of inputs: the corpus, ``messy.a4c``, a corpus model with
+one unresolved reference, ``--count`` each of clean, noisy and body models
+from ``genmodels`` (seeds 0 to N-1), the benchmark's shapes, ``--count``
+``mutate`` mutants of each corpus model, and each corpus model with one of
+its tokens cut out (``make_goldens.token_deletions``). Then it runs one observer per side in a subprocess with that side's
 ``PYTHONPATH``, so no module is imported under two names, and compares
 their records.
 
@@ -20,7 +21,8 @@ stderr, exit code and written files of a fixed table of CLI commands.
 It prints how many inputs agree and differ per observable, the first inputs
 that differ, and for the diagnostic observables the codes lost and gained.
 It exits 1 on a difference in an observable that no ``--expect OBS`` names,
-and 2 when REV cannot be read. It needs git and the standard library only.
+and 2 when REV cannot be read. It needs git and the standard library only;
+the driver imports the working tree's lexer to cut tokens out.
 Pytest does not collect it: its name has no ``test_`` prefix.
 """
 
@@ -49,6 +51,8 @@ OBSERVABLES = ("tokens", "parse", "fingerprint", "elements", "resolve", "check",
                "impact", "docs", "anchors", "render", "fmt", "cli")
 
 BROKEN = 'model "X" { context { bogus } artifact A widget W }\n'
+# testgen with one E001: it parses but does not resolve
+UNRESOLVED = ("testgen", "store codeStore : TestCode", "store codeStore : TestCodes")
 # argv of each CLI command, run in a directory that holds the input files
 # named here; ``out/`` is emptied before each command
 CLI_TABLE = (
@@ -63,6 +67,10 @@ CLI_TABLE = (
     ["render", "--level", "c2", "--out", "out", "recovery.a4c"],
     ["docs", "--out", "out", "resell.a4c"],
     ["docs", "--out", "out", "broken.a4c"],
+    ["render", "--out", "out", "unresolved.a4c"],
+    ["docs", "--out", "out", "unresolved.a4c"],
+    ["classify", "unresolved.a4c"],
+    ["impact", "--seed", "TestSpec", "unresolved.a4c"],
     ["classify", "testgen.a4c"],
     ["classify", "--format", "json", "resell.a4c"],
     ["impact", "--seed", "TestSpec", "testgen.a4c"],
@@ -78,15 +86,18 @@ CLI_TABLE = (
 # --- inputs (working tree only) ---------------------------------------------------
 
 def build_inputs(count: int) -> dict[str, str]:
-    sys.path[:0] = [str(HERE), str(REPO / "bench")]
+    sys.path[:0] = [str(HERE), str(REPO / "bench"), str(REPO / "src")]
     import shapes
     from genmodels import generate_body_model, generate_model, mutate
+    from make_goldens import token_deletions
 
     corpus = {name: (REPO / "src" / "a4c" / "corpus" / f"{name}.a4c").read_text(encoding="utf-8")
               for name in ("testgen", "recovery", "resell")}
     inputs = {f"{name}.a4c": text for name, text in corpus.items()}
     inputs["messy.a4c"] = (HERE / "fixtures" / "messy.a4c").read_text(encoding="utf-8")
     inputs["broken.a4c"] = BROKEN
+    name, old, new = UNRESOLVED
+    inputs["unresolved.a4c"] = corpus[name].replace(old, new, 1)
     for i in range(count):
         inputs[f"clean-{i}"] = generate_model(i)
         inputs[f"noisy-{i}"] = generate_model(i, noise=True)
@@ -99,6 +110,8 @@ def build_inputs(count: int) -> dict[str, str]:
     for name, text in corpus.items():
         for i in range(count):
             inputs[f"mutant-{name}-{i}"] = mutate(text, rng)
+    for name, k, _cut, text in token_deletions():
+        inputs[f"cut-{name}-{k}"] = text
     return inputs
 
 
