@@ -9,6 +9,12 @@ Comments survive. A comment is reattached to the first declaration that
 starts after it (printed on its own line just above), or kept at the end of
 the line it shares with a declaration. Comments inside a task header move
 below the in/out lines; they stay inside their block.
+
+The emitter keeps the current indent as a string. A line costs one append,
+and reads no position off a span, when no comment is left to place or the
+line has no span from the source (an ``in``/``out`` line, or a model built
+by hand). Otherwise the comments that start before it go above it first,
+and one that starts on its line goes at its end.
 """
 
 from __future__ import annotations
@@ -52,22 +58,21 @@ class _Emitter:
         # each comment with its start, worked out once: no two comments share one
         self.queue = sorted((c.span.start, c) for c in comments)
         self.pos = 0
-        self.indent = 0
+        self.pad = ""  # the indent of the next line
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-    def _pad(self) -> str:
-        return "  " * self.indent
 
     @staticmethod
     def _comment_line(c: Comment) -> str:
         body = c.text.strip()
         return f"// {body}" if body else "//"
 
-    def flush_before(self, pos: Position) -> None:
-        while self.pos < len(self.queue) and self.queue[self.pos][0] < pos:
-            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos][1]))
+    def flush(self, before: Optional[Position] = None) -> None:
+        """Print each queued comment that starts before ``before``, or every
+        one, on a line of its own."""
+        while self.pos < len(self.queue) and (before is None or self.queue[self.pos][0] < before):
+            self.lines.append(self.pad + self._comment_line(self.queue[self.pos][1]))
             self.pos += 1
 
     def _take_trailing(self, line: int, min_pos: Optional[Position] = None) -> str:
@@ -82,38 +87,26 @@ class _Emitter:
         if self.lines and self.lines[-1] != "":
             self.lines.append("")
 
-    def _placing(self, span) -> bool:
-        """Whether ``span`` places a comment: one is still queued and the span
-        is from the source. Only then is a position read off the span."""
-        return self.pos < len(self.queue) and span is not None and not span.is_synthetic
-
     def line(self, content: str, span=None) -> None:
-        trailing = ""
-        if self._placing(span):
-            start = span.start
-            self.flush_before(start)
-            trailing = self._take_trailing(start.line)
-        self.lines.append(self._pad() + content + trailing)
+        if self.pos == len(self.queue) or span is None or span.is_synthetic:
+            self.lines.append(self.pad + content)
+            return
+        start = span.start
+        self.flush(start)
+        self.lines.append(self.pad + content + self._take_trailing(start.line))
 
     def open(self, content: str, span=None) -> None:
         self.line(content, span)
-        self.indent += 1
+        self.pad += "  "
 
     def close(self, span=None) -> None:
         trailing = ""
-        if self._placing(span):
+        if self.pos < len(self.queue) and span is not None and not span.is_synthetic:
             end = span.end
-            self.flush_before(end)
-            self.indent -= 1
+            self.flush(end)
             trailing = self._take_trailing(end.line, end)
-        else:
-            self.indent -= 1
-        self.lines.append(self._pad() + "}" + trailing)
-
-    def flush_rest(self) -> None:
-        while self.pos < len(self.queue):
-            self.lines.append(self._pad() + self._comment_line(self.queue[self.pos][1]))
-            self.pos += 1
+        self.pad = self.pad[2:]
+        self.lines.append(self.pad + "}" + trailing)
 
 
 def _emit(model: m.Model, comments: list[Comment]) -> str:
@@ -126,7 +119,7 @@ def _emit(model: m.Model, comments: list[Comment]) -> str:
         _emit_section(e, section)
         previous = section
     e.close(model.span)
-    e.flush_rest()
+    e.flush()
     return e.text()
 
 
@@ -244,8 +237,16 @@ def _endpoint(node_id: str, is_source: bool) -> str:
     return node_id
 
 
+_BAR_WORDS = {m.ForkNode: "fork", m.JoinNode: "join", m.MergeNode: "merge"}
+
+
 def _emit_statement(e: _Emitter, st: Union[m.ActivityNode, m.ActivityEdge]) -> None:
-    if isinstance(st, m.CallNode):
+    if isinstance(st, m.ActivityEdge):
+        text = f"{_endpoint(st.source, True)} -> {_endpoint(st.target, False)}"
+        if st.guard is not None:
+            text += f" {st.guard.display()}"
+        e.line(text, st.span)
+    elif isinstance(st, m.CallNode):
         text = f"call {st.id} = {st.task}"
         if st.agent is not None:
             text += f" on {st.agent}"
@@ -260,16 +261,7 @@ def _emit_statement(e: _Emitter, st: Union[m.ActivityNode, m.ActivityEdge]) -> N
         )
     elif isinstance(st, m.DecisionNode):
         e.line(f"decision {st.id} on {st.subject}", st.span)
-    elif isinstance(st, m.ForkNode):
-        e.line(f"fork {st.id}", st.span)
-    elif isinstance(st, m.JoinNode):
-        e.line(f"join {st.id}", st.span)
-    elif isinstance(st, m.MergeNode):
-        e.line(f"merge {st.id}", st.span)
-    elif isinstance(st, m.ActivityEdge):
-        text = f"{_endpoint(st.source, True)} -> {_endpoint(st.target, False)}"
-        if st.guard is not None:
-            text += f" {st.guard.display()}"
-        e.line(text, st.span)
+    elif type(st) in _BAR_WORDS:
+        e.line(f"{_BAR_WORDS[type(st)]} {st.id}", st.span)
     else:
         raise TypeError(type(st).__name__)

@@ -7,13 +7,19 @@ begins a line, or at that block's ``}``, so one run can report several
 independent mistakes; a file that ends inside blocks reports the missing
 ``}`` once. A Model is only returned when no P-class error was recorded.
 
-``_Parser.block`` reads every ``{ ... }`` block, the model's included, and
-``_Parser.item`` each of its items: the one place that dispatches on an
-item's leading keyword and reports an item that starts wrong.
-
-The parser reads the lexer's token columns through one index, ``_Parser.i``:
-no token record is built, and a span is made from two offsets only where an
-element or a diagnostic needs one.
+The parser reads the lexer's token columns by index; a span is made from
+two offsets only where an element or a diagnostic needs one. Its cost
+follows items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
+the model's included: its loop looks up each item's leading keyword (IDENT
+for a plain word) in the block's table and calls the method listed there
+with the item's index. That method checks the fixed run of tokens after the
+keyword, such as ``IDENT = IDENT`` after ``call``, with one comparison of a
+slice of the type column against a ``_Run`` constant; optional parts are
+tested one token at a time, and a list ``a, b, c`` is one stepped slice.
+A wrong token is reported by ``expected``, which moves the cursor onto it
+and builds P001 ``expected <what>, found <token>``; after a failed run
+comparison, ``mismatch`` finds the run's first wrong token and what it wants
+there. So each item has one code path, whichever token is wrong.
 """
 
 from __future__ import annotations
@@ -58,6 +64,33 @@ def _describe(ttype: str, value: str) -> str:
     return f"'{value}'"
 
 
+class _Run(list):
+    """A fixed run of tokens: the list of their types, and in ``wants`` per
+    token the type or keyword wanted and what P001 names as expected there.
+    A keyword's place holds KW; the item method compares its text."""
+
+    def __init__(self, *wants: tuple[str, str]):
+        super().__init__(KW if key.islower() else key for key, _ in wants)
+        self.wants = wants
+
+
+_FLOW = _Run((IDENT, "flow source"), (ARROW, "'->'"), (IDENT, "flow target"))
+_OF = _Run(("of", "'of'"), (IDENT, "element artifact name"))
+_LINK = _Run((IDENT, "link source node"), (ARROW, "'->'"), (IDENT, "link target node"),
+             (COLON, "':'"), (STRING, "protocol string"))
+_STORE = _Run((IDENT, "datastore name"), (COLON, "':'"), (IDENT, "artifact name"))
+_TASK = _Run((IDENT, "task name"), (LBRACE, "'{'"))
+_CALL = _Run((IDENT, "call binding name"), (EQ, "'='"), (IDENT, "task name"))
+_INVOKE = _Run((IDENT, "invoke binding name"), (EQ, "'='"), (IDENT, "tool name"),
+               (DOT, "'.'"), (IDENT, "operation name"), (LBRACE, "'{'"))
+_DECISION = _Run((IDENT, "decision binding name"), ("on", "'on'"), (IDENT, "artifact name"))
+_GUARD = _Run((IDENT, "artifact name"), (EQEQ, "'=='"), (IDENT, "guard literal"),
+              (RBRACKET, "']'"))
+_ROW = _Run((IDENT, "prompt row name"), (EQ, "'='"), (STRING, "prompt template string"))
+_BARS = {"fork": m.ForkNode, "join": m.JoinNode, "merge": m.MergeNode}
+_ENDS = {"start": m.INITIAL_ID, "end": m.FINAL_ID}
+
+
 class _Parser:
     def __init__(self, lex: LexResult):
         # token k is entry k of each column; self.i is the next token
@@ -65,73 +98,55 @@ class _Parser:
         self.values = lex.values
         self.starts = lex.starts
         self.ends = lex.ends
+        self.file = lex.file
+        self.line_starts = lex.line_starts
         self.i = 0
-        self.lex = lex
         self.diags: list[Diagnostic] = list(lex.diagnostics)
         self._flow_counts: dict[tuple[str, str], int] = {}
         self._link_counts: dict[tuple[str, str], int] = {}
 
-    # --- cursor helpers -------------------------------------------------
+    # --- blocks, errors and spans ------------------------------------------
     # They name a token by its index, never by a record; its text is
-    # ``self.values[i]``.
+    # ``self.values[i]``. An item method gets the index of its first token
+    # and leaves ``self.i`` past its last one.
 
-    def advance(self) -> int:
-        """Consume the next token, unless it is EOF; its index."""
-        i = self.i
-        if self.types[i] != EOF:
-            self.i = i + 1
-        return i
-
-    def at(self, ttype: str) -> bool:
-        return self.types[self.i] == ttype
-
-    def at_kw(self, name: str) -> bool:
-        i = self.i
-        return self.types[i] == KW and self.values[i] == name
-
-    def accept_kw(self, name: str) -> bool:
-        """Consume the keyword ``name`` if it comes next."""
-        i = self.i
-        if self.types[i] == KW and self.values[i] == name:
-            self.i = i + 1
-            return True
-        return False
-
-    def accept(self, ttype: str) -> bool:
-        """Consume a token of type ``ttype`` (never EOF) if one comes next."""
-        if self.types[self.i] == ttype:
-            self.i += 1
-            return True
-        return False
-
-    def block(self, parsers: dict[str, Callable], what: str,
+    def block(self, i: int, parsers: dict[str, Callable], what: str,
               expected: Optional[str] = None) -> tuple:
-        """The items of a ``{ ... }`` block, each read by ``item``. After an
-        error in an item, reading resumes at the next item of this block that
-        begins a line, or at its ``}`` (``skip_item``). An error at end of
-        file, such as a missing ``}``, goes up to ``parse_model`` unrecorded,
-        so it is reported once."""
-        self.expect(LBRACE, "'{'")
+        """The items of the ``{ ... }`` block that opens at token ``i``. After
+        an error in an item, reading resumes at the next item of this block
+        that begins a line, or at its ``}`` (``skip_item``). An error at end
+        of file, such as a missing ``}``, goes up to ``parse_model``
+        unrecorded, so it is reported once."""
+        types, values = self.types, self.values
+        if types[i] != LBRACE:
+            raise self.expected(i, "'{'")
+        self.i = i + 1
         items = []
-        while not self.accept(RBRACE):
-            if self.at(EOF):
-                raise self.fail_expected("'}'")
-            start = self.i
+        while True:
+            i = self.i
+            ttype = types[i]
+            if ttype == RBRACE:
+                self.i = i + 1
+                return tuple(items)
+            if ttype == EOF:
+                raise self.expected(i, "'}'")
+            parse = parsers.get(values[i] if ttype == KW else ttype)
             try:
-                items.append(self.item(parsers, what, expected))
+                if parse is None:
+                    raise self.wrong_item(i, what, expected)
+                items.append(parse(self, i))
             except _ParseError as e:
-                if self.at(EOF):
+                if types[self.i] == EOF:
                     raise
                 self.diags.append(e.diag)
-                self.skip_item(parsers, start)
-        return tuple(items)
+                self.skip_item(parsers, i)
 
     def skip_item(self, parsers: dict[str, Callable], start: int) -> None:
         """Panic recovery after a broken item that began at token ``start``:
         move to the ``}`` that closes the block, or to the next token at the
         block's depth that can start one of its items and begins a line."""
         types, values, starts, ends = self.types, self.values, self.starts, self.ends
-        line_starts = self.lex.line_starts
+        line_starts = self.line_starts
         depth = 0
         i = start
         while types[i] != EOF:
@@ -148,321 +163,314 @@ class _Parser:
             i += 1
         self.i = i
 
-    def item(self, parsers: dict[str, Callable], what: str,
-             expected: Optional[str] = None):
-        """One item, read by the parser listed under its leading keyword, or
-        under IDENT for a plain word. Any other word is an unknown keyword
-        when ``expected`` lists the keywords; anything else is P001."""
-        i = self.i
-        ttype = self.types[i]
-        parse = parsers.get(self.values[i] if ttype == KW else ttype)
-        if parse is not None:
-            return parse(self)
-        if ttype == IDENT and expected is not None:
-            raise self.fail(f"unknown keyword '{self.values[i]}' (expected {expected})", i, "P003")
-        raise self.fail_expected(what)
+    def wrong_item(self, i: int, what: str, expected: Optional[str]) -> _ParseError:
+        """The error for token ``i``, which starts no item: P003 for a plain
+        word when ``expected`` lists the keywords, else P001."""
+        if self.types[i] == IDENT and expected is not None:
+            return self.fail(f"unknown keyword '{self.values[i]}' (expected {expected})", i, "P003")
+        return self.expected(i, what)
 
-    def fail(self, message: str, i: Optional[int] = None, code: str = "P001") -> _ParseError:
-        """A ``code`` error at token ``i``, by default the next one."""
-        return _ParseError(error(code, message, self.token_span(self.i if i is None else i)))
+    def fail(self, message: str, i: int, code: str = "P001") -> _ParseError:
+        """A ``code`` error at token ``i``."""
+        return _ParseError(error(code, message, self.token_span(i)))
 
-    def fail_expected(self, what: str) -> _ParseError:
-        """P001 at the next token, which is not the ``what`` expected there."""
-        i = self.i
-        return self.fail(f"expected {what}, found {_describe(self.types[i], self.values[i])}")
+    def expected(self, i: int, what: str) -> _ParseError:
+        """P001 at token ``i``, not the ``what`` expected; the cursor moves there."""
+        self.i = i
+        return self.fail(f"expected {what}, found {_describe(self.types[i], self.values[i])}", i)
 
-    def expect(self, ttype: str, what: str) -> int:
-        """Consume a token of type ``ttype`` (never EOF); its index."""
-        i = self.i
-        if self.types[i] != ttype:
-            raise self.fail_expected(what)
-        self.i = i + 1
-        return i
+    def mismatch(self, i: int, run: _Run) -> _ParseError:
+        """``expected`` at the first token from ``i`` on that breaks ``run``."""
+        types, values, wants = self.types, self.values, run.wants
+        k = 0
+        while (values[i + k] if types[i + k] == KW else types[i + k]) == wants[k][0]:
+            k += 1
+        return self.expected(i + k, wants[k][1])
 
-    def expect_value(self, ttype: str, what: str) -> str:
-        """Consume a token of type ``ttype`` (never EOF); its text."""
-        i = self.i
-        if self.types[i] != ttype:
-            raise self.fail_expected(what)
-        self.i = i + 1
-        return self.values[i]
+    def note(self, message: str, i: int) -> None:
+        """Record P001 at token ``i`` and read on."""
+        self.diags.append(error("P001", message, self.token_span(i)))
 
-    def expect_kw(self, name: str) -> int:
-        i = self.i
-        if self.types[i] != KW or self.values[i] != name:
-            raise self.fail_expected(f"'{name}'")
-        self.i = i + 1
-        return i
+    def option(self, j: int, keyword: str, ttype: str, what: str) -> tuple[Optional[str], int]:
+        """``keyword`` and then a ``ttype`` token, if token ``j`` is that
+        keyword: the token's text, or None, and the index after them."""
+        types = self.types
+        if types[j] != KW or self.values[j] != keyword:
+            return None, j
+        if types[j + 1] != ttype:
+            raise self.expected(j + 1, what)
+        return self.values[j + 1], j + 2
+
+    def identlist(self, i: int, what: str) -> tuple[str, ...]:
+        """The names of a list ``a, b, ...`` that starts at token ``i``."""
+        types = self.types
+        if types[i] != IDENT:
+            raise self.expected(i, what)
+        j = i + 1
+        while types[j] == COMMA:
+            if types[j + 1] != IDENT:
+                raise self.expected(j + 1, what)
+            j += 2
+        self.i = j
+        return tuple(self.values[i:j:2])
 
     def token_span(self, i: int) -> SourceSpan:
-        return self.lex.span(self.starts[i], self.ends[i])
+        return tuple.__new__(SourceSpan, (self.file, self.starts[i], self.ends[i],
+                                          self.line_starts))
 
     def span_from(self, start: int) -> SourceSpan:
-        """From the start of token ``start`` to the end of the last consumed token."""
-        return self.lex.span(self.starts[start], self.ends[self.i - 1])
+        """From the start of token ``start`` to the end of the last consumed
+        token, built in place as ``LexResult.span`` does."""
+        return tuple.__new__(SourceSpan, (self.file, self.starts[start], self.ends[self.i - 1],
+                                          self.line_starts))
 
     # --- grammar --------------------------------------------------------
 
     def parse_model(self) -> Optional[m.Model]:
+        types, values = self.types, self.values
         try:
-            start = self.item({"model": _Parser.advance}, "'model'", "'model'")
-            name = self.expect_value(STRING, "model name string")
-            sections = self.block(self.sections, "a section", self.section_keywords)
-            if not self.at(EOF):
-                raise self.fail_expected("end of file")
+            if types[0] != KW or values[0] != "model":
+                raise self.wrong_item(0, "'model'", "'model'")
+            if types[1] != STRING:
+                raise self.expected(1, "model name string")
+            sections = self.block(2, self.sections, "a section", self.section_keywords)
+            if types[self.i] != EOF:
+                raise self.expected(self.i, "end of file")
         except _ParseError as e:
             self.diags.append(e.diag)
             return None
-        return m.Model(name=name, file=self.lex.file, sections=sections,
-                       span=self.span_from(start))
+        return m.Model(name=values[1], file=self.file, sections=sections,
+                       span=self.span_from(0))
 
-    def parse_context(self) -> m.ContextSection:
-        start = self.expect_kw("context")
-        items = self.block(self.context_items, "a context item",
-                           "one of: external, flow, system, user")
-        return m.ContextSection(items, self.span_from(start))
+    def parse_context(self, i: int) -> m.ContextSection:
+        return m.ContextSection(self.block(i + 1, self.context_items, "a context item",
+                                           "one of: external, flow, system, user"),
+                                self.span_from(i))
 
-    def parse_actor(self) -> m.Actor:
-        start = self.advance()
-        name = self.expect_value(IDENT, "actor name")
-        return m.Actor(m.ActorKind(self.values[start]), name, self.span_from(start))
+    def parse_actor(self, i: int) -> m.Actor:
+        if self.types[i + 1] != IDENT:
+            raise self.expected(i + 1, "actor name")
+        self.i = i + 2
+        return m.Actor(m.ActorKind(self.values[i]), self.values[i + 1], self.span_from(i))
 
-    def parse_flow(self) -> m.ContextFlow:
-        start = self.expect_kw("flow")
-        src = self.expect_value(IDENT, "flow source")
-        self.expect(ARROW, "'->'")
-        dst_i = self.expect(IDENT, "flow target")
-        dst = self.values[dst_i]
+    def parse_flow(self, i: int) -> m.ContextFlow:
+        types, values = self.types, self.values
+        if types[i + 1:i + 4] != _FLOW:
+            raise self.mismatch(i + 1, _FLOW)
+        src, dst = values[i + 1], values[i + 3]
         if dst == src:
-            self.diags.append(
-                error("P001", "flow target matches its source", self.token_span(dst_i)))
-        self.expect(COLON, "':'")
-        arts = self.parse_identlist("artifact name")
+            self.note("flow target matches its source", i + 3)
+        if types[i + 4] != COLON:
+            raise self.expected(i + 4, "':'")
+        arts = self.identlist(i + 5, "artifact name")
         occ = self._flow_counts.get((src, dst), 0)
         self._flow_counts[(src, dst)] = occ + 1
-        return m.ContextFlow(src, dst, arts, self.span_from(start), occ)
+        return m.ContextFlow(src, dst, arts, self.span_from(i), occ)
 
-    def parse_artifact(self) -> m.ArtifactType:
-        start = self.expect_kw("artifact")
-        name = self.expect_value(IDENT, "artifact name")
+    def parse_artifact(self, i: int) -> m.ArtifactType:
+        types, values = self.types, self.values
+        if types[i + 1] != IDENT:
+            raise self.expected(i + 1, "artifact name")
         element: Optional[str] = None
-        if self.accept_kw("collection"):
-            self.expect_kw("of")
-            element = self.expect_value(IDENT, "element artifact name")
-        return m.ArtifactType(name, element, self.span_from(start))
+        j = i + 2
+        if types[j] == KW and values[j] == "collection":
+            if types[j + 1:j + 3] != _OF or values[j + 1] != "of":
+                raise self.mismatch(j + 1, _OF)
+            element = values[j + 2]
+            j += 3
+        self.i = j
+        return m.ArtifactType(values[i + 1], element, self.span_from(i))
 
-    def parse_llm(self) -> m.LlmDecl:
-        start = self.expect_kw("llm")
-        name = self.expect_value(IDENT, "llm name")
-        version: Optional[str] = None
-        if self.accept_kw("version"):
-            version = self.expect_value(STRING, "version string")
-        default = self.accept_kw("default")
-        return m.LlmDecl(name, version, default, self.span_from(start))
+    def parse_llm(self, i: int) -> m.LlmDecl:
+        types, values = self.types, self.values
+        if types[i + 1] != IDENT:
+            raise self.expected(i + 1, "llm name")
+        version, j = self.option(i + 2, "version", STRING, "version string")
+        default = types[j] == KW and values[j] == "default"
+        self.i = j + default
+        return m.LlmDecl(values[i + 1], version, default, self.span_from(i))
 
-    def parse_tool(self) -> m.ToolDecl:
-        start = self.expect_kw("tool")
-        name = self.expect_value(IDENT, "tool name")
-        external = self.accept_kw("external")
-        return m.ToolDecl(name, external, self.span_from(start))
+    def parse_tool(self, i: int) -> m.ToolDecl:
+        types, values = self.types, self.values
+        if types[i + 1] != IDENT:
+            raise self.expected(i + 1, "tool name")
+        external = types[i + 2] == KW and values[i + 2] == "external"
+        self.i = i + 2 + external
+        return m.ToolDecl(values[i + 1], external, self.span_from(i))
 
-    def parse_deployment(self) -> m.DeploymentSection:
-        start = self.expect_kw("deployment")
-        items = self.block(self.deployment_items, "a deployment item", "one of: link, node")
-        return m.DeploymentSection(items, self.span_from(start))
+    def parse_deployment(self, i: int) -> m.DeploymentSection:
+        return m.DeploymentSection(self.block(i + 1, self.deployment_items, "a deployment item",
+                                              "one of: link, node"), self.span_from(i))
 
-    def parse_deployment_node(self) -> m.DeploymentNode:
-        start = self.expect_kw("node")
-        name = self.expect_value(IDENT, "node name")
-        external = self.accept_kw("external")
-        self.expect(LBRACE, "'{'")
-        hosts: tuple[str, ...] = ()
-        if self.accept_kw("hosts"):
-            hosts = self.parse_identlist("hosted element name")
-        self.expect(RBRACE, "'}'")
-        return m.DeploymentNode(name, external, hosts, self.span_from(start))
+    def parse_deployment_node(self, i: int) -> m.DeploymentNode:
+        types, values = self.types, self.values
+        if types[i + 1] != IDENT:
+            raise self.expected(i + 1, "node name")
+        external = types[i + 2] == KW and values[i + 2] == "external"
+        j = i + 2 + external
+        if types[j] != LBRACE:
+            raise self.expected(j, "'{'")
+        self.i = j + 1
+        hosts = (self.identlist(j + 2, "hosted element name")
+                 if types[j + 1] == KW and values[j + 1] == "hosts" else ())
+        self.close(self.i)
+        return m.DeploymentNode(values[i + 1], external, hosts, self.span_from(i))
 
-    def parse_link(self) -> m.DeploymentLink:
-        start = self.expect_kw("link")
-        src = self.expect_value(IDENT, "link source node")
-        self.expect(ARROW, "'->'")
-        dst = self.expect_value(IDENT, "link target node")
-        self.expect(COLON, "':'")
-        protocol = self.expect_value(STRING, "protocol string")
-        arts: tuple[str, ...] = ()
-        if self.accept(COLON):
-            arts = self.parse_identlist("artifact name")
+    def parse_link(self, i: int) -> m.DeploymentLink:
+        types, values = self.types, self.values
+        if types[i + 1:i + 6] != _LINK:
+            raise self.mismatch(i + 1, _LINK)
+        src, dst = values[i + 1], values[i + 3]
+        self.i = i + 6
+        arts = self.identlist(i + 7, "artifact name") if types[i + 6] == COLON else ()
         occ = self._link_counts.get((src, dst), 0)
         self._link_counts[(src, dst)] = occ + 1
-        return m.DeploymentLink(src, dst, protocol, arts, self.span_from(start), occ)
+        return m.DeploymentLink(src, dst, values[i + 5], arts, self.span_from(i), occ)
 
-    def parse_agent(self) -> m.Agent:
-        start = self.expect_kw("agent")
-        name = self.expect_value(IDENT, "agent name")
-        llm: Optional[str] = None
-        if self.accept_kw("llm"):
-            llm = self.expect_value(IDENT, "llm name")
-        members = self.block(self.agent_members, "an agent member", "one of: store, task")
-        return m.Agent(name, llm, members, self.span_from(start))
+    def parse_agent(self, i: int) -> m.Agent:
+        types, values = self.types, self.values
+        if types[i + 1] != IDENT:
+            raise self.expected(i + 1, "agent name")
+        llm, j = self.option(i + 2, "llm", IDENT, "llm name")
+        members = self.block(j, self.agent_members, "an agent member", "one of: store, task")
+        return m.Agent(values[i + 1], llm, members, self.span_from(i))
 
-    def parse_store(self) -> m.Datastore:
-        start = self.expect_kw("store")
-        name = self.expect_value(IDENT, "datastore name")
-        self.expect(COLON, "':'")
-        artifact = self.expect_value(IDENT, "artifact name")
-        return m.Datastore(name, artifact, self.span_from(start))
+    def parse_store(self, i: int) -> m.Datastore:
+        if self.types[i + 1:i + 4] != _STORE:
+            raise self.mismatch(i + 1, _STORE)
+        self.i = i + 4
+        return m.Datastore(self.values[i + 1], self.values[i + 3], self.span_from(i))
 
-    def parse_task(self) -> m.Task:
-        start = self.expect_kw("task")
-        name = self.expect_value(IDENT, "task name")
-        self.expect(LBRACE, "'{'")
-        inputs, outputs = self.parse_io()
-        graph: Optional[m.ActivityGraph] = None
-        if self.at_kw("body"):
-            graph = self.parse_body()
-        prompt: Optional[m.PromptSpec] = None
-        if self.at_kw("prompt"):
-            prompt = self.parse_prompt()
-        self.expect(RBRACE, "'}'")
-        return m.Task(name, inputs, outputs, graph, prompt, self.span_from(start))
+    def parse_task(self, i: int) -> m.Task:
+        types, values = self.types, self.values
+        if types[i + 1:i + 3] != _TASK:
+            raise self.mismatch(i + 1, _TASK)
+        inputs, outputs = self.parse_io(i + 3)
+        j = self.i
+        graph = self.parse_body(j) if types[j] == KW and values[j] == "body" else None
+        j = self.i
+        prompt = self.parse_prompt(j) if types[j] == KW and values[j] == "prompt" else None
+        self.close(self.i)
+        return m.Task(values[i + 1], inputs, outputs, graph, prompt, self.span_from(i))
 
-    def parse_io(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        inputs: tuple[str, ...] = ()
-        outputs: tuple[str, ...] = ()
-        if self.accept_kw("in"):
-            inputs = self.parse_identlist("input artifact name")
-        if self.accept_kw("out"):
-            outputs = self.parse_identlist("output artifact name")
+    def parse_io(self, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The optional ``in`` and ``out`` lists from token ``i`` on."""
+        types, values = self.types, self.values
+        inputs = outputs = ()
+        self.i = i
+        if types[i] == KW and values[i] == "in":
+            inputs = self.identlist(i + 1, "input artifact name")
+        if types[self.i] == KW and values[self.i] == "out":
+            outputs = self.identlist(self.i + 1, "output artifact name")
         return inputs, outputs
 
-    def parse_body(self) -> m.ActivityGraph:
-        start = self.expect_kw("body")
-        statements = self.block(self.body_statements, "a body statement")
-        return m.ActivityGraph(statements, self.span_from(start))
+    def close(self, i: int) -> None:
+        """The ``}`` of an item's own braces, at token ``i``."""
+        if self.types[i] != RBRACE:
+            raise self.expected(i, "'}'")
+        self.i = i + 1
 
-    def parse_call(self) -> m.CallNode:
-        start = self.expect_kw("call")
-        node_id = self.expect_value(IDENT, "call binding name")
-        self.expect(EQ, "'='")
-        task = self.expect_value(IDENT, "task name")
-        agent: Optional[str] = None
-        if self.accept_kw("on"):
-            agent = self.expect_value(IDENT, "agent name")
-        each: Optional[str] = None
-        if self.accept_kw("each"):
-            each = self.expect_value(IDENT, "collection artifact name")
-        self.expect(LBRACE, "'{'")
-        inputs, outputs = self.parse_io()
-        self.expect(RBRACE, "'}'")
-        return m.CallNode(node_id, self.span_from(start), task, agent, each, inputs, outputs)
+    def parse_body(self, i: int) -> m.ActivityGraph:
+        return m.ActivityGraph(self.block(i + 1, self.body_statements, "a body statement"),
+                               self.span_from(i))
 
-    def parse_invoke(self) -> m.InvokeNode:
-        start = self.expect_kw("invoke")
-        node_id = self.expect_value(IDENT, "invoke binding name")
-        self.expect(EQ, "'='")
-        tool = self.expect_value(IDENT, "tool name")
-        self.expect(DOT, "'.'")
-        op = self.expect_value(IDENT, "operation name")
-        self.expect(LBRACE, "'{'")
-        inputs, outputs = self.parse_io()
-        self.expect(RBRACE, "'}'")
-        return m.InvokeNode(node_id, self.span_from(start), tool, op, inputs, outputs)
+    def parse_call(self, i: int) -> m.CallNode:
+        types, values = self.types, self.values
+        if types[i + 1:i + 4] != _CALL:
+            raise self.mismatch(i + 1, _CALL)
+        agent, j = self.option(i + 4, "on", IDENT, "agent name")
+        each, j = self.option(j, "each", IDENT, "collection artifact name")
+        if types[j] != LBRACE:
+            raise self.expected(j, "'{'")
+        inputs, outputs = self.parse_io(j + 1)
+        self.close(self.i)
+        return m.CallNode(values[i + 1], self.span_from(i), values[i + 3], agent, each,
+                          inputs, outputs)
 
-    def parse_decision(self) -> m.DecisionNode:
-        start = self.expect_kw("decision")
-        node_id = self.expect_value(IDENT, "decision binding name")
-        self.expect_kw("on")
-        subject = self.expect_value(IDENT, "artifact name")
-        return m.DecisionNode(node_id, self.span_from(start), subject)
+    def parse_invoke(self, i: int) -> m.InvokeNode:
+        if self.types[i + 1:i + 7] != _INVOKE:
+            raise self.mismatch(i + 1, _INVOKE)
+        inputs, outputs = self.parse_io(i + 7)
+        self.close(self.i)
+        values = self.values
+        return m.InvokeNode(values[i + 1], self.span_from(i), values[i + 3], values[i + 5],
+                            inputs, outputs)
 
-    def parse_fork_join(self) -> m.ActivityNode:
-        start = self.advance()
-        kind = self.values[start]
-        node_id = self.expect_value(IDENT, f"{kind} binding name")
-        span = self.span_from(start)
-        if kind == "fork":
-            return m.ForkNode(node_id, span)
-        if kind == "join":
-            return m.JoinNode(node_id, span)
-        return m.MergeNode(node_id, span)
+    def parse_decision(self, i: int) -> m.DecisionNode:
+        values = self.values
+        if self.types[i + 1:i + 4] != _DECISION or values[i + 2] != "on":
+            raise self.mismatch(i + 1, _DECISION)
+        self.i = i + 4
+        return m.DecisionNode(values[i + 1], self.span_from(i), values[i + 3])
 
-    def parse_endpoint(self) -> tuple[str, Optional[str], int]:
-        """Returns (node id, datastore access, index of the first token)."""
-        first = self.i
-        if self.accept_kw("start"):
-            return m.INITIAL_ID, None, first
-        if self.accept_kw("end"):
-            return m.FINAL_ID, None, first
-        name = self.expect_value(IDENT, "edge endpoint")
-        if self.accept(DOT):
-            access_i = self.expect(IDENT, "'read' or 'write'")
-            access = self.values[access_i]
-            if access not in ("read", "write"):
-                raise self.fail("expected 'read' or 'write'", access_i)
-            return m.store_node_id(name), access, first
-        return name, None, first
+    def parse_bar(self, i: int) -> m.ActivityNode:
+        kind = self.values[i]
+        if self.types[i + 1] != IDENT:
+            raise self.expected(i + 1, f"{kind} binding name")
+        self.i = i + 2
+        return _BARS[kind](self.values[i + 1], self.span_from(i))
 
-    def parse_edge(self) -> m.ActivityEdge:
-        src, src_access, src_i = self.parse_endpoint()
+    def parse_endpoint(self, i: int) -> tuple[str, Optional[str], int]:
+        """The edge endpoint at token ``i``: (node id, datastore access, the
+        index of the token after it)."""
+        types, values = self.types, self.values
+        if types[i] != IDENT:
+            if types[i] == KW and values[i] in _ENDS:
+                return _ENDS[values[i]], None, i + 1
+            raise self.expected(i, "edge endpoint")
+        if types[i + 1] != DOT:
+            return values[i], None, i + 1
+        if types[i + 2] != IDENT:
+            raise self.expected(i + 2, "'read' or 'write'")
+        if values[i + 2] not in ("read", "write"):
+            self.i = i + 3
+            raise self.fail("expected 'read' or 'write'", i + 2)
+        return m.store_node_id(values[i]), values[i + 2], i + 3
+
+    def parse_edge(self, i: int) -> m.ActivityEdge:
+        src, src_access, j = self.parse_endpoint(i)
         if src_access == "write":
-            self.diags.append(
-                error("P001", "a '.write' endpoint cannot start an edge",
-                      self.token_span(src_i))
-            )
-        self.expect(ARROW, "'->'")
-        dst, dst_access, dst_i = self.parse_endpoint()
+            self.note("a '.write' endpoint cannot start an edge", i)
+        if self.types[j] != ARROW:
+            raise self.expected(j, "'->'")
+        dst, dst_access, self.i = self.parse_endpoint(j + 1)
         if dst_access == "read":
-            self.diags.append(
-                error("P001", "a '.read' endpoint cannot end an edge", self.token_span(dst_i))
-            )
+            self.note("a '.read' endpoint cannot end an edge", j + 1)
         if src_access is not None and dst_access is not None:
-            self.diags.append(
-                error("P001", "an edge may touch at most one datastore endpoint",
-                      self.token_span(dst_i))
-            )
-        guard: Optional[m.Guard] = None
-        if self.at(LBRACKET):
-            guard = self.parse_guard()
-        kind = m.EdgeKind.CONTROL
-        if src_access == "read":
-            kind = m.EdgeKind.STORE_READ
-        elif dst_access == "write":
-            kind = m.EdgeKind.STORE_WRITE
-        return m.ActivityEdge(src, dst, guard, kind, self.span_from(src_i))
+            self.note("an edge may touch at most one datastore endpoint", j + 1)
+        guard = self.parse_guard(self.i) if self.types[self.i] == LBRACKET else None
+        kind = (m.EdgeKind.STORE_READ if src_access == "read" else
+                m.EdgeKind.STORE_WRITE if dst_access == "write" else m.EdgeKind.CONTROL)
+        return m.ActivityEdge(src, dst, guard, kind, self.span_from(i))
 
-    def parse_guard(self) -> m.Guard:
-        start = self.expect(LBRACKET, "'['")
-        if self.accept_kw("else"):
-            self.expect(RBRACKET, "']'")
-            return m.Guard(None, None, True, self.span_from(start))
-        subject = self.expect_value(IDENT, "artifact name")
-        self.expect(EQEQ, "'=='")
-        literal = self.expect_value(IDENT, "guard literal")
-        self.expect(RBRACKET, "']'")
-        return m.Guard(subject, literal, False, self.span_from(start))
+    def parse_guard(self, i: int) -> m.Guard:
+        types, values = self.types, self.values
+        if types[i + 1] == KW and values[i + 1] == "else":
+            if types[i + 2] != RBRACKET:
+                raise self.expected(i + 2, "']'")
+            self.i = i + 3
+            return m.Guard(None, None, True, self.span_from(i))
+        if types[i + 1:i + 5] != _GUARD:
+            raise self.mismatch(i + 1, _GUARD)
+        self.i = i + 5
+        return m.Guard(values[i + 1], values[i + 3], False, self.span_from(i))
 
-    def parse_prompt(self) -> m.PromptSpec:
-        start = self.expect_kw("prompt")
-        rows = self.block(self.prompt_rows, "a prompt row", "'static' or 'dynamic'")
-        return m.PromptSpec(rows, self.span_from(start))
+    def parse_prompt(self, i: int) -> m.PromptSpec:
+        return m.PromptSpec(self.block(i + 1, self.prompt_rows, "a prompt row",
+                                       "'static' or 'dynamic'"), self.span_from(i))
 
-    def parse_prompt_row(self) -> m.PromptRow:
-        start = self.advance()
-        part = m.PromptPart.STATIC if self.values[start] == "static" else m.PromptPart.TASK_SPECIFIC
-        name = self.expect_value(IDENT, "prompt row name")
-        self.expect(EQ, "'='")
-        template = self.expect_value(STRING, "prompt template string")
-        return m.PromptRow(part, name, template, self.span_from(start))
-
-    def parse_identlist(self, what: str) -> tuple[str, ...]:
-        names = [self.expect_value(IDENT, what)]
-        while self.accept(COMMA):
-            names.append(self.expect_value(IDENT, what))
-        return tuple(names)
+    def parse_prompt_row(self, i: int) -> m.PromptRow:
+        if self.types[i + 1:i + 4] != _ROW:
+            raise self.mismatch(i + 1, _ROW)
+        self.i = i + 4
+        values = self.values
+        part = m.PromptPart.STATIC if values[i] == "static" else m.PromptPart.TASK_SPECIFIC
+        return m.PromptRow(part, values[i + 1], values[i + 3], self.span_from(i))
 
     # --- block items ----------------------------------------------------
     # Each table maps an item's leading keyword, or IDENT for a plain word,
-    # to the method that reads the item; ``item`` calls it with the parser.
+    # to the method that reads the item; ``block`` calls it with the parser
+    # and the index of that token.
 
     sections = {"agent": parse_agent, "artifact": parse_artifact, "context": parse_context,
                 "deployment": parse_deployment, "llm": parse_llm, "tool": parse_tool}
@@ -473,7 +481,7 @@ class _Parser:
     agent_members = {"store": parse_store, "task": parse_task}
     body_statements = {IDENT: parse_edge, "start": parse_edge, "end": parse_edge,
                        "call": parse_call, "invoke": parse_invoke, "decision": parse_decision,
-                       "fork": parse_fork_join, "join": parse_fork_join, "merge": parse_fork_join}
+                       "fork": parse_bar, "join": parse_bar, "merge": parse_bar}
     prompt_rows = {"dynamic": parse_prompt_row, "static": parse_prompt_row}
 
 
@@ -483,6 +491,5 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     parser = _Parser(lex)
     parsed = parser.parse_model()
     diags = sort_diagnostics(parser.diags)
-    if any(d.code.startswith("P") for d in diags):
-        return ParseResult(None, diags, lex.comments)
-    return ParseResult(parsed, diags, lex.comments)
+    failed = any(d.code.startswith("P") for d in diags)
+    return ParseResult(None if failed else parsed, diags, lex.comments)

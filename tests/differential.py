@@ -7,9 +7,9 @@ one fixed set of inputs: the corpus, ``messy.a4c``, a corpus model with
 one unresolved reference, ``--count`` each of clean, noisy and body models
 from ``genmodels`` (seeds 0 to N-1), the benchmark's shapes, ``--count``
 ``mutate`` mutants of each corpus model, and each corpus model with one of
-its tokens cut out (``make_goldens.token_deletions``). Then it runs one observer per side in a subprocess with that side's
-``PYTHONPATH``, so no module is imported under two names, and compares
-their records.
+its tokens cut out (``make_goldens.token_deletions``). Then it runs one
+observer per side in a subprocess with that side's ``PYTHONPATH``, so no
+module is imported under two names, and compares their records.
 
 An observer records, per input, the token columns and comments, the parse
 diagnostics, the model's ``fingerprint``, ``Model.elements`` with spans, the
