@@ -361,6 +361,16 @@ def test_p001_self_flow():
     assert any("source" in d.message for d in result.diagnostics)
 
 
+def test_a_wrong_store_access_that_ends_the_file_is_its_only_error():
+    """The access word is read before it is found wrong, so at the end of the
+    file no missing ``}`` is reported after it; with a token left, one is."""
+    body = 'model "X" { agent G { task t { body { s.bogus'
+    assert [d.message for d in parse(body, "p.a4c").diagnostics] == [
+        "expected 'read' or 'write'"]
+    assert [d.message for d in parse(body + " -> b", "p.a4c").diagnostics] == [
+        "expected 'read' or 'write'", "expected '}', found end of file"]
+
+
 def test_store_endpoint_orientation_errors():
     base = MINI.replace(
         """      prompt {
