@@ -6,9 +6,9 @@ token's text), and token ``k`` is entry ``k`` of each. No object is built
 per token; the parser walks the columns by index. ``LexResult.tokens`` zips
 them into ``Token`` records for callers that want one value per token.
 ``LexResult`` also keeps the offset at which each line starts.
-``LexResult.span`` is the one place that turns two offsets into a
-``SourceSpan``: the span keeps the offsets and that line table, and builds a
-``Position`` only when its ``start`` or ``end`` is read. The parser makes one
+``LexResult.span`` turns two offsets into a ``SourceSpan``: the span keeps
+the offsets and that line table, and builds a ``Position`` only when its
+``start`` or ``end`` is read. The parser builds the same tuple in place, one
 span per element rather than one per token, and a parse that reports
 nothing builds no position at all.
 
