@@ -8,10 +8,11 @@
   so a caller that needs the first few (``classify``'s witness, the docs
   listing) stops the search there. Pending components wait in a heap keyed
   by their least vertex, and Johnson's search (1975) runs from that vertex
-  over each vertex's distinct successors in sorted order. The root is the
-  least vertex of its component and is tried first, so circuits come out
-  in lexicographic order, each repeated once per choice of parallel edges.
-  Each next circuit costs time linear in the size of the body.
+  over each vertex's successors in sorted order. The root is the least
+  vertex of its component and is tried first, so circuits come out in
+  lexicographic order. A circuit is its vertex sequence: parallel edges
+  make one circuit. Each next circuit costs time linear in the size of
+  the body.
 * guarded_exits and unguarded_circuits: the guarded edges that leave a
   circuit, and the circuits that no guarded edge leaves (rule V13).
 
@@ -35,13 +36,15 @@ class ControlFacts:
     for ``ActivityGraph.control`` and shared by the rules and analyses that
     walk the body.
 
-    Control flow follows CONTROL and OBJECT edges. Successor and predecessor
-    lists hold one entry per edge, so parallel edges repeat a node.
+    Control flow follows CONTROL edges. Parallel edges collapse in the
+    successor lists, so the body is a simple digraph to every walk and
+    circuit search. Out-edges and predecessor lists keep one entry per edge,
+    because rule V6 counts the edges that leave a fork and enter a join.
     """
 
     out_edges: dict[str, list[m.ActivityEdge]]  # by source, in body order
-    succ: dict[str, list[str]]  # sorted
-    pred: dict[str, list[str]]
+    succ: dict[str, list[str]]  # sorted, distinct
+    pred: dict[str, list[str]]  # one entry per edge
     from_start: set[str]
     reaches_end: set[str]
     sccs: list[list[str]]  # every SCC, sinks first (reverse topological order)
@@ -51,18 +54,15 @@ class ControlFacts:
 
 def control_facts(graph: m.ActivityGraph) -> ControlFacts:
     out_edges: dict[str, list[m.ActivityEdge]] = {}
-    succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
     guarded: dict[str, list[m.ActivityEdge]] = {}
     for edge in graph.edges:
-        if edge.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
+        if edge.kind is m.EdgeKind.CONTROL:
             out_edges.setdefault(edge.source, []).append(edge)
-            succ.setdefault(edge.source, []).append(edge.target)
             pred.setdefault(edge.target, []).append(edge.source)
-            if edge.kind is m.EdgeKind.CONTROL and edge.guard is not None:
+            if edge.guard is not None:
                 guarded.setdefault(edge.source, []).append(edge)
-    for targets in succ.values():
-        targets.sort()
+    succ = {v: sorted({e.target for e in edges}) for v, edges in out_edges.items()}
     vertices = sorted(set(succ) | set(pred))
     sccs = strongly_connected(vertices, succ)
     return ControlFacts(
@@ -151,67 +151,46 @@ def iter_circuits(adj: dict[str, list[str]],
                   sccs: list[list[str]]) -> Iterator[tuple[str, ...]]:
     """The elementary circuits inside the given cyclic SCCs of ``adj``, each
     rotated to start at its smallest vertex, in sorted order, found one at a
-    time: a caller that stops early pays only for what it took. A circuit
-    over parallel edges is yielded once per choice of edges."""
+    time: a caller that stops early pays only for what it took. ``adj``
+    holds sorted, distinct adjacency lists, as ``ControlFacts.succ`` does."""
     pending = [(min(scc), set(scc)) for scc in sccs]  # disjoint: least vertices differ
     heapq.heapify(pending)
-    edge_counts: dict[str, dict[str, int]] = {}
     while pending:
         root, component = heapq.heappop(pending)
-        yield from _circuits_through(root, component, adj, edge_counts)
+        yield from _circuits_through(root, component, adj)
         component.discard(root)
         for scc in strongly_connected(sorted(component), adj):
             if _is_cyclic(scc, adj):
                 heapq.heappush(pending, (min(scc), set(scc)))
 
 
-def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
-                      edge_counts: dict[str, dict[str, int]]) -> Iterator[tuple[str, ...]]:
+def _circuits_through(root: str, component: set[str],
+                      adj: dict[str, list[str]]) -> Iterator[tuple[str, ...]]:
     """Johnson's CIRCUIT search from ``root`` (Johnson 1975), with explicit
     stacks for CIRCUIT and UNBLOCK so that long loops cannot overflow the
-    interpreter's recursion limit. It follows distinct successors in sorted
-    order and yields each circuit once per choice of parallel edges along
-    it, back to back."""
-
-    def successors(v: str) -> dict[str, int]:
-        counts = edge_counts.get(v)
-        if counts is None:
-            counts = edge_counts[v] = {}
-            for w in adj.get(v, ()):  # sorted, so the keys are too
-                counts[w] = counts.get(w, 0) + 1
-        return counts
-
+    interpreter's recursion limit. It follows successors in sorted order."""
     blocked = {root}
     blocked_map: dict[str, set[str]] = {}
     path = [root]
-    choices = [1]  # per path vertex: choices of parallel edges along the path to it
     found = [False]  # per path vertex: has a circuit been closed below it?
-    out = [successors(root)]
-    pending = [iter(out[-1])]
+    pending = [iter(adj.get(root, ()))]
     while pending:
         w = next(pending[-1], None)
         if w is not None:
             if w not in component:
                 continue
             if w == root:
-                circuit = tuple(path)
-                for _ in range(choices[-1] * out[-1][w]):
-                    yield circuit
+                yield tuple(path)
                 found[-1] = True
             elif w not in blocked:
                 path.append(w)
                 blocked.add(w)
-                choices.append(choices[-1] * out[-1][w])
                 found.append(False)
-                out.append(successors(w))
-                pending.append(iter(out[-1]))
+                pending.append(iter(adj.get(w, ())))
             continue
         v = path.pop()
-        choices.pop()
-        v_out = out.pop()
         pending.pop()
-        v_found = found.pop()
-        if v_found:
+        if found.pop():
             unblock = [v]
             while unblock:
                 u = unblock.pop()
@@ -220,7 +199,7 @@ def _circuits_through(root: str, component: set[str], adj: dict[str, list[str]],
             if found:
                 found[-1] = True
         else:
-            for x in v_out:
+            for x in adj.get(v, ()):
                 if x in component:
                     blocked_map.setdefault(x, set()).add(v)
 

@@ -194,7 +194,6 @@ class StoreNode(ActivityNode):
 
 class EdgeKind(Enum):
     CONTROL = "control"
-    OBJECT = "object"
     STORE_READ = "store_read"
     STORE_WRITE = "store_write"
 

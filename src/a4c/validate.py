@@ -274,7 +274,7 @@ def _v6_graph_shape(bodies: list[Body]):
                     )
 
         for edge in graph.edges:
-            if edge.kind not in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
+            if edge.kind is not m.EdgeKind.CONTROL:
                 continue
             if edge.guard is not None and edge.source not in decisions:
                 yield error(

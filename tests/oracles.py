@@ -324,7 +324,7 @@ def oracle_unavailable(agent: m.Agent, task: m.Task) -> list[tuple[str, str]]:
     graph = task.graph
     successors: dict[str, list[str]] = {}
     for edge in graph.edges:
-        if edge.kind in (m.EdgeKind.CONTROL, m.EdgeKind.OBJECT):
+        if edge.kind is m.EdgeKind.CONTROL:
             successors.setdefault(edge.source, []).append(edge.target)
 
     def search(origins: list[str]) -> set[str]:

@@ -22,8 +22,9 @@ from a4c.render import docs_bundle
 from a4c.resolver import resolve
 from a4c.validate import check
 
-from conftest import CORPUS, corpus_text, load_resolved
+from conftest import CORPUS, corpus_text, load_resolved, load_shapes
 from genmodels import generate_body_model, generate_model
+from meter import work
 from test_validate import mutations
 
 _E104 = re.compile(r"^'(.+)' is consumed by '(.+)' but ")
@@ -73,8 +74,9 @@ def test_v4_and_v13_match_oracles():
             want = {c for c in oracles.oracle_cycles(task.graph)
                     if not oracles.oracle_guarded_exits(task.graph, c)}
             assert set(got) == want, (name, display)
-            # same circuits, multiplicity and order as enumerating them all;
-            # diagnostics are sorted by the span of each circuit's first node
+            assert len(set(got)) == len(got), (name, display)  # each circuit once
+            # same circuits and order as enumerating them all; diagnostics
+            # are sorted by the span of each circuit's first node
             enumerated = [f.cycle for f in loop_facts(task) if not f.exits]
             first = {n.id: (n.span.start.line, n.span.start.column) for n in task.graph.nodes}
             assert got == sorted(enumerated, key=lambda c: first[c[0]]), (name, display)
@@ -160,6 +162,34 @@ def test_unguarded_long_loop_is_reported_once():
     text = feedback_loop(length).replace("chk -> end [R == Good]", "chk -> end")
     codes = Counter(d.code for d in check(load_resolved(text, "long-loop.a4c")))
     assert codes["W113"] == 1
+
+
+def doubled_feedback_loop(length: int) -> str:
+    """The benchmark's feedback loop of ``length`` calls with every
+    ``c<i> -> c<i+1>`` line written twice and ``chk -> end`` unguarded: one
+    loop over 2**(length - 1) choices of parallel edges, with no guarded exit."""
+    lines = []
+    for line in load_shapes().feedback(length, 0).splitlines():
+        if re.fullmatch(r"\s*c\d+ -> c\d+", line):
+            lines.append(line)
+        lines.append(re.sub(r"chk -> end \[.*\]$", "chk -> end", line))
+    return "\n".join(lines) + "\n"
+
+
+def test_parallel_edges_make_one_loop():
+    # in this order, so that a search that multiplies circuits by their
+    # choices of parallel edges fails at once instead of running for ages
+    metered = {}
+    for length in (8, 16, 64):
+        rm = load_resolved(doubled_feedback_loop(length), "doubled.a4c")
+        diags = []
+        metered[length] = work(lambda: diags.extend(check(rm)))
+        assert [d.code for d in diags].count("W113") == 1, length
+        page = docs_bundle(rm).files["agents/Root.md"]
+        assert page.count("\n- loop ") == 1, length
+        assert "- loops through" not in page, length
+    # linear in the loop's length: about 4x the work for 4x the calls
+    assert metered[64] <= 5 * metered[16], metered
 
 
 def test_diamond_ladder_check_is_not_exponential():

@@ -188,6 +188,44 @@ def test_v6_join_without_fork(resell_text):
     assert any("without passing a fork" in d.message for d in diags)
 
 
+def test_v6_counts_parallel_edges_at_fork_and_join():
+    # a fork's two edges to one call and that call's two edges to a join
+    # are two out-edges and two in-edges, though both lead to one node
+    text = """model "Parallel" {
+  artifact R
+  llm M default
+  agent Root {
+    task run {
+      in R
+      out R
+      body {
+        call a = step on Worker { in R out R }
+        fork f
+        join j
+        start -> f
+        f -> a
+        f -> a
+        a -> j
+        a -> j
+        j -> end
+      }
+    }
+  }
+  agent Worker {
+    task step {
+      in R
+      out R
+      prompt {
+        dynamic r = "{R}"
+      }
+    }
+  }
+}
+"""
+    assert "E106" not in {d.code for d in check_text(text)}
+    assert "E106" in {d.code for d in check_text(text.replace("        a -> j\n", "", 1))}
+
+
 def test_v9_reports_every_unbound_agent(testgen_text):
     diags = check_text(testgen_text.replace(
         ' version "gpt-4o-2024-05-13" default', ' version "gpt-4o-2024-05-13"'))
