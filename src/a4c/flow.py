@@ -4,6 +4,9 @@
   predecessors, reachability, SCCs, guarded out-edges). The body builds
   them once, as ``ActivityGraph.control``, and the rules and the analyses
   all read that one copy.
+* strongly_connected: Tarjan's SCCs of the subgraph that a vertex subset
+  induces, for ``control_facts``, rule V2, V13's pruning and
+  ``iter_circuits``. It costs time linear in the out-edges of the subset.
 * iter_circuits: the elementary circuits one at a time, in sorted order,
   so a caller that needs the first few (``classify``'s witness, the docs
   listing) stops the search there. Pending components wait in a heap keyed
@@ -14,7 +17,9 @@
   make one circuit. Each next circuit costs time linear in the size of
   the body.
 * guarded_exits and unguarded_circuits: the guarded edges that leave a
-  circuit, and the circuits that no guarded edge leaves (rule V13).
+  circuit, and the circuits that no guarded edge leaves (rule V13). The
+  exits of a circuit cost one sort of its guarded sources and a pass over
+  their edges, which ``control_facts`` keeps sorted by target.
 
 This module holds no impact or classify code, so ``check`` runs without
 loading ``analysis``.
@@ -49,7 +54,12 @@ class ControlFacts:
     reaches_end: set[str]
     sccs: list[list[str]]  # every SCC, sinks first (reverse topological order)
     cyclic: list[list[str]]  # the SCCs that hold a cycle
-    guarded: dict[str, list[m.ActivityEdge]]  # guarded CONTROL out-edges by source
+    # guarded CONTROL out-edges by source, each list by target (parallel
+    # edges in body order)
+    guarded: dict[str, list[m.ActivityEdge]]
+
+
+_TARGET = attrgetter("target")
 
 
 def control_facts(graph: m.ActivityGraph) -> ControlFacts:
@@ -62,6 +72,8 @@ def control_facts(graph: m.ActivityGraph) -> ControlFacts:
             pred.setdefault(edge.target, []).append(edge.source)
             if edge.guard is not None:
                 guarded.setdefault(edge.source, []).append(edge)
+    for edges in guarded.values():
+        edges.sort(key=_TARGET)
     succ = {v: sorted({e.target for e in edges}) for v, edges in out_edges.items()}
     vertices = sorted(set(succ) | set(pred))
     sccs = strongly_connected(vertices, succ)
@@ -89,55 +101,47 @@ def reachable(adj: dict[str, list[str]], start: str) -> set[str]:
 
 
 def strongly_connected(vertices: list[str], adj: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan SCC over the given vertex subset, sink components first."""
+    """Tarjan's SCCs (1972) of the subgraph that ``vertices`` induce, sink
+    components first. The depth-first search is iterative, so long bodies
+    cannot overflow the recursion limit, and it skips a successor outside
+    the subset where it meets it instead of copying a filtered list."""
     allowed = set(vertices)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        # iterative DFS to avoid recursion limits on generated graphs
-        work = [(v, iter([w for w in adj.get(v, ()) if w in allowed]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
+    index = {}
+    low = {}
+    stack = []
+    depth = {}  # vertex on ``stack`` -> its position there
+    sccs = []
+    for root in vertices:
+        if root in index:
+            continue
+        path = [root]
+        successors = []  # per vertex on ``path``, its unvisited successors
+        while path:
+            v = path[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                depth[v] = len(stack)
+                stack.append(v)
+                successors.append(iter(adj.get(v, ())))
+            for w in successors[-1]:
+                if w not in allowed:
+                    continue
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([x for x in adj.get(w, ()) if x in allowed])))
-                    advanced = True
+                    path.append(w)
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                sccs.append(component)
-
-    for v in vertices:
-        if v not in index:
-            strongconnect(v)
+                if w in depth and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                successors.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    component = stack[depth[v]:]
+                    del stack[depth[v]:]
+                    for w in component:
+                        del depth[w]
+                    sccs.append(component[::-1])
     return sccs
 
 
@@ -195,7 +199,7 @@ def _circuits_through(root: str, component: set[str],
             while unblock:
                 u = unblock.pop()
                 blocked.discard(u)
-                unblock.extend(x for x in blocked_map.pop(u, ()) if x in blocked)
+                unblock += blocked.intersection(blocked_map.pop(u, ()))
             if found:
                 found[-1] = True
         else:
@@ -206,16 +210,13 @@ def _circuits_through(root: str, component: set[str],
 
 # --- guarded exits (rule V13) ----------------------------------------------------
 
-_SOURCE_TARGET = attrgetter("source", "target")
-
-
 def guarded_exits(facts: ControlFacts, members: Iterable[str]) -> tuple[m.ActivityEdge, ...]:
     """The guarded CONTROL edges from a member to a non-member, by source and
     target, parallel edges in body order."""
     inside = set(members)
     guarded = facts.guarded
-    return tuple(sorted((e for v in inside for e in guarded.get(v, ()) if e.target not in inside),
-                        key=_SOURCE_TARGET))
+    return tuple([e for v in sorted(guarded.keys() & inside) for e in guarded[v]
+                  if e.target not in inside])
 
 
 def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:

@@ -398,6 +398,14 @@ class Model:
         return tuple(s for s in self.sections if isinstance(s, ArtifactType))
 
     @cached_property
+    def artifact_table(self) -> dict[str, ArtifactType]:
+        """Artifact name -> its first declaration."""
+        table: dict[str, ArtifactType] = {}
+        for art in self.artifacts:
+            table.setdefault(art.name, art)
+        return table
+
+    @cached_property
     def llms(self) -> tuple[LlmDecl, ...]:
         return tuple(s for s in self.sections if isinstance(s, LlmDecl))
 

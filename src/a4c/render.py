@@ -5,6 +5,10 @@ digraphs; prompts render to markdown tables; `docs_bundle` assembles a
 browsable markdown set. Output depends only on the model: rendering the
 same model twice, in any process, yields byte-identical text.
 
+An activity diagram and an agent page's loop listing each cost time linear
+in their own body: the artifact table is the model's, built once
+(``Model.artifact_table``), and each DOT id is escaped once per diagram.
+
 Styling is carried by stereotype tags (`<<external>>`, `<<tool>>`, ...)
 rather than hardcoded colors, so downstream skins stay in control.
 """
@@ -127,67 +131,61 @@ def render_deployment(model: m.Model) -> DiagramText:
 
 # --- C3/C4: task activity --------------------------------------------------------
 
-def _object_node(artifacts: dict[str, m.ArtifactType], owner_id: str, artifact: str,
-                 direction: str) -> tuple[str, str]:
-    """Declare one per-action object node; returns (quoted node id, declaration line).
-
-    Collections render as a segmented record, a stack of element instances.
-    """
-    node_id = escape_string(f"art:{owner_id}:{direction}:{artifact}")
-    decl = artifacts.get(artifact)
-    if decl is not None and decl.is_collection:
-        label = "|".join([decl.element_type] * 3)
-        line = f"{node_id} [shape=record, label={escape_string(label)}];"
-    else:
-        line = f"{node_id} [shape=box, label={escape_string(artifact)}];"
-    return node_id, line
+_BAR = '[shape=box, style=filled, fillcolor=black, label="", height=0.06, width=1.2]'
+# the attributes of each kind of node that shows nothing of its own
+_FIXED_STYLE = {
+    m.InitialNode: '[shape=circle, style=filled, fillcolor=black, label="", width=0.2]',
+    m.FinalNode: '[shape=doublecircle, style=filled, fillcolor=black, label="", width=0.15]',
+    m.MergeNode: '[shape=diamond, label=""]',
+    m.ForkNode: _BAR,
+    m.JoinNode: _BAR,
+}
 
 
 def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText:
+    """The task body as a DOT digraph: its nodes, then one object node per
+    input and output of each call and tool call (a collection as a
+    segmented record, a stack of element instances), then its edges and the
+    object flows. Each DOT id is escaped once."""
     title = m.task_display(agent.name, task.name)
     if task.graph is None:
         raise RenderError("R002", f"task '{title}' has no body")
     graph = task.graph
-    lines = [
-        f"digraph {escape_string(title)} {{",
-        "  rankdir=TB;",
-        f"  label={escape_string(title)};",
-        "  labelloc=t;",
-        '  node [fontname="Helvetica"];',
-        "",
-    ]
-    artifacts: dict[str, m.ArtifactType] = {}
-    for art in model.artifacts:
-        artifacts.setdefault(art.name, art)  # the first declaration wins
+    quoted = escape_string(title)
+    lines = [f"digraph {quoted} {{", "  rankdir=TB;", f"  label={quoted};", "  labelloc=t;",
+             '  node [fontname="Helvetica"];', ""]
+    artifacts = model.artifact_table
+    ids: dict[str, str] = {}  # node id -> its DOT id
+    shapes: dict[str, str] = {}  # artifact -> the attributes of its object nodes
     object_lines: list[str] = []
     object_edges: list[str] = []
     for node in graph.nodes:
-        nid = escape_string(node.id)
-        if isinstance(node, m.InitialNode):
-            lines.append(f"  {nid} [shape=circle, style=filled, fillcolor=black,"
-                         ' label="", width=0.2];')
-        elif isinstance(node, m.FinalNode):
-            lines.append(f"  {nid} [shape=doublecircle, style=filled,"
-                         ' fillcolor=black, label="", width=0.15];')
-        elif isinstance(node, m.CallNode):
-            label = m.call_display(node)
-            if node.element_wise:
-                label = "* " + label
+        nid = ids[node.id] = escape_string(node.id)
+        fixed = _FIXED_STYLE.get(type(node))
+        if fixed is not None:
+            lines.append(f"  {nid} {fixed};")
+        elif isinstance(node, (m.CallNode, m.InvokeNode)):
+            if isinstance(node, m.InvokeNode):
+                label = m.invoke_display(node)
+            else:
+                label = ("* " if node.element_wise else "") + m.call_display(node)
             lines.append(f"  {nid} [shape=box, style=rounded, label={escape_string(label)}];")
-            _attach_objects(artifacts, node, object_lines, object_edges)
-        elif isinstance(node, m.InvokeNode):
-            lines.append(
-                f"  {nid} [shape=box, style=rounded,"
-                f" label={escape_string(m.invoke_display(node))}];"
-            )
-            _attach_objects(artifacts, node, object_lines, object_edges)
+            for direction, names in (("in", node.inputs), ("out", node.outputs)):
+                for art in names:
+                    shape = shapes.get(art)
+                    if shape is None:
+                        decl = artifacts.get(art)
+                        if decl is not None and decl.is_collection:
+                            label = "|".join([decl.element_type] * 3)
+                            shape = shapes[art] = f"shape=record, label={escape_string(label)}"
+                        else:
+                            shape = shapes[art] = f"shape=box, label={escape_string(art)}"
+                    oid = escape_string(f"art:{node.id}:{direction}:{art}")
+                    object_lines.append(f"  {oid} [{shape}];")
+                    flow = f"{oid} -> {nid}" if direction == "in" else f"{nid} -> {oid}"
+                    object_edges.append(f"  {flow} [style=dashed];")
         elif isinstance(node, m.DecisionNode):
             lines.append(f"  {nid} [shape=diamond, label={escape_string(node.subject + '?')}];")
-        elif isinstance(node, m.MergeNode):
-            lines.append(f'  {nid} [shape=diamond, label=""];')
-        elif isinstance(node, (m.ForkNode, m.JoinNode)):
-            lines.append(f'  {nid} [shape=box, style=filled, fillcolor=black,'
-                         ' label="", height=0.06, width=1.2];')
         elif isinstance(node, m.StoreNode):
             store = agent.datastore(node.store)
             label = node.store if store is None else f"{node.store} : {store.artifact}"
@@ -197,30 +195,20 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
         lines.extend(object_lines)
     lines.append("")
     for edge in graph.edges:
-        attrs: list[str] = []
-        if edge.guard is not None:
-            attrs.append(f"label={escape_string(edge.guard.display())}")
-        if edge.kind in (m.EdgeKind.STORE_READ, m.EdgeKind.STORE_WRITE):
-            attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {escape_string(edge.source)} -> {escape_string(edge.target)}{suffix};")
+        # an endpoint that names no node occurs only in a model that does not resolve
+        source = ids.get(edge.source) or escape_string(edge.source)
+        target = ids.get(edge.target) or escape_string(edge.target)
+        if edge.guard is None:
+            attrs = "" if edge.kind is m.EdgeKind.CONTROL else " [style=dashed]"
+        elif edge.kind is m.EdgeKind.CONTROL:
+            attrs = f" [label={escape_string(edge.guard.display())}]"
+        else:
+            attrs = f" [label={escape_string(edge.guard.display())}, style=dashed]"
+        lines.append(f"  {source} -> {target}{attrs};")
     lines.extend(object_edges)
     lines.append("}")
     kind = "c3" if task.is_composite else "c4"
     return DiagramText(kind, "\n".join(lines) + "\n")
-
-
-def _attach_objects(artifacts: dict[str, m.ArtifactType], node: m.ActivityNode,
-                    object_lines: list[str], object_edges: list[str]) -> None:
-    nid = escape_string(node.id)
-    for art in node.inputs:
-        obj_id, decl = _object_node(artifacts, node.id, art, "in")
-        object_lines.append("  " + decl)
-        object_edges.append(f"  {obj_id} -> {nid} [style=dashed];")
-    for art in node.outputs:
-        obj_id, decl = _object_node(artifacts, node.id, art, "out")
-        object_lines.append("  " + decl)
-        object_edges.append(f"  {nid} -> {obj_id} [style=dashed];")
 
 
 # --- prompt tables ----------------------------------------------------------------
@@ -237,7 +225,7 @@ def render_prompts(agent: m.Agent, task: m.Task) -> DiagramText:
     ordered = [r for r in task.prompt.rows if r.part is m.PromptPart.STATIC]
     ordered += [r for r in task.prompt.rows if r.part is not m.PromptPart.STATIC]
     for row in ordered:
-        lines.append(f"| {row.part} {row.name} | {_md_escape(row.template)} |")
+        lines.append(f"| {row.part.value} {row.name} | {_md_escape(row.template)} |")
     return DiagramText("prompt", "\n".join(lines) + "\n")
 
 
@@ -429,17 +417,15 @@ def _loop_lines(facts: ControlFacts) -> list[str]:
             circuits.pop()
             crowded.append(scc)
         listed.append(circuits)
-    exit_texts: dict[int, str] = {}  # by edge identity: one exit leaves many loops
+    # each guarded edge that can leave a loop, by identity: one exit leaves many loops
+    exit_texts = {id(x): f"{x.source} -> {x.target} {x.guard.display()}"
+                  for scc in facts.cyclic for v in scc for x in facts.guarded.get(v, ())}
 
     def exits_text(members: Iterable[str]) -> str:
         exits = guarded_exits(facts, members)
-        for x in exits:
-            if id(x) not in exit_texts:
-                guard = f" {x.guard.display()}" if x.guard is not None else ""
-                exit_texts[id(x)] = f"{x.source} -> {x.target}{guard}"
         if not exits:
             return "no guarded exit"
-        return "exits via " + "; ".join(exit_texts[id(x)] for x in exits)
+        return "exits via " + "; ".join([exit_texts[id(x)] for x in exits])
 
     lines = [f"- loop {' -> '.join(cycle)}: {exits_text(cycle)}"
              for cycle in heapq.merge(*listed)]

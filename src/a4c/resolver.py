@@ -96,7 +96,7 @@ class _Resolver:
                 else:
                     seen_sections[kind] = s
 
-        artifacts = self.collect("artifact", {}, model.artifacts)
+        artifacts = self.collect("artifact", model.artifact_table, model.artifacts)
         llms = self.collect("llm", {}, model.llms)
         tools = self.collect("tool", {}, model.tools)
         agents = self.collect("agent", {}, model.agents)
@@ -182,11 +182,12 @@ class _Resolver:
         return ResolveResult(resolved, diags)
 
     def collect(self, kind: str, table: dict, decls) -> dict:
+        """Enter each declaration by name, the first one winning, and flag the
+        others; a table that already holds the first ones stays as it is."""
         for decl in decls:
-            if decl.name in table:
-                self.duplicate(kind, decl.name, decl.span, table[decl.name].span)
-            else:
-                table[decl.name] = decl
+            first = table.setdefault(decl.name, decl)
+            if first is not decl:
+                self.duplicate(kind, decl.name, decl.span, first.span)
         return table
 
     def resolve_agent(

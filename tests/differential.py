@@ -5,7 +5,8 @@
 It extracts ``git archive REV src/a4c`` to a temporary directory and builds
 one fixed set of inputs: the corpus, ``messy.a4c``, a corpus model with
 one unresolved reference, ``--count`` each of clean, noisy and body models
-from ``genmodels`` (seeds 0 to N-1), the benchmark's shapes, ``--count``
+from ``genmodels`` (seeds 0 to N-1), the benchmark's shapes, a model of
+300 agents with one body each (``genmodels.many_bodies``), ``--count``
 ``mutate`` mutants of each corpus model, and each corpus model with one of
 its tokens cut out (``make_goldens.token_deletions``). Then it runs one
 observer per side in a subprocess with that side's ``PYTHONPATH``, so no
@@ -88,7 +89,7 @@ CLI_TABLE = (
 def build_inputs(count: int) -> dict[str, str]:
     sys.path[:0] = [str(HERE), str(REPO / "bench"), str(REPO / "src")]
     import shapes
-    from genmodels import generate_body_model, generate_model, mutate
+    from genmodels import generate_body_model, generate_model, many_bodies, mutate
     from make_goldens import token_deletions
 
     corpus = {name: (REPO / "src" / "a4c" / "corpus" / f"{name}.a4c").read_text(encoding="utf-8")
@@ -106,6 +107,7 @@ def build_inputs(count: int) -> dict[str, str]:
                          (shapes.ladder, (1, 6)), (shapes.feedback, (2, 40))):
         for n in sizes:
             inputs[f"{shape.__name__}-{n}"] = shape(n, 0)
+    inputs["many_bodies-300"] = many_bodies(300)
     rng = random.Random(0)
     for name, text in corpus.items():
         for i in range(count):

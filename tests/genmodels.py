@@ -354,6 +354,42 @@ def generate_body_model(seed: int) -> str:
     )
 
 
+def many_bodies(n: int) -> str:
+    """``n`` agents, each with one body and its own artifact: ``A<i>.run``
+    calls ``A<i>.step`` on ``Art<i>``. Of every three artifacts, the first is
+    a collection of ``Item`` that the call walks element-wise, the second a
+    collection passed whole, and the third a scalar. The model checks clean;
+    its size, and the number of bodies and artifacts, grow linearly in n."""
+    lines = ['model "ManyBodies" {', "  artifact Item"]
+    lines += [f"  artifact Art{i}{' collection of Item' if i % 3 < 2 else ''}" for i in range(n)]
+    lines.append("  llm M default")
+    for i in range(n):
+        art = f"Art{i}"
+        each, own = (f" each {art}", "Item") if i % 3 == 0 else ("", art)
+        lines += [
+            f"  agent A{i} {{",
+            "    task run {",
+            f"      in {art}",
+            f"      out {art}",
+            "      body {",
+            f"        call c = step on A{i}{each} {{ in {art} out {art} }}",
+            "        start -> c",
+            "        c -> end",
+            "      }",
+            "    }",
+            "    task step {",
+            f"      in {own}",
+            f"      out {own}",
+            "      prompt {",
+            f'        dynamic input = "Work on {{{own}}}"',
+            "      }",
+            "    }",
+            "  }",
+        ]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def mutate(text: str, rng: random.Random) -> str:
     """One to three line deletions, duplications or token edits: the same
     edits, drawn the same way, as the benchmark's ``bench/inputs.mutate``."""

@@ -299,6 +299,31 @@ def oracle_circuit_list(edges: list[tuple[str, str]]) -> list[tuple[str, ...]]:
     return sorted(circuits)
 
 
+def oracle_sccs(vertices, edges) -> set[frozenset]:
+    """The strongly connected components of the subgraph that ``vertices``
+    induce in the digraph ``edges``, a list of pairs that may hold parallel
+    edges and self-loops, by brute force: two vertices share a component iff
+    each reaches the other, by a search from every vertex."""
+    inside = set(vertices)
+    out: dict = {}
+    for source, target in edges:
+        if source in inside and target in inside:
+            out.setdefault(source, []).append(target)
+
+    def reach(v) -> set:
+        seen = {v}
+        todo = [v]
+        while todo:
+            for w in out.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reaches = {v: reach(v) for v in inside}
+    return {frozenset(w for w in reaches[v] if v in reaches[w]) for v in inside}
+
+
 def canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
     """Rotate so the smallest node id comes first."""
     k = cycle.index(min(cycle))

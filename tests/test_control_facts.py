@@ -1,5 +1,5 @@
-"""Rules V4 and V13 against brute-force oracles, long-loop regressions, and
-one build of each body's control facts.
+"""Rules V4 and V13 and the SCC search against brute-force oracles,
+long-loop regressions, and one build of each body's control facts.
 
 V4 runs as a bitset dataflow and V13 prunes nodes with a guarded exit from
 their SCC before it enumerates circuits; both are compared here with the
@@ -9,6 +9,7 @@ rule mutations and random task bodies.
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 import time
@@ -86,6 +87,37 @@ def test_v4_and_v13_match_oracles():
         seen["E104"] += sum(want_e104.values())
     # the inputs exercise both rules, not just their silent paths
     assert seen["E104"] > 50 and seen["W113"] > 50, seen
+
+
+def test_strongly_connected_matches_the_oracle():
+    # random digraphs as V2 and control_facts pass them: string or tuple
+    # vertices, self-loops, parallel edges, and a vertex subset that leaves
+    # some successors out
+    seen = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        tuples = rng.random() < 0.3
+        names = [(f"A{i % 3}", f"t{i}") if tuples else f"v{i}" for i in range(n)]
+        edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 3 * n))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))  # parallel copies
+        adj: dict = {}
+        for source, target in edges:
+            adj.setdefault(source, []).append(target)
+        subset = sorted(rng.sample(names, rng.randint(1, n)))
+        sccs = flow.strongly_connected(subset, adj)
+        assert {frozenset(scc) for scc in sccs} == oracles.oracle_sccs(subset, edges), seed
+        assert sorted(v for scc in sccs for v in scc) == subset, seed
+        # sinks first: no edge leads from a component to a later one
+        position = {v: i for i, scc in enumerate(sccs) for v in scc}
+        assert all(position[s] >= position[t] for s, t in edges
+                   if s in position and t in position), seed
+        seen["tuple"] += tuples
+        seen["self-loop"] += any(s == t for s, t in edges)
+        seen["parallel"] += len(set(edges)) < len(edges)
+        seen["subset"] += len(subset) < n
+        seen["cyclic"] += any(len(scc) > 1 for scc in sccs)
+    assert min(seen.values()) > 50, seen
 
 
 # --- long loops ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
 # AST nodes of the a4c modules that ``check`` loads: a cold ``check``
 # compiles them all, and line counts do not track that cost. Lower it as
 # code leaves; raise it only for a reason recorded in CHANGES.md.
-CHECK_AST_BUDGET = 20_707
+CHECK_AST_BUDGET = 20_658
 
 
 def _loaded_modules(code: str) -> set[str]:

@@ -10,6 +10,7 @@ import pytest
 from a4c import model as m
 from a4c.analysis import impact, loop_facts
 from a4c.cli import main as cli_main
+from a4c.diagnostics import SYNTHETIC as S
 from a4c.render import (
     LOOP_LISTING_LIMIT,
     RenderError,
@@ -143,6 +144,95 @@ def test_activity_fork_join_bars(resell_rm):
     d = render_activity(resell_rm.model, agent, task)
     assert '"fk" [shape=box, style=filled, fillcolor=black' in d.text
     assert '"jn" [shape=box, style=filled, fillcolor=black' in d.text
+
+
+def tricky_body():
+    """A hand-built body whose DOT ids, guard literals and artifact names hold
+    quotes and backslashes, with an element-wise call, an artifact declared
+    twice (first as a collection), a store node with and without its
+    datastore, parallel edges, and an edge to a node the body lacks."""
+    quoted = 'Say"\\'
+    graph = m.ActivityGraph((
+        m.InvokeNode('t\\1', S, "Tool", "fetch", (), (quoted,)),
+        m.CallNode('c"1', S, "work", "Other", "Pile", ("Pile", quoted), ("Item",)),
+        m.CallNode("c2", S, "work", None, None, ("Pile",), (quoted, "Nope")),
+        m.DecisionNode("d", S, quoted),
+        m.MergeNode("mg", S),
+        m.ActivityEdge("start", 't\\1', None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge('t\\1', 'c"1', None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge('c"1', "c2", None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge('c"1', "c2", None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge("c2", "d", None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge("d", "end", m.Guard(quoted, '"q\\"', False, S), m.EdgeKind.CONTROL, S),
+        m.ActivityEdge("d", "mg", m.Guard(None, None, True, S), m.EdgeKind.CONTROL, S),
+        m.ActivityEdge("mg", "end", None, m.EdgeKind.CONTROL, S),
+        m.ActivityEdge("store:mem", 'c"1', None, m.EdgeKind.STORE_READ, S),
+        m.ActivityEdge("store:mem", "c2", m.Guard(quoted, "x", False, S), m.EdgeKind.STORE_READ, S),
+        m.ActivityEdge("c2", "store:gone", None, m.EdgeKind.STORE_WRITE, S),
+        m.ActivityEdge("mg", 'ghost"', None, m.EdgeKind.CONTROL, S),
+    ), S)
+    agent = m.Agent('A"g', None, (
+        m.Datastore("mem", "Pile", S),
+        m.Task("run", ("Pile",), ("Item",), graph, None, S),
+    ), S)
+    return m.Model("Tricky", "<test>", (
+        m.ArtifactType("Pile", "Item", S),
+        m.ArtifactType("Item", None, S),
+        m.ArtifactType(quoted, None, S),
+        m.ArtifactType("Pile", None, S),
+        agent,
+    ), S), agent
+
+
+def test_activity_bytes_of_a_tricky_body():
+    model, agent = tricky_body()
+    d = render_activity(model, agent, agent.tasks[0])
+    assert d.kind == "c3"
+    assert d.text == r'''digraph "A\"g.run" {
+  rankdir=TB;
+  label="A\"g.run";
+  labelloc=t;
+  node [fontname="Helvetica"];
+
+  "start" [shape=circle, style=filled, fillcolor=black, label="", width=0.2];
+  "end" [shape=doublecircle, style=filled, fillcolor=black, label="", width=0.15];
+  "t\\1" [shape=box, style=rounded, label="fetch:Tool"];
+  "c\"1" [shape=box, style=rounded, label="* work:Other"];
+  "c2" [shape=box, style=rounded, label="work"];
+  "d" [shape=diamond, label="Say\"\\?"];
+  "mg" [shape=diamond, label=""];
+  "store:mem" [shape=cylinder, label="mem : Pile"];
+  "store:gone" [shape=cylinder, label="gone"];
+
+  "art:t\\1:out:Say\"\\" [shape=box, label="Say\"\\"];
+  "art:c\"1:in:Pile" [shape=record, label="Item|Item|Item"];
+  "art:c\"1:in:Say\"\\" [shape=box, label="Say\"\\"];
+  "art:c\"1:out:Item" [shape=box, label="Item"];
+  "art:c2:in:Pile" [shape=record, label="Item|Item|Item"];
+  "art:c2:out:Say\"\\" [shape=box, label="Say\"\\"];
+  "art:c2:out:Nope" [shape=box, label="Nope"];
+
+  "start" -> "t\\1";
+  "t\\1" -> "c\"1";
+  "c\"1" -> "c2";
+  "c\"1" -> "c2";
+  "c2" -> "d";
+  "d" -> "end" [label="[Say\"\\ == \"q\\\"]"];
+  "d" -> "mg" [label="[else]"];
+  "mg" -> "end";
+  "store:mem" -> "c\"1" [style=dashed];
+  "store:mem" -> "c2" [label="[Say\"\\ == x]", style=dashed];
+  "c2" -> "store:gone" [style=dashed];
+  "mg" -> "ghost\"";
+  "t\\1" -> "art:t\\1:out:Say\"\\" [style=dashed];
+  "art:c\"1:in:Pile" -> "c\"1" [style=dashed];
+  "art:c\"1:in:Say\"\\" -> "c\"1" [style=dashed];
+  "c\"1" -> "art:c\"1:out:Item" [style=dashed];
+  "art:c2:in:Pile" -> "c2" [style=dashed];
+  "c2" -> "art:c2:out:Say\"\\" [style=dashed];
+  "c2" -> "art:c2:out:Nope" [style=dashed];
+}
+'''
 
 
 def test_activity_on_bodyless_task_raises_r002(testgen_rm):
