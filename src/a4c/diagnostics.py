@@ -6,8 +6,8 @@ offsets and its file's line table rather than two positions, but it is a
 ``Record`` and keeps a record's contract, except that spans are not
 ordered. ``line_of`` is the one line lookup behind every position.
 
-Code classes: P### parse, E0## resolution, E1##/W1## validation rules,
-R### rendering, A### analysis, F### formatting.
+``CODES`` is the one catalogue of diagnostic codes: every code that a stage
+emits or raises is a key there, with its severity and what it means.
 """
 
 from __future__ import annotations
@@ -102,6 +102,38 @@ class Severity(Enum):
         return self.value
 
 
+_E, _W = Severity.ERROR, Severity.WARNING
+
+# code -> (severity, meaning); validate.RULES takes its rules' entries from here
+CODES: dict[str, tuple[Severity, str]] = {
+    "P001": (_E, "unexpected token or character"),
+    "P002": (_E, "unterminated string literal"),
+    "P003": (_E, "unknown keyword in a block"),
+    "E001": (_E, "reference that binds to no declaration"),
+    "E002": (_E, "duplicate declaration"),
+    "E101": (_E, "TaskCall target task missing on callee agent"),
+    "E102": (_E, "recursive task decomposition cycle"),
+    "E103": (_E, "leaf task has neither tool call nor prompt"),
+    "E104": (_E, "artifact consumed but not a task input, produced upstream,"
+                 " or read from a datastore"),
+    "W105": (_W, "declared output produced on no path to end"),
+    "E106": (_E, "malformed decision, unbalanced fork/join, or unreachable body node"),
+    "E107": (_E, "element-wise call without collection-typed input"),
+    "E108": (_E, "tool call to undeclared tool"),
+    "W109": (_W, "agent has no resolvable llm binding"),
+    "E110": (_E, "agent unhosted or cross-node call without a link"),
+    "W111": (_W, "context flow artifact missing from every root task signature"),
+    "W112": (_W, "datastore never written or never read"),
+    "W113": (_W, "control-flow cycle with no guarded exit"),
+    "A001": (_E, "unknown impact seed element or direction"),
+    "A002": (_E, "pattern classification of a leaf task"),
+    "R001": (_E, "deployment view of a model with no deployment section"),
+    "R002": (_E, "activity diagram of a task with no body"),
+    "R003": (_E, "prompt table of a task with no prompt"),
+    "F001": (_E, "input that does not parse cannot be formatted"),
+}
+
+
 @record
 class Related:
     """Secondary location attached to a diagnostic (e.g. the first declaration)."""
@@ -146,10 +178,6 @@ def _location(span: SourceSpan) -> dict[str, Any]:
 
 def error(code: str, message: str, span: SourceSpan, related: tuple[Related, ...] = ()) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, span, related)
-
-
-def warning(code: str, message: str, span: SourceSpan, related: tuple[Related, ...] = ()) -> Diagnostic:
-    return Diagnostic(code, Severity.WARNING, message, span, related)
 
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:

@@ -73,16 +73,16 @@ class _Resolver:
         self.m = model
         self.diags: list[Diagnostic] = []
 
-    def err(self, code: str, message: str, span, related=()) -> None:
-        self.diags.append(error(code, message, span, related))
+    def err(self, message: str, span, related=()) -> None:
+        """An E001 finding: a reference that does not bind as it must."""
+        self.diags.append(error("E001", message, span, related))
+
+    def unresolved(self, what: str, name: str, span) -> None:
+        self.err(f"unresolved {what} '{name}'", span)
 
     def duplicate(self, kind: str, name: str, span, first_span) -> None:
-        self.err(
-            "E002",
-            f"duplicate {kind} declaration '{name}'",
-            span,
-            (Related("first declared here", first_span),),
-        )
+        self.diags.append(error("E002", f"duplicate {kind} declaration '{name}'", span,
+                                (Related("first declared here", first_span),)))
 
     def run(self) -> ResolveResult:
         model = self.m
@@ -113,10 +113,9 @@ class _Resolver:
                 continue
             elem = artifacts.get(art.element_type)
             if elem is None:
-                self.err("E001", f"unresolved artifact '{art.element_type}'", art.span)
+                self.unresolved("artifact", art.element_type, art.span)
             elif elem.is_collection:
                 self.err(
-                    "E001",
                     f"collection element type '{art.element_type}' must be a scalar artifact",
                     art.span,
                     (Related("declared as a collection here", elem.span),),
@@ -134,10 +133,10 @@ class _Resolver:
             for flow in model.context.flows:
                 for endpoint in (flow.source, flow.target):
                     if endpoint not in actors and endpoint not in tools and endpoint not in llms:
-                        self.err("E001", f"unresolved flow endpoint '{endpoint}'", flow.span)
+                        self.unresolved("flow endpoint", endpoint, flow.span)
                 for art in flow.artifacts:
                     if art not in artifacts:
-                        self.err("E001", f"unresolved artifact '{art}'", flow.span)
+                        self.unresolved("artifact", art, flow.span)
 
         hosts: dict[str, list[str]] = {}
         if model.deployment:
@@ -145,7 +144,6 @@ class _Resolver:
                 for hosted in node.hosts:
                     if hosted not in agents and hosted not in tools:
                         self.err(
-                            "E001",
                             f"unresolved hosted element '{hosted}' (not an agent or tool)",
                             node.span,
                         )
@@ -154,10 +152,10 @@ class _Resolver:
             for link in model.deployment.links:
                 for endpoint in (link.source, link.target):
                     if endpoint not in nodes:
-                        self.err("E001", f"unresolved deployment node '{endpoint}'", link.span)
+                        self.unresolved("deployment node", endpoint, link.span)
                 for art in link.artifacts:
                     if art not in artifacts:
-                        self.err("E001", f"unresolved artifact '{art}'", link.span)
+                        self.unresolved("artifact", art, link.span)
 
         tasks: dict[str, dict[str, m.Task]] = {}
         stores: dict[str, dict[str, m.Datastore]] = {}
@@ -199,12 +197,12 @@ class _Resolver:
     ) -> tuple[dict[str, m.Task], dict[str, m.Datastore]]:
         """Check one agent; returns its task and datastore tables."""
         if agent.llm is not None and agent.llm not in llms:
-            self.err("E001", f"unresolved llm '{agent.llm}'", agent.span)
+            self.unresolved("llm", agent.llm, agent.span)
 
         stores = self.collect("datastore", {}, agent.datastores)
         for store in agent.datastores:
             if store.artifact not in artifacts:
-                self.err("E001", f"unresolved artifact '{store.artifact}'", store.span)
+                self.unresolved("artifact", store.artifact, store.span)
         tasks = self.collect("task", {}, agent.tasks)
         for task in agent.tasks:
             self.resolve_task(agent, task, artifacts, agents, stores)
@@ -220,7 +218,7 @@ class _Resolver:
     ) -> None:
         for art in task.inputs + task.outputs:
             if art not in artifacts:
-                self.err("E001", f"unresolved artifact '{art}'", task.span)
+                self.unresolved("artifact", art, task.span)
 
         if task.prompt is not None:
             self.collect("prompt row", {}, task.prompt.rows)
@@ -228,7 +226,6 @@ class _Resolver:
                 for placeholder in PLACEHOLDER_RE.findall(row.template):
                     if placeholder not in task.inputs:
                         self.err(
-                            "E001",
                             f"prompt placeholder '{{{placeholder}}}' does not name an input"
                             f" of task '{task.name}'",
                             row.span,
@@ -244,33 +241,31 @@ class _Resolver:
                 self.duplicate("body node", node.id, node.span, first.span)
             if isinstance(node, m.CallNode):
                 if node.agent is not None and node.agent not in agents:
-                    self.err("E001", f"unresolved agent '{node.agent}'", node.span)
+                    self.unresolved("agent", node.agent, node.span)
                 if node.each is not None and node.each not in artifacts:
-                    self.err("E001", f"unresolved artifact '{node.each}'", node.span)
+                    self.unresolved("artifact", node.each, node.span)
                 for art in node.inputs + node.outputs:
                     if art not in artifacts:
-                        self.err("E001", f"unresolved artifact '{art}'", node.span)
+                        self.unresolved("artifact", art, node.span)
             elif isinstance(node, m.InvokeNode):
                 # tool existence is validator rule V8 (E108)
                 for art in node.inputs + node.outputs:
                     if art not in artifacts:
-                        self.err("E001", f"unresolved artifact '{art}'", node.span)
+                        self.unresolved("artifact", art, node.span)
             elif isinstance(node, m.DecisionNode):
                 if node.subject not in artifacts:
-                    self.err("E001", f"unresolved artifact '{node.subject}'", node.span)
+                    self.unresolved("artifact", node.subject, node.span)
             elif isinstance(node, m.StoreNode):
                 if node.store not in stores:
-                    self.err("E001", f"unresolved datastore '{node.store}'", node.span)
+                    self.unresolved("datastore", node.store, node.span)
 
         for edge in graph.edges:
             for endpoint in (edge.source, edge.target):
                 if graph.node_by_id(endpoint) is None:
-                    self.err("E001", f"unresolved edge endpoint '{endpoint}'", edge.span)
+                    self.unresolved("edge endpoint", endpoint, edge.span)
             if edge.guard is not None and not edge.guard.is_else:
                 if edge.guard.subject not in artifacts:
-                    self.err(
-                        "E001", f"unresolved artifact '{edge.guard.subject}'", edge.guard.span
-                    )
+                    self.unresolved("artifact", edge.guard.subject, edge.guard.span)
 
 
 def resolve(model: m.Model) -> ResolveResult:

@@ -1,9 +1,12 @@
 """Semantic rule engine for resolved models.
 
-Thirteen rules, V1 through V13, each with a fixed diagnostic code. Error
-codes (E1xx) make a model invalid; warning codes (W1xx) flag documentation
-quality problems. The rule list is append-only: codes never change meaning
-across releases.
+Thirteen rules, V1 through V13. ``RULES`` pairs each rule with its code, and
+the code's severity and meaning come from ``diagnostics.CODES``, the one
+catalogue of codes. A rule function yields ``(message, span)`` findings, and
+``check`` gives each finding its rule's code and severity, so no rule spells
+a code. Error codes (E1xx) make a model invalid; warning codes (W1xx) flag
+documentation quality problems. The rule list is append-only: codes never
+change meaning across releases.
 
 Cascade suppression keeps mutation diagnostics sharp: V4 only judges
 consumers reachable from start, and V5 is skipped for a body whose end is
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import model as m
-from .diagnostics import Diagnostic, Severity, error, has_errors, sort_diagnostics, warning
+from .diagnostics import CODES, Diagnostic, Severity, has_errors, sort_diagnostics
 from .flow import ControlFacts, reachable, strongly_connected, unguarded_circuits
 from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
@@ -30,23 +33,10 @@ class Rule:
     description: str
 
 
-RULES: tuple[Rule, ...] = (
-    Rule("V1", "E101", Severity.ERROR, "TaskCall target task missing on callee agent"),
-    Rule("V2", "E102", Severity.ERROR, "recursive task decomposition cycle"),
-    Rule("V3", "E103", Severity.ERROR, "leaf task has neither tool call nor prompt"),
-    Rule("V4", "E104", Severity.ERROR,
-         "artifact consumed but not a task input, produced upstream, or read from a datastore"),
-    Rule("V5", "W105", Severity.WARNING, "declared output produced on no path to end"),
-    Rule("V6", "E106", Severity.ERROR,
-         "malformed decision, unbalanced fork/join, or unreachable body node"),
-    Rule("V7", "E107", Severity.ERROR, "element-wise call without collection-typed input"),
-    Rule("V8", "E108", Severity.ERROR, "tool call to undeclared tool"),
-    Rule("V9", "W109", Severity.WARNING, "agent has no resolvable llm binding"),
-    Rule("V10", "E110", Severity.ERROR, "agent unhosted or cross-node call without a link"),
-    Rule("V11", "W111", Severity.WARNING,
-         "context flow artifact missing from every root task signature"),
-    Rule("V12", "W112", Severity.WARNING, "datastore never written or never read"),
-    Rule("V13", "W113", Severity.WARNING, "control-flow cycle with no guarded exit"),
+RULES: tuple[Rule, ...] = tuple(
+    Rule(f"V{i}", code, *CODES[code])
+    for i, code in enumerate(("E101", "E102", "E103", "E104", "W105", "E106", "E107",
+                              "E108", "W109", "E110", "W111", "W112", "W113"), 1)
 )
 
 RULES_BY_ID = {r.id: r for r in RULES}
@@ -62,20 +52,25 @@ def check(rm: ResolvedModel) -> list[Diagnostic]:
         for agent, task in m.iter_tasks(rm.model)
         if task.graph is not None
     ]
-    diags: list[Diagnostic] = []
-    diags.extend(_v1_call_targets(rm, bodies))
-    diags.extend(_v2_recursion(rm))
-    diags.extend(_v3_leaf_substance(rm))
-    diags.extend(_v4_consumption(rm, bodies))
-    diags.extend(_v5_outputs_on_final_paths(bodies))
-    diags.extend(_v6_graph_shape(bodies))
-    diags.extend(_v7_element_wise(rm, bodies))
-    diags.extend(_v8_tools(rm, bodies))
-    diags.extend(_v9_llm_binding(rm))
-    diags.extend(_v10_deployment(rm, bodies))
-    diags.extend(_v11_flow_signatures(rm))
-    diags.extend(_v12_datastores(rm))
-    diags.extend(_v13_unguarded_cycles(bodies))
+    # rules are looked up in the module at each call, so a wrapper set in a
+    # rule's place (bench/tracer.py's per-rule spans) runs instead of it
+    findings = (
+        _v1_call_targets(rm, bodies),
+        _v2_recursion(rm),
+        _v3_leaf_substance(rm),
+        _v4_consumption(rm, bodies),
+        _v5_outputs_on_final_paths(bodies),
+        _v6_graph_shape(bodies),
+        _v7_element_wise(rm, bodies),
+        _v8_tools(rm, bodies),
+        _v9_llm_binding(rm),
+        _v10_deployment(rm, bodies),
+        _v11_flow_signatures(rm),
+        _v12_datastores(rm),
+        _v13_unguarded_cycles(bodies),
+    )
+    diags = [Diagnostic(rule.code, rule.severity, message, span)
+             for rule, found in zip(RULES, findings) for message, span in found]
     return sort_diagnostics(diags)
 
 
@@ -91,7 +86,7 @@ def _v1_call_targets(rm: ResolvedModel, bodies: list[Body]):
             callee = rm.callee_agent_name(agent, call)
             # an unresolved agent name was already E001
             if callee in rm.agents and rm.task(callee, call.task) is None:
-                yield error("E101", f"agent '{callee}' has no task '{call.task}'", call.span)
+                yield f"agent '{callee}' has no task '{call.task}'", call.span
 
 
 # --- V2 ------------------------------------------------------------------------
@@ -105,8 +100,7 @@ def _v2_recursion(rm: ResolvedModel):
             continue
         members = sorted(scc, key=decl_order.__getitem__)
         cycle_text = " -> ".join(m.task_display(*key) for key in members + members[:1])
-        yield error("E102", f"recursive task decomposition: {cycle_text}",
-                    rm.task(*members[0]).span)
+        yield f"recursive task decomposition: {cycle_text}", rm.task(*members[0]).span
 
 
 # --- V3 ------------------------------------------------------------------------
@@ -117,12 +111,8 @@ def _v3_leaf_substance(rm: ResolvedModel):
             continue
         has_invoke = task.graph is not None and len(task.graph.invokes) > 0
         if not has_invoke and task.prompt is None:
-            yield error(
-                "E103",
-                f"leaf task '{m.task_display(agent.name, task.name)}' has neither a tool"
-                " call nor a prompt",
-                task.span,
-            )
+            yield (f"leaf task '{m.task_display(agent.name, task.name)}' has neither a tool"
+                   " call nor a prompt", task.span)
 
 
 # --- V4 ------------------------------------------------------------------------
@@ -163,12 +153,8 @@ def _v4_consumption(rm: ResolvedModel, bodies: list[Body]):
                     continue
                 if art in bit and available.get(node.id, 0) >> bit[art] & 1:
                     continue
-                yield error(
-                    "E104",
-                    f"'{art}' is consumed by '{node.id}' but is neither a task input,"
-                    " produced upstream, nor read from a datastore",
-                    node.span,
-                )
+                yield (f"'{art}' is consumed by '{node.id}' but is neither a task input,"
+                       " produced upstream, nor read from a datastore", node.span)
 
 
 def _available(facts: ControlFacts, gen: dict[str, int]) -> dict[str, int]:
@@ -218,13 +204,9 @@ def _v5_outputs_on_final_paths(bodies: list[Body]):
                         ok = True
                         break
             if not ok:
-                yield warning(
-                    "W105",
-                    f"declared output '{art}' of task"
-                    f" '{m.task_display(agent.name, task.name)}' is produced on no"
-                    " path from start to end",
-                    task.span,
-                )
+                yield (f"declared output '{art}' of task"
+                       f" '{m.task_display(agent.name, task.name)}' is produced on no"
+                       " path from start to end", task.span)
 
 
 # --- V6 ------------------------------------------------------------------------
@@ -237,12 +219,8 @@ def _v6_graph_shape(bodies: list[Body]):
         for node_id, decision in sorted(decisions.items()):
             outgoing = facts.out_edges.get(node_id, [])
             if len(outgoing) < 2:
-                yield error(
-                    "E106",
-                    f"decision '{node_id}' has {len(outgoing)} outgoing edge(s);"
-                    " at least 2 are required",
-                    decision.span,
-                )
+                yield (f"decision '{node_id}' has {len(outgoing)} outgoing edge(s);"
+                       " at least 2 are required", decision.span)
             literals: set[str] = set()
             else_seen = False
             for edge in outgoing:
@@ -250,58 +228,35 @@ def _v6_graph_shape(bodies: list[Body]):
                     continue
                 if edge.guard.is_else:
                     if else_seen:
-                        yield error(
-                            "E106",
-                            f"decision '{node_id}' has more than one [else] guard",
-                            edge.guard.span,
-                        )
+                        yield (f"decision '{node_id}' has more than one [else] guard",
+                               edge.guard.span)
                     else_seen = True
                     continue
                 if edge.guard.literal in literals:
-                    yield error(
-                        "E106",
-                        f"duplicate guard literal '{edge.guard.literal}' on decision"
-                        f" '{node_id}'",
-                        edge.guard.span,
-                    )
+                    yield (f"duplicate guard literal '{edge.guard.literal}' on decision"
+                           f" '{node_id}'", edge.guard.span)
                 literals.add(edge.guard.literal)
                 if edge.guard.subject != decision.subject:
-                    yield error(
-                        "E106",
-                        f"guard subject '{edge.guard.subject}' does not match decision"
-                        f" subject '{decision.subject}'",
-                        edge.guard.span,
-                    )
+                    yield (f"guard subject '{edge.guard.subject}' does not match decision"
+                           f" subject '{decision.subject}'", edge.guard.span)
 
         for edge in graph.edges:
             if edge.kind is not m.EdgeKind.CONTROL:
                 continue
             if edge.guard is not None and edge.source not in decisions:
-                yield error(
-                    "E106",
-                    "guard on an edge that does not leave a decision",
-                    edge.guard.span,
-                )
+                yield "guard on an edge that does not leave a decision", edge.guard.span
 
         for node in graph.nodes:
             if isinstance(node, m.ForkNode):
                 out_degree = len(facts.out_edges.get(node.id, ()))
                 if out_degree < 2:
-                    yield error(
-                        "E106",
-                        f"fork '{node.id}' has {out_degree} outgoing edge(s);"
-                        " at least 2 are required",
-                        node.span,
-                    )
+                    yield (f"fork '{node.id}' has {out_degree} outgoing edge(s);"
+                           " at least 2 are required", node.span)
             elif isinstance(node, m.JoinNode):
                 in_degree = len(facts.pred.get(node.id, ()))
                 if in_degree < 2:
-                    yield error(
-                        "E106",
-                        f"join '{node.id}' has {in_degree} incoming edge(s);"
-                        " at least 2 are required",
-                        node.span,
-                    )
+                    yield (f"join '{node.id}' has {in_degree} incoming edge(s);"
+                           " at least 2 are required", node.span)
 
         # joins must only be reachable through fork branches
         fork_ids = {n.id for n in graph.nodes if isinstance(n, m.ForkNode)}
@@ -311,11 +266,7 @@ def _v6_graph_shape(bodies: list[Body]):
         reachable_without_forks = reachable(adj_without_forks, m.INITIAL_ID)
         for node in graph.nodes:
             if isinstance(node, m.JoinNode) and node.id in reachable_without_forks:
-                yield error(
-                    "E106",
-                    f"join '{node.id}' is reachable without passing a fork",
-                    node.span,
-                )
+                yield f"join '{node.id}' is reachable without passing a fork", node.span
 
         from_start = facts.from_start
         for node in graph.nodes:
@@ -323,20 +274,16 @@ def _v6_graph_shape(bodies: list[Body]):
                 continue
             if isinstance(node, m.FinalNode):
                 if node.id not in from_start:
-                    yield error("E106", "no path from start reaches end", graph.span)
+                    yield "no path from start reaches end", graph.span
                 continue
             if node.id not in from_start:
-                yield error(
-                    "E106", f"node '{node.id}' is unreachable from start", node.span
-                )
+                yield f"node '{node.id}' is unreachable from start", node.span
         if m.FINAL_ID in from_start:
             for node in graph.nodes:
                 if isinstance(node, (m.FinalNode, m.StoreNode)):
                     continue
                 if node.id in from_start and node.id not in facts.reaches_end:
-                    yield error(
-                        "E106", f"node '{node.id}' reaches no end node", node.span
-                    )
+                    yield f"node '{node.id}' reaches no end node", node.span
 
 
 # --- V7 ------------------------------------------------------------------------
@@ -352,11 +299,7 @@ def _v7_element_wise(rm: ResolvedModel, bodies: list[Body]):
                 if a in rm.artifacts
             )
             if not has_collection_input:
-                yield error(
-                    "E107",
-                    f"element-wise call '{call.id}' has no collection-typed input",
-                    call.span,
-                )
+                yield f"element-wise call '{call.id}' has no collection-typed input", call.span
 
 
 # --- V8 ------------------------------------------------------------------------
@@ -365,9 +308,7 @@ def _v8_tools(rm: ResolvedModel, bodies: list[Body]):
     for _agent, task, _facts in bodies:
         for invoke in task.graph.invokes:
             if invoke.tool not in rm.tools:
-                yield error(
-                    "E108", f"tool call to undeclared tool '{invoke.tool}'", invoke.span
-                )
+                yield f"tool call to undeclared tool '{invoke.tool}'", invoke.span
 
 
 # --- V9 ------------------------------------------------------------------------
@@ -375,12 +316,8 @@ def _v8_tools(rm: ResolvedModel, bodies: list[Body]):
 def _v9_llm_binding(rm: ResolvedModel):
     for agent in rm.model.agents:
         if rm.llm_of(agent) is None:
-            yield warning(
-                "W109",
-                f"agent '{agent.name}' has no llm binding (no agent-level llm and"
-                " no model-level default)",
-                agent.span,
-            )
+            yield (f"agent '{agent.name}' has no llm binding (no agent-level llm and"
+                   " no model-level default)", agent.span)
 
 
 # --- V10 -----------------------------------------------------------------------
@@ -393,27 +330,15 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
     for agent in rm.model.agents:
         nodes = hosts.get(agent.name, [])
         if len(nodes) == 0:
-            yield error(
-                "E110",
-                f"agent '{agent.name}' is not hosted by any deployment node",
-                agent.span,
-            )
+            yield f"agent '{agent.name}' is not hosted by any deployment node", agent.span
         elif len(nodes) > 1:
-            yield error(
-                "E110",
-                f"agent '{agent.name}' is hosted by {len(nodes)} deployment nodes;"
-                " exactly one is required",
-                agent.span,
-            )
+            yield (f"agent '{agent.name}' is hosted by {len(nodes)} deployment nodes;"
+                   " exactly one is required", agent.span)
     for tool in rm.model.tools:
         nodes = hosts.get(tool.name, [])
         if len(nodes) > 1:
-            yield error(
-                "E110",
-                f"tool '{tool.name}' is hosted by {len(nodes)} deployment nodes;"
-                " exactly one is required",
-                tool.span,
-            )
+            yield (f"tool '{tool.name}' is hosted by {len(nodes)} deployment nodes;"
+                   " exactly one is required", tool.span)
 
     def unique_host(name: str) -> str | None:
         nodes = hosts.get(name, [])
@@ -433,25 +358,17 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
             if callee_node is None or callee_node == caller_node:
                 continue
             if frozenset((caller_node, callee_node)) not in linked:
-                yield error(
-                    "E110",
-                    f"call from agent '{agent.name}' (node '{caller_node}') to agent"
-                    f" '{callee_agent}' (node '{callee_node}') has no link between"
-                    " their nodes",
-                    call.span,
-                )
+                yield (f"call from agent '{agent.name}' (node '{caller_node}') to agent"
+                       f" '{callee_agent}' (node '{callee_node}') has no link between"
+                       " their nodes", call.span)
         for invoke in task.graph.invokes:
             tool_node = unique_host(invoke.tool)
             if tool_node is None or tool_node == caller_node:
                 continue
             if frozenset((caller_node, tool_node)) not in linked:
-                yield error(
-                    "E110",
-                    f"tool call from agent '{agent.name}' (node '{caller_node}') to"
-                    f" tool '{invoke.tool}' (node '{tool_node}') has no link between"
-                    " their nodes",
-                    invoke.span,
-                )
+                yield (f"tool call from agent '{agent.name}' (node '{caller_node}') to"
+                       f" tool '{invoke.tool}' (node '{tool_node}') has no link between"
+                       " their nodes", invoke.span)
 
 
 # --- V11 -----------------------------------------------------------------------
@@ -469,11 +386,7 @@ def _v11_flow_signatures(rm: ResolvedModel):
     for flow in context.flows:
         for art in flow.artifacts:
             if art not in root_signature:
-                yield warning(
-                    "W111",
-                    f"flow artifact '{art}' appears in no root task signature",
-                    flow.span,
-                )
+                yield f"flow artifact '{art}' appears in no root task signature", flow.span
 
 
 # --- V12 -----------------------------------------------------------------------
@@ -499,12 +412,8 @@ def _v12_datastores(rm: ResolvedModel):
             if store.name not in read:
                 missing.append("read")
             if missing:
-                yield warning(
-                    "W112",
-                    f"datastore '{store.name}' of agent '{agent.name}' is never"
-                    f" {' or '.join(missing)}",
-                    store.span,
-                )
+                yield (f"datastore '{store.name}' of agent '{agent.name}' is never"
+                       f" {' or '.join(missing)}", store.span)
 
 
 # --- V13 -----------------------------------------------------------------------
@@ -515,9 +424,5 @@ def _v13_unguarded_cycles(bodies: list[Body]):
             cycle_text = " -> ".join(cycle + (cycle[0],))
             anchor = task.graph.node_by_id(cycle[0])
             span = anchor.span if anchor is not None else task.span
-            yield warning(
-                "W113",
-                f"control-flow cycle {cycle_text} in task"
-                f" '{m.task_display(agent.name, task.name)}' has no guarded exit",
-                span,
-            )
+            yield (f"control-flow cycle {cycle_text} in task"
+                   f" '{m.task_display(agent.name, task.name)}' has no guarded exit", span)

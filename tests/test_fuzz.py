@@ -4,7 +4,8 @@ Each mutant is a corpus or generated model with one to three lines deleted,
 duplicated or edited (``genmodels.mutate``). Through ``cli.main`` in
 process, every command must end with a documented exit code other than 4
 (an internal fault) and print no traceback, ``check --format json`` must
-print JSON, and the formatter laws must hold wherever the mutant parses.
+print JSON whose every code is in ``diagnostics.CODES`` with its severity
+there, and the formatter laws must hold wherever the mutant parses.
 Through the library, no stage may leave a reference cycle behind: the
 records hold no back references, so the cyclic collector has nothing to
 free after any of them.
@@ -17,6 +18,7 @@ import json
 import random
 import shutil
 
+from a4c.diagnostics import CODES
 from a4c.formatter import FormatError, canonical_format
 from a4c.model import fingerprint
 from a4c.parser import parse
@@ -27,6 +29,7 @@ from conftest import CORPUS, corpus_text, load_shapes, run_cli
 from genmodels import generate_model, mutate
 
 DOCUMENTED_EXITS = {0, 1, 2, 3}
+CATALOGUED = {(code, str(severity)) for code, (severity, _meaning) in CODES.items()}
 
 
 def mutants(seed: int, count: int) -> list[str]:
@@ -52,7 +55,9 @@ def test_cli_survives_mutants(tmp_path, capsys):
         file = str(path)
         run_checked(capsys, "check", file)
         _, out, _ = run_checked(capsys, "check", "--format", "json", file)
-        assert isinstance(json.loads(out), list), k
+        found = json.loads(out)
+        assert isinstance(found, list), k
+        assert {(d["code"], d["severity"]) for d in found} <= CATALOGUED, k
         run_checked(capsys, "classify", file)
         run_checked(capsys, "docs", file, "--out", str(out_dir))
         shutil.rmtree(out_dir, ignore_errors=True)
