@@ -11,7 +11,9 @@ never as a traceback).
 
 Each command imports the modules it runs when it runs, so ``fmt`` never
 loads the resolver and ``--help`` loads neither parser nor resolver.
-``run`` is the process entry point.
+``check`` lives here; the other commands live in ``commands``, which only
+they import, so ``check`` never compiles them. ``run`` is the process
+entry point, and only a ``check`` run that ``run`` owns forks workers.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import stat
 import sys
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
 
@@ -33,6 +34,11 @@ EXIT_FINDINGS = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+# Model text that each process of a parallel ``check`` must be given for its
+# fork to pay: below twice this in all, ``check`` stays in one process.
+# Measured with paired runs on a 2-CPU host (see CHANGES.md).
+FORK_MIN_BYTES = 32_768
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,66 +134,190 @@ def _print_diagnostics(diags: list[Diagnostic], fmt: str, stream=None) -> None:
         stream.write(f"{errors} error(s), {warnings} warning(s)\n")
 
 
-def _read(path: str) -> Optional[str]:
-    """The text of one model file, without a leading byte-order mark, or None
-    once the reason it cannot be read is printed on stderr."""
+def _read(path: str) -> tuple[Optional[str], str]:
+    """The text of one model file, without a leading byte-order mark, and
+    ""; or None and the line that says why it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+            return fh.read(), ""
     except OSError as exc:
         reason = exc.strerror
     except UnicodeDecodeError:
         reason = "not valid UTF-8"
-    print(f"a4c: cannot read {path}: {reason}", file=sys.stderr)
-    return None
+    return None, f"a4c: cannot read {path}: {reason}"
 
 
-def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic], int]:
-    """Parse and resolve one file: (resolved, diagnostics, failing exit code)."""
+def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic], int, str]:
+    """Parse and resolve one file: (resolved, diagnostics, failing exit code,
+    the line for stderr when the file cannot be read)."""
     from .parser import parse
     from .resolver import resolve
 
-    text = _read(path)
+    text, note = _read(path)
     if text is None:
-        return None, [], EXIT_INPUT
+        return None, [], EXIT_INPUT, note
     presult = parse(text, path)
     if presult.model is None:
-        return None, presult.diagnostics, EXIT_INPUT
+        return None, presult.diagnostics, EXIT_INPUT, ""
     rresult = resolve(presult.model)
     diags = sort_diagnostics(presult.diagnostics + rresult.diagnostics)
     if rresult.model is None:
-        return None, diags, EXIT_FINDINGS
-    return rresult.model, diags, EXIT_OK
+        return None, diags, EXIT_FINDINGS, ""
+    return rresult.model, diags, EXIT_OK, ""
 
 
-def _on_resolved(command: Callable[..., int]) -> Callable[..., int]:
-    """Run ``command(args, rm)`` on the resolved model of ``args.file``, or print
-    on stderr why the file does not resolve and return the exit code. A model
-    that resolves has no diagnostics to print: loading reports only errors."""
-    def run(args) -> int:
-        rm, diags, code = _load_resolved(args.file)
-        if rm is None:
-            _print_diagnostics(diags, "text", sys.stderr)
-            return code
-        return command(args, rm)
+# --- check: one process, or the files shared among forked workers ----------------
 
-    return run
-
-
-# --- commands (each imports what only it runs: `check` loads no renderer) --------
-
-def _cmd_check(args) -> int:
+def _check_file(path: str) -> tuple[list[Diagnostic], int, str]:
+    """``check`` on one file: (its sorted diagnostics, failing exit code, the
+    line for stderr when it cannot be read)."""
     from .validate import check
 
+    rm, diags, code, note = _load_resolved(path)
+    if rm is not None:
+        diags = diags + check(rm)
+    return sort_diagnostics(diags), code, note
+
+
+def _size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:  # the process that checks it says why it cannot be read
+        return 0
+
+
+def _shares(paths: list[str]) -> list[list[int]]:
+    """The files of one ``check`` run shared among processes, each share the
+    indices of its files in argument order; the first share is the parent's.
+    There is one process per ``FORK_MIN_BYTES`` of model text, at most one
+    per usable CPU and one per file, and only one where ``os.fork`` is
+    missing. Files go largest first to the share with the least text."""
+    if len(paths) < 2 or not hasattr(os, "fork"):
+        return [list(range(len(paths)))]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    sizes = [_size(path) for path in paths]
+    count = max(1, min(cpus, len(paths), sum(sizes) // FORK_MIN_BYTES))
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += sizes[i]
+    return [sorted(share) for share in shares if share]
+
+
+def _check_share(paths: list[str], share: list[int]) -> tuple[list, Optional[Exception]]:
+    """``_check_file`` on the files of ``share`` in argument order, up to the
+    first that raises: (their results, that exception or None)."""
+    done = []
+    for i in share:
+        try:
+            done.append(_check_file(paths[i]))
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
+def _worker(paths: list[str], share: list[int], write_fd: int) -> NoReturn:
+    """A forked worker: ``_check_share`` of ``share``, pickled down its pipe.
+    It always ends in ``os._exit``, so nothing the parent registered runs
+    twice, and with status 0 only once the whole pair is written."""
+    status = 1
+    try:
+        import pickle
+
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(_check_share(paths, share), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork(paths: list[str], share: list[int]):
+    """A worker forked for ``share``: (its pid, the read end of its pipe), or
+    None when the system has no process to spare."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _worker(paths, share, write_fd)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _check_in_processes(paths: list[str], shares: list[list[int]]) -> list:
+    """``_check_file`` of every path, the parent checking the first share
+    (and any share it could not fork for) while a forked worker checks each
+    other. The first fault in argument order is raised, as a serial run
+    would raise it; a worker that ends without its results is a fault too.
+    No worker outlives this call."""
+    import pickle
+
+    from . import parser, resolver, validate  # noqa: F401  compiled once, for every worker
+
+    sys.stdout.flush()  # a worker must not inherit output to write twice
+    sys.stderr.flush()
+    gc.freeze()  # collections skip what exists now, so workers share its pages
+    mine, workers = [shares[0]], []
+    try:
+        for share in shares[1:]:
+            worker = _fork(paths, share)
+            if worker is None:
+                mine.append(share)
+            else:
+                workers.append((share, *worker))
+        # (share, _check_share's pair) of every share
+        outcomes = [(share, _check_share(paths, share)) for share in mine]
+        while workers:
+            share, pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if status:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
+                raise RuntimeError(f"a check worker {how} before sending its results")
+            outcomes.append((share, pickle.loads(data)))
+    finally:
+        if workers:  # a fault or an interrupt came first: their results are not wanted
+            import signal
+
+            for _share, pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results: list = [None] * len(paths)
+    faults = []
+    for share, (done, fault) in outcomes:
+        for i, result in zip(share, done):
+            results[i] = result
+        if fault is not None:
+            faults.append((share[len(done)], fault))
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    return results
+
+
+def _cmd_check(args) -> int:
+    shares = _shares(args.files) if args.may_fork else []
+    if len(shares) > 1:
+        results = _check_in_processes(args.files, shares)
+    else:
+        results = [_check_file(path) for path in args.files]
+    # every note, then every diagnostic, in argument order, however the files were shared
     all_diags: list[Diagnostic] = []
     worst = EXIT_OK
-    # results stay grouped by input file, in argument order
-    for path in args.files:
-        rm, diags, code = _load_resolved(path)
-        file_diags = list(diags)
-        if rm is not None:
-            file_diags.extend(check(rm))
-        all_diags.extend(sort_diagnostics(file_diags))
+    for diags, code, note in results:
+        if note:
+            print(note, file=sys.stderr)
+        all_diags.extend(diags)
         worst = max(worst, code)
     _print_diagnostics(all_diags, args.format)
     if worst == EXIT_INPUT:
@@ -199,198 +329,20 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _write_file(path: str, content: str) -> None:
-    """Write ``content`` to a temporary sibling of ``path`` and rename it over
-    ``path``, so that ``path`` holds either its old or its new bytes. A file
-    that exists keeps its permission bits; a new one gets the mode ``open``
-    gives it. A symbolic link is followed, as ``open`` would."""
-    path = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    replaced = False
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(content)
-        if os.path.exists(path):
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, path)
-        replaced = True
-    finally:
-        if not replaced and os.path.exists(tmp):
-            os.remove(tmp)
+# the other commands are in ``commands``, imported only to run one of them
+_COMMANDS = {"check": _cmd_check}
 
 
-def _manifest_entries(path: str) -> dict[str, str]:
-    """The ``files`` table of an existing manifest; empty when there is none,
-    it cannot be read, or it is not shaped ``{"files": {path: digest}}``."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-    except (OSError, ValueError, RecursionError):
-        return {}
-    entries = old.get("files") if isinstance(old, dict) else None
-    if not isinstance(entries, dict) or not all(isinstance(d, str) for d in entries.values()):
-        return {}
-    return entries
-
-
-def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
-    """Write rendered files plus a sha256 manifest.
-
-    An existing manifest is merged so render and docs invocations sharing an
-    --out directory describe the combined tree; entries whose file vanished
-    are dropped.
-    """
-    import hashlib
-    import json
-
-    for rel, content in files.items():
-        path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        _write_file(path, content)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    entries = {rel: digest for rel, digest in _manifest_entries(manifest_path).items()
-               if os.path.exists(os.path.join(out_dir, rel))}
-    for rel, content in files.items():
-        entries[rel] = hashlib.sha256(content.encode("utf-8")).hexdigest()
-    manifest = {"files": {rel: entries[rel] for rel in sorted(entries)}}
-    _write_file(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for rel in sorted(files):
-        print(f"wrote {os.path.join(out_dir, rel)}")
-    print(f"wrote {manifest_path}")
-
-
-@_on_resolved
-def _cmd_render(args, rm: ResolvedModel) -> int:
-    from . import model as m, render
-
-    model = rm.model
-    files: dict[str, str] = {}
-    level = args.level
-    try:
-        if level in ("c1", "all"):
-            files["c1.puml"] = render.render_context(model).text
-        if level == "c2" or (level == "all" and model.deployment is not None):
-            files["c2.puml"] = render.render_deployment(model).text
-        for agent, task in m.iter_tasks(model):
-            stem = m.task_display(agent.name, task.name)
-            if task.graph is not None and (
-                level == "all"
-                or (level == "c3" and task.is_composite)
-                or (level == "c4" and task.is_leaf)
-            ):
-                files[f"activity/{stem}.dot"] = render.render_activity(model, agent, task).text
-            if task.prompt is not None and level in ("c4", "all"):
-                files[f"prompts/{stem}.md"] = render.render_prompts(agent, task).text
-    except render.RenderError as exc:  # R001: --level c2 without a deployment section
-        print(f"a4c: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
-    _write_outputs(args.out, files)
-    return EXIT_OK
-
-
-@_on_resolved
-def _cmd_impact(args, rm: ResolvedModel) -> int:
-    from .analysis import AnalysisError, impact
-
-    try:
-        report = impact(rm, args.seed, args.direction)
-    except AnalysisError as exc:
-        print(f"a4c: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        _write_json(report.to_json_obj(), sys.stdout)
-        return EXIT_OK
-    print(f"impact of {report.seed} ({report.direction}):")
-    if not report.affected:
-        print("  no affected elements")
-    for entry in report.affected:
-        path = " -> ".join(entry.path)
-        print(f"  {entry.element} [{entry.relation}] via {path}")
-    print("levels: " + (", ".join(report.levels_touched) or "none"))
-    return EXIT_OK
-
-
-@_on_resolved
-def _cmd_classify(args, rm: ResolvedModel) -> int:
-    from . import model as m
-    from .analysis import classify
-
-    rows = []
-    for agent, task in m.iter_tasks(rm.model):
-        if not task.is_composite:
-            continue
-        pattern = classify(rm, agent, task)
-        rows.append((agent, task, pattern))
-    if args.format == "json":
-        payload = [
-            {
-                "agent": agent.name,
-                "task": task.name,
-                "pattern": str(pattern.value),
-                "evidence": [
-                    {"criterion": criterion, "elements": list(refs)}
-                    for criterion, refs in pattern.evidence
-                ],
-            }
-            for agent, task, pattern in rows
-        ]
-        _write_json(payload, sys.stdout)
-        return EXIT_OK
-    for agent, task, pattern in rows:
-        print(f"{m.task_display(agent.name, task.name)}: {pattern.value}")
-    return EXIT_OK
-
-
-@_on_resolved
-def _cmd_docs(args, rm: ResolvedModel) -> int:
-    from . import render
-
-    bundle = render.docs_bundle(rm)
-    files = {f"docs/{rel}": content for rel, content in bundle.files.items()}
-    _write_outputs(args.out, files)
-    return EXIT_OK
-
-
-def _cmd_fmt(args) -> int:
-    from .formatter import FormatError, canonical_format
-
-    # every file is formatted before any is written, so one that fails to
-    # read or parse leaves them all untouched
-    outputs: list[tuple[str, str]] = []
-    for path in args.files:
-        text = _read(path)
-        if text is None:
-            return EXIT_INPUT
-        try:
-            outputs.append((path, canonical_format(text, path)))
-        except FormatError as exc:
-            _print_diagnostics([exc.diagnostic] + exc.causes, "text", sys.stderr)
-            return EXIT_INPUT
-    for path, formatted in outputs:
-        if args.stdout:
-            sys.stdout.write(formatted)
-        else:
-            _write_file(path, formatted)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "render": _cmd_render,
-    "impact": _cmd_impact,
-    "classify": _cmd_classify,
-    "docs": _cmd_docs,
-    "fmt": _cmd_fmt,
-}
-
-
-def main(argv: Optional[list[str]] = None) -> int:
+def _main(argv: Optional[list[str]], may_fork: bool) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(may_fork=may_fork))
     try:
-        return _COMMANDS[args.command](args)
+        command = _COMMANDS.get(args.command)
+        if command is None:
+            from . import commands
+
+            command = getattr(commands, args.command)
+        return command(args)
     except OSError as exc:
         print(f"a4c: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -400,18 +352,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def main(argv: Optional[list[str]] = None) -> int:
+    """The CLI in the calling process, which it never forks: a process with
+    threads, or a test runner, may not be safe to fork."""
+    return _main(argv, may_fork=False)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     """``main`` for a process that ends with it (the ``a4c`` script and
-    ``python -m a4c.cli``). Whatever ``main`` leaves alive lives until exit,
-    so ``gc.freeze()`` moves it all into the permanent generation, which the
-    interpreter's final collections skip; the ``finally`` covers argparse's
-    ``SystemExit`` too. Callers that go on running call ``main``, which
-    leaves the collector as it is."""
+    ``python -m a4c.cli``), so ``check`` may fork workers. Whatever is left
+    alive lives until exit, so ``gc.freeze()`` moves it all into the
+    permanent generation, which the interpreter's final collections skip;
+    the ``finally`` covers argparse's ``SystemExit`` too. Callers that go on
+    running call ``main``, which leaves the collector as it is."""
     try:
-        return main(argv)
+        return _main(argv, may_fork=True)
     finally:
         gc.freeze()
 
 
 if __name__ == "__main__":
+    # ``python -m a4c.cli`` runs this file as ``__main__``; entered under its
+    # own name too, it is the module that ``commands`` imports, not a copy
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(run())

@@ -4,9 +4,11 @@
 
 It extracts ``git archive REV src/a4c`` to a temporary directory and builds
 one fixed set of inputs: the corpus, ``messy.a4c``, a corpus model with
-one unresolved reference, ``--count`` each of clean, noisy and body models
-from ``genmodels`` (seeds 0 to N-1), the benchmark's shapes, a model of
-300 agents with one body each (``genmodels.many_bodies``), ``--count``
+one unresolved reference, one with an unguarded loop, ``--count`` each of
+clean, noisy and body models from ``genmodels`` (seeds 0 to N-1), the
+benchmark's shapes (a chain and a fan of 200 agents among them, large
+enough together for ``check`` to fork workers), a model of 300 agents with
+one body each (``genmodels.many_bodies``), ``--count``
 ``mutate`` mutants of each corpus model, and each corpus model with one of
 its tokens cut out (``make_goldens.token_deletions``). Then it runs one
 observer per side in a subprocess with that side's ``PYTHONPATH``, so no
@@ -54,6 +56,12 @@ OBSERVABLES = ("tokens", "parse", "fingerprint", "elements", "resolve", "check",
 BROKEN = 'model "X" { context { bogus } artifact A widget W }\n'
 # testgen with one E001: it parses but does not resolve
 UNRESOLVED = ("testgen", "store codeStore : TestCode", "store codeStore : TestCodes")
+# testgen with one W113: its feedback loop loses its guarded exit
+WARNED = ("testgen", "chk -> end [Report == IO]", "chk -> end")
+# enough model text for ``check`` to share the files among forked workers,
+# with a file of each kind of failure among them
+FORKED = ["large-chain.a4c", "missing.a4c", "warned.a4c", "latin1.a4c", "broken.a4c",
+          "large-fan.a4c", "unresolved.a4c", "messy.a4c"]
 # argv of each CLI command, run in a directory that holds the input files
 # named here; ``out/`` is emptied before each command
 CLI_TABLE = (
@@ -64,6 +72,9 @@ CLI_TABLE = (
     ["check", "--format", "json", "broken.a4c"],
     ["check", "latin1.a4c"],
     ["check", "missing.a4c"],
+    ["check", *FORKED],
+    ["check", "--format", "json", *FORKED],
+    ["check", "--fail-on-warning", "large-chain.a4c", "warned.a4c", "large-fan.a4c"],
     ["render", "--out", "out", "testgen.a4c"],
     ["render", "--level", "c2", "--out", "out", "recovery.a4c"],
     ["docs", "--out", "out", "resell.a4c"],
@@ -97,8 +108,10 @@ def build_inputs(count: int) -> dict[str, str]:
     inputs = {f"{name}.a4c": text for name, text in corpus.items()}
     inputs["messy.a4c"] = (HERE / "fixtures" / "messy.a4c").read_text(encoding="utf-8")
     inputs["broken.a4c"] = BROKEN
-    name, old, new = UNRESOLVED
-    inputs["unresolved.a4c"] = corpus[name].replace(old, new, 1)
+    for file, (name, old, new) in (("unresolved.a4c", UNRESOLVED), ("warned.a4c", WARNED)):
+        inputs[file] = corpus[name].replace(old, new, 1)
+    inputs["large-chain.a4c"] = shapes.chain(200, 0)
+    inputs["large-fan.a4c"] = shapes.fan(200, 0)
     for i in range(count):
         inputs[f"clean-{i}"] = generate_model(i)
         inputs[f"noisy-{i}"] = generate_model(i, noise=True)

@@ -14,7 +14,7 @@ import pytest
 
 from a4c import cli
 
-from conftest import corpus_text, run_cli
+from conftest import corpus_text, load_shapes, run_cli
 
 
 def corpus_path(name: str) -> str:
@@ -229,6 +229,213 @@ def test_python_dash_m_ends_through_run_and_keeps_atexit(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen True\n", "")
     pyproject = pathlib.Path(src).parent / "pyproject.toml"
     assert 'a4c = "a4c.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
+
+
+def test_python_dash_m_compiles_the_cli_once():
+    """``python -m a4c.cli`` runs cli.py as ``__main__``; a command in
+    ``commands`` must use that module, not import cli.py a second time."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print(sys.modules['a4c.cli'].__name__))\n"
+              f"sys.argv = ['a4c', 'classify', {corpus_path('recovery')!r}]\n"
+              "runpy.run_module('a4c.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "__main__")
+
+
+# --- check in forked workers --------------------------------------------------------
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+forks_here = pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
+                                reason="check forks only where os.fork exists and two CPUs"
+                                       " are usable")
+
+# ``python -m a4c.cli`` in a child interpreter, with ``os.fork`` wrapped to
+# count the workers; afterwards it adds a line to REPORT with the count and
+# whether any child process is left. A worker that returned instead of
+# ending in ``os._exit`` would add a line of its own. SETUP may replace a
+# function to inject a fault.
+CHILD_RUN = """\
+import os, runpy, sys
+forks, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+os.fork = fork
+parent = os.getpid()
+{setup}
+sys.argv = ["a4c", *{argv!r}]
+try:
+    runpy.run_module("a4c.cli", run_name="__main__", alter_sys=True)
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child is left"
+    except ChildProcessError:
+        left = "none left"
+    with open({report!r}, "a") as fh:
+        fh.write(f"{{len(forks)}} {{left}}\\n")
+"""
+
+
+def run_child(tmp_path, argv: list[str], setup: str = "") -> tuple[int, str, str, int]:
+    """(exit code, stdout, stderr, workers forked) of ``a4c *argv`` run as
+    ``python -m a4c.cli``; it fails if a child process outlives the run."""
+    report = tmp_path / "report.txt"
+    script = CHILD_RUN.format(setup=setup, argv=argv, report=str(report))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, A4C_COLOR="never"),
+                          timeout=120)
+    [line] = report.read_text(encoding="utf-8").splitlines()
+    forks, left = line.split(" ", 1)
+    assert left == "none left"
+    return proc.returncode, proc.stdout, proc.stderr, int(forks)
+
+
+@pytest.fixture()
+def large_mix(tmp_path, mutant):
+    """Paths that make ``check`` fork: two large clean models, the second
+    named twice, amid files with warnings, a missing file, a non-UTF-8 file, a
+    parse failure, a resolve failure and a check error."""
+    shapes = load_shapes()
+    (tmp_path / "chain.a4c").write_text(shapes.chain(200, 1), encoding="utf-8")
+    (tmp_path / "fan.a4c").write_text(shapes.fan(200, 2), encoding="utf-8")
+    (tmp_path / "latin1.a4c").write_bytes('model "Café" {\n}\n'.encode("latin-1"))
+    return [
+        mutant("warn.a4c", "chk -> end [Report == IO]", "chk -> end"),
+        str(tmp_path / "chain.a4c"),
+        str(tmp_path / "missing.a4c"),
+        str(tmp_path / "latin1.a4c"),
+        mutant("broken.a4c", text='model "X" {\n  artifact \n}\n'),
+        str(tmp_path / "fan.a4c"),
+        mutant("unres.a4c", "on Developer { in TestCode, Report out TestCode }",
+               "on Developr { in TestCode, Report out TestCode }"),
+        mutant("bad.a4c", "invoke runj = JenkinsTool.run", "invoke runj = JenkinsToolX.run"),
+        str(tmp_path / "fan.a4c"),
+        mutant("warn2.a4c", "chk -> end [Report == IO]", "chk -> end"),
+    ]
+
+
+KEEP = {
+    "all": None,
+    "no input failure": ("warn", "chain", "fan", "unres", "bad", "warn2"),
+    "clean and warnings": ("warn", "chain", "fan", "warn2"),
+}
+
+
+@forks_here
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--fail-on-warning"]])
+@pytest.mark.parametrize("keep, code", [("all", 2), ("no input failure", 1),
+                                        ("clean and warnings", 0)])
+def test_forked_check_prints_what_main_prints(capsys, tmp_path, large_mix, flags, keep, code):
+    names = KEEP[keep]
+    paths = [p for p in large_mix if names is None or pathlib.Path(p).stem in names]
+    rc, out, err, forks = run_child(tmp_path, ["check", *flags, *paths])
+    assert forks == len(cli._shares(paths)) - 1 >= 1
+    assert (rc, out, err) == run_cli(capsys, "check", *flags, *paths)
+    assert rc == (1 if code == 0 and "--fail-on-warning" in flags else code)
+
+
+@forks_here
+def test_a_fault_in_a_worker_is_one_line_and_exit4(tmp_path, large_mix):
+    setup = ("import a4c.validate as v\n"
+             "def check(rm):\n"
+             "    raise ValueError('worker\\n  fault' if os.getpid() != parent else 'parent')\n"
+             "v.check = check\n")
+    rc, out, err, forks = run_child(tmp_path, ["check", large_mix[1], large_mix[5]], setup)
+    assert (rc, out, err, forks) == (4, "", "a4c: internal error: ValueError: worker fault\n", 1)
+
+
+@forks_here
+def test_the_first_fault_in_argument_order_wins(capsys, tmp_path, large_mix, monkeypatch):
+    """Every file that parses raises, with its name as the message. The first
+    such file is in the worker's share, so the parent's own fault must give
+    way to it, as a run in one process would."""
+    from a4c import parser
+
+    def parse(text, path):
+        raise KeyError(os.path.basename(path))
+
+    setup = ("import a4c.parser as p\n"
+             "def parse(text, path):\n"
+             "    raise KeyError(os.path.basename(path))\n"
+             "p.parse = parse\n")
+    paths = [large_mix[0], large_mix[1], large_mix[5]]  # warn, chain, fan
+    assert 0 not in cli._shares(paths)[0]
+    rc, out, err, forks = run_child(tmp_path, ["check", *paths], setup)
+    assert (rc, out, err, forks) == (4, "", "a4c: internal error: KeyError: 'warn.a4c'\n", 1)
+    monkeypatch.setattr(parser, "parse", parse)
+    assert run_cli(capsys, "check", *paths) == (rc, out, err)
+
+
+@forks_here
+@pytest.mark.parametrize("how, why", [("os._exit(3)", "exited with 3"),
+                                      ("os.kill(os.getpid(), 9)", "was killed by signal 9")])
+def test_a_worker_that_dies_is_one_line_and_exit4(tmp_path, large_mix, how, why):
+    setup = ("import a4c.validate as v\n"
+             "real = v.check\n"
+             "def check(rm):\n"
+             f"    if os.getpid() != parent: {how}\n"
+             "    return real(rm)\n"
+             "v.check = check\n")
+    rc, out, err, forks = run_child(tmp_path, ["check", *large_mix], setup)
+    assert (rc, out, forks) == (4, "", 1)
+    assert err == (f"a4c: internal error: RuntimeError: a check worker {why} before sending"
+                   " its results\n")
+
+
+@forks_here
+def test_check_without_a_process_to_spare_runs_alone(capsys, tmp_path, large_mix):
+    setup = ("def fork():\n"
+             "    raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+             "os.fork = fork\n")
+    rc, out, err, forks = run_child(tmp_path, ["check", *large_mix], setup)
+    assert forks == 0
+    assert (rc, out, err) == run_cli(capsys, "check", *large_mix)
+
+
+def test_small_or_single_inputs_stay_in_one_process(tmp_path):
+    corpus = [corpus_path(name) for name in ("testgen", "recovery", "resell")]
+    assert cli._shares(corpus) == [[0, 1, 2]]
+    big = tmp_path / "big.a4c"
+    big.write_bytes(b" " * 4 * cli.FORK_MIN_BYTES)
+    assert cli._shares([str(big)]) == [[0]]
+
+
+def test_shares_are_balanced_by_size_largest_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    paths = []
+    for k, size in enumerate([10, 70, 40, 0, 30, 60]):  # 0: a missing file
+        path = tmp_path / f"{k}.a4c"
+        if size:
+            path.write_bytes(b" " * size)
+        paths.append(str(path))
+    # 70 -> A; 60 -> B; 40 -> C; 30 -> C (70); 10 -> B (70); 0 -> A, the first of three at 70
+    assert cli._shares(paths) == [[1, 3], [0, 5], [2, 4]]
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", 75)  # 210 bytes in all: two processes
+    # 70 -> A; 60 -> B; 40 -> B (100); 30 -> A (100); 10 -> A (110); 0 -> B (100)
+    assert cli._shares(paths) == [[0, 1, 4], [2, 3, 5]]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._shares(paths) == [[0, 1, 2, 3, 4, 5]]
+
+
+def test_main_never_forks(capsys, monkeypatch, large_mix):
+    def refuse():
+        raise AssertionError("main forked")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    rc, out, _ = run_cli(capsys, "check", *large_mix)
+    assert rc == 2 and "error[E108]" in out
 
 
 # --- classify -----------------------------------------------------------------------

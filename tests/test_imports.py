@@ -18,8 +18,8 @@ SUBMODULES = ("analysis", "cli", "diagnostics", "flow", "formatter", "lexer", "m
               "parser", "records", "render", "resolver", "validate")
 
 # modules that each command has no use for
-NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "a4c.analysis", "hashlib", "dataclasses",
-                 "json")
+NOT_FOR_CHECK = ("a4c.render", "a4c.formatter", "a4c.analysis", "a4c.commands", "hashlib",
+                 "dataclasses", "json", "pickle")
 NOT_FOR_FMT = ("a4c.resolver", "a4c.validate", "a4c.analysis")
 NOT_FOR_RENDER = ("a4c.analysis", "a4c.flow", "a4c.validate", "a4c.formatter")
 NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
@@ -27,7 +27,7 @@ NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
 # AST nodes of the a4c modules that ``check`` loads: a cold ``check``
 # compiles them all, and line counts do not track that cost. Lower it as
 # code leaves; raise it only for a reason recorded in CHANGES.md.
-CHECK_AST_BUDGET = 20_584
+CHECK_AST_BUDGET = 20_252
 
 
 def _loaded_modules(code: str) -> set[str]:

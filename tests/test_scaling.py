@@ -9,7 +9,11 @@ parse, so no view that an earlier stage cached is left out of its count.
 Shapes: the benchmark's chain, fan-out and feedback loop
 (``bench/shapes.py``), and ``genmodels.many_bodies``, one body and one
 artifact per agent. Stages: parse, ``check``, the activity diagram of
-every body, ``docs_bundle`` and ``canonical_format``.
+every body, ``docs_bundle`` and ``canonical_format``. Two more shapes test
+what the chain leaves out: the chain with a comment on and above every
+line, and the chain with four parse errors in every agent. For them the
+stages are parse and ``check`` as ``a4c check`` runs it on one file, from
+reading it to its sorted diagnostics.
 
 The meter counts one C call as one unit of work (see ``meter.py``), so a
 stage whose cost hides in one C call, such as a regular expression, is
@@ -23,7 +27,7 @@ import re
 import pytest
 
 import a4c.analysis  # noqa: F401  docs pages import it on first use; no count may include that
-from a4c import model as m
+from a4c import cli, model as m
 from a4c.formatter import canonical_format
 from a4c.parser import parse
 from a4c.render import docs_bundle, render_activity
@@ -72,6 +76,41 @@ def _steps(stage: str, texts: list[str]) -> tuple[list[int], list[float]]:
 def test_work_grows_linearly(shape, stage):
     sizes = (100, 400, 1600) if shape == "many_bodies" and stage == "render" else (25, 100, 400)
     counts, steps = _steps(stage, [_shape(shape, n) for n in sizes])
+    assert max(steps) <= BOUND, (counts, steps)
+
+
+def commented(n: int) -> str:
+    """The chain of n agents with a comment line above, and a comment at the
+    end of, every line: about two thirds of the text is comments."""
+    return "".join(f"// note {i}: what the line below is for\n{line}  // note {i}\n"
+                   for i, line in enumerate(SHAPES.chain(n, 0).splitlines()))
+
+
+def broken(n: int) -> str:
+    """The chain of n agents with four parse errors in each agent (P003, two
+    P001 and one more P001 after the parser resumes), so the file does not parse."""
+    lines = []
+    for line in SHAPES.chain(n, 0).splitlines():
+        lines.append(line)
+        if line.startswith("  agent "):
+            lines += ["    widget W", "    ~ task", "    task t { in ]  }"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("stage", ["parse", "check"])
+@pytest.mark.parametrize("shape", [commented, broken])
+def test_comments_and_errors_cost_linear_work(tmp_path, shape, stage):
+    texts = [shape(n) for n in (25, 100, 400)]
+    assert (parse(texts[0], "x.a4c").model is None) == (shape is broken)
+    if stage == "parse":
+        counts = [work(lambda text=text: parse(text, "scale.a4c")) for text in texts]
+    else:
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(tmp_path / f"{k}.a4c")
+            paths[-1].write_text(text, encoding="utf-8")
+        counts = [work(lambda path=str(path): cli._check_file(path)) for path in paths]
+    steps = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
     assert max(steps) <= BOUND, (counts, steps)
 
 
