@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from . import model as m
+from .elements import body_node_display, flow_display, link_display, store_display
 from .flow import guarded_exits, iter_circuits
 from .records import record
 from .resolver import ResolvedModel
@@ -173,15 +174,15 @@ def impact_relations(rm: ResolvedModel) -> Relations:
                         consumed.update(node.inputs)
                         add(node.tool, tq, "Consumes", "Consumes")
                     elif isinstance(node, m.DecisionNode):
-                        dq = m.body_node_display(agent.name, task.name, node.id)
+                        dq = body_node_display(agent.name, task.name, node.id)
                         add(node.subject, dq, "Gates", "Gates")
                         add(dq, node.subject, "Gates", "Gates")
                 for edge in task.graph.edges:
                     if edge.kind is m.EdgeKind.STORE_WRITE:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.target))
+                        sq = store_display(agent.name, m.store_name_of(edge.target))
                         add(tq, sq, "Produces", "Produces")
                     elif edge.kind is m.EdgeKind.STORE_READ:
-                        sq = m.store_display(agent.name, m.store_name_of(edge.source))
+                        sq = store_display(agent.name, m.store_name_of(edge.source))
                         add(sq, tq, "Consumes", "Consumes")
             for art in produced:
                 add(tq, art, "Produces", "Produces")
@@ -193,13 +194,13 @@ def impact_relations(rm: ResolvedModel) -> Relations:
     touches_c2: set[str] = set()
     if model.context is not None:
         for flow in model.context.flows:
-            carriers.append((m.flow_display(flow), "FlowsOver", flow.artifacts))
+            carriers.append((flow_display(flow), "FlowsOver", flow.artifacts))
             touches_c1.update(flow.artifacts)
             touches_c1.update((flow.source, flow.target))
     if model.deployment is not None:
         carriers += [(node.name, "Hosts", node.hosts) for node in model.deployment.nodes]
         for link in model.deployment.links:
-            carriers.append((m.link_display(link), "FlowsOver", link.artifacts))
+            carriers.append((link_display(link), "FlowsOver", link.artifacts))
             touches_c2.update(link.artifacts)
 
     # sorted by ascending precedence or level, so the highest is written last

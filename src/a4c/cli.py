@@ -14,6 +14,9 @@ loads the resolver and ``--help`` loads neither parser nor resolver.
 ``check`` lives here; the other commands live in ``commands``, which only
 they import, so ``check`` never compiles them. ``run`` is the process
 entry point, and only a ``check`` run that ``run`` owns forks workers.
+Whether it forks is decided here (``_shares``); the forking itself lives in
+``parallel``, which only a shared run imports, so a ``check`` in one
+process, and every other command, never compiles it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
 
@@ -166,7 +169,7 @@ def _load_resolved(path: str) -> tuple[Optional[ResolvedModel], list[Diagnostic]
     return rresult.model, diags, EXIT_OK, ""
 
 
-# --- check: one process, or the files shared among forked workers ----------------
+# --- check: one process, or the files shared among forked workers (``parallel``) --
 
 def _check_file(path: str) -> tuple[list[Diagnostic], int, str]:
     """``check`` on one file: (its sorted diagnostics, failing exit code, the
@@ -209,106 +212,12 @@ def _shares(paths: list[str]) -> list[list[int]]:
     return [sorted(share) for share in shares if share]
 
 
-def _check_share(paths: list[str], share: list[int]) -> tuple[list, Optional[Exception]]:
-    """``_check_file`` on the files of ``share`` in argument order, up to the
-    first that raises: (their results, that exception or None)."""
-    done = []
-    for i in share:
-        try:
-            done.append(_check_file(paths[i]))
-        except Exception as exc:
-            return done, exc
-    return done, None
-
-
-def _worker(paths: list[str], share: list[int], write_fd: int) -> NoReturn:
-    """A forked worker: ``_check_share`` of ``share``, pickled down its pipe.
-    It always ends in ``os._exit``, so nothing the parent registered runs
-    twice, and with status 0 only once the whole pair is written."""
-    status = 1
-    try:
-        import pickle
-
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(_check_share(paths, share), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fork(paths: list[str], share: list[int]):
-    """A worker forked for ``share``: (its pid, the read end of its pipe), or
-    None when the system has no process to spare."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _worker(paths, share, write_fd)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _check_in_processes(paths: list[str], shares: list[list[int]]) -> list:
-    """``_check_file`` of every path, the parent checking the first share
-    (and any share it could not fork for) while a forked worker checks each
-    other. The first fault in argument order is raised, as a serial run
-    would raise it; a worker that ends without its results is a fault too.
-    No worker outlives this call."""
-    import pickle
-
-    from . import parser, resolver, validate  # noqa: F401  compiled once, for every worker
-
-    sys.stdout.flush()  # a worker must not inherit output to write twice
-    sys.stderr.flush()
-    gc.freeze()  # collections skip what exists now, so workers share its pages
-    mine, workers = [shares[0]], []
-    try:
-        for share in shares[1:]:
-            worker = _fork(paths, share)
-            if worker is None:
-                mine.append(share)
-            else:
-                workers.append((share, *worker))
-        # (share, _check_share's pair) of every share
-        outcomes = [(share, _check_share(paths, share)) for share in mine]
-        while workers:
-            share, pid, pipe = workers[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            if status:
-                how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
-                raise RuntimeError(f"a check worker {how} before sending its results")
-            outcomes.append((share, pickle.loads(data)))
-    finally:
-        if workers:  # a fault or an interrupt came first: their results are not wanted
-            import signal
-
-            for _share, pid, pipe in workers:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    results: list = [None] * len(paths)
-    faults = []
-    for share, (done, fault) in outcomes:
-        for i, result in zip(share, done):
-            results[i] = result
-        if fault is not None:
-            faults.append((share[len(done)], fault))
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
-    return results
-
-
 def _cmd_check(args) -> int:
     shares = _shares(args.files) if args.may_fork else []
     if len(shares) > 1:
-        results = _check_in_processes(args.files, shares)
+        from .parallel import check_in_processes
+
+        results = check_in_processes(_check_file, args.files, shares)
     else:
         results = [_check_file(path) for path in args.files]
     # every note, then every diagnostic, in argument order, however the files were shared

@@ -1,7 +1,7 @@
 """Source spans and coded diagnostics shared by every pipeline stage.
 
 A ``Position`` is a record: a 1-based line and column. A ``SourceSpan`` is
-not a named-tuple record, since a span that the lexer makes holds two
+not built by ``@record``, since a span that the lexer makes holds two
 offsets and its file's line table rather than two positions, but it is a
 ``Record`` and keeps a record's contract, except that spans are not
 ordered. ``line_of`` is the one line lookup behind every position.
@@ -35,7 +35,7 @@ def line_of(line_starts: list[int], offset: int) -> int:
 
 def position_at(line_starts: list[int], offset: int) -> Position:
     line = line_of(line_starts, offset)
-    # tuple.__new__ skips the named tuple's argument handling
+    # tuple.__new__ skips the record's argument handling
     return tuple.__new__(Position, (line, offset - line_starts[line - 1] + 1))
 
 

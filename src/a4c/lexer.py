@@ -44,7 +44,6 @@ from __future__ import annotations
 import re
 from itertools import accumulate, compress, repeat
 from operator import itemgetter, sub
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Position, SourceSpan, error, position_at
 from .records import record
@@ -99,7 +98,8 @@ _LEAD = dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", ID
 _HEAD = itemgetter(slice(1))
 
 
-class Token(NamedTuple):
+@record
+class Token:
     type: str
     value: str
     start: int  # offset of the first character

@@ -21,6 +21,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 from . import model as m
+from .elements import call_display, invoke_display, level_of
 from .lexer import escape_string
 from .records import record
 from .resolver import ResolvedModel, call_graph
@@ -166,9 +167,9 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
             lines.append(f"  {nid} {fixed};")
         elif isinstance(node, (m.CallNode, m.InvokeNode)):
             if isinstance(node, m.InvokeNode):
-                label = m.invoke_display(node)
+                label = invoke_display(node)
             else:
-                label = ("* " if node.element_wise else "") + m.call_display(node)
+                label = ("* " if node.element_wise else "") + call_display(node)
             lines.append(f"  {nid} [shape=box, style=rounded, label={escape_string(label)}];")
             for direction, names in (("in", node.inputs), ("out", node.outputs)):
                 for art in names:
@@ -322,7 +323,7 @@ def _page_agents_overview(rm: ResolvedModel) -> str:
             lines.append(f"- store {store.name}: {store.artifact}")
         for task in agent.tasks:
             sig = _signature(task)
-            lines.append(f"- task {task.name}{sig} [{m.level_of(task)}]")
+            lines.append(f"- task {task.name}{sig} [{level_of(task)}]")
         lines.append("")
     edges = call_graph(rm)
     edge_lines = []
@@ -354,7 +355,7 @@ def _page_leaves(model: m.Model, leaf_tasks) -> str:
         lines.append("")
         if task.graph is not None:
             for invoke in task.graph.invokes:
-                lines.append(f"- tool call: {m.invoke_display(invoke)}")
+                lines.append(f"- tool call: {invoke_display(invoke)}")
         if task.prompt is not None:
             names = ", ".join(r.name for r in task.prompt.rows)
             lines.append(f"- prompt rows: {names}")
@@ -380,7 +381,7 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent) -> str:
         lines.append(f"## Task {task.name}")
         lines.append("")
         sig = _signature(task)
-        lines.append(f"Signature:{sig if sig else ' none'} [{m.level_of(task)}]")
+        lines.append(f"Signature:{sig if sig else ' none'} [{level_of(task)}]")
         lines.append("")
         if task.is_composite:
             pattern = classify(rm, agent, task)
@@ -396,7 +397,7 @@ def _page_agent(rm: ResolvedModel, agent: m.Agent) -> str:
             lines += ["```dot"] + diagram.text.rstrip("\n").split("\n") + ["```", ""]
         if task.graph is not None and task.is_leaf:
             for invoke in task.graph.invokes:
-                lines.append(f"- tool call: {m.invoke_display(invoke)}")
+                lines.append(f"- tool call: {invoke_display(invoke)}")
         if task.prompt is not None:
             table = render_prompts(agent, task)
             lines += [""] + table.text.rstrip("\n").split("\n")[2:] + [""]

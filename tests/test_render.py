@@ -11,6 +11,7 @@ from a4c import model as m
 from a4c.analysis import impact, loop_facts
 from a4c.cli import main as cli_main
 from a4c.diagnostics import SYNTHETIC as S
+from a4c.elements import Element
 from a4c.render import (
     LOOP_LISTING_LIMIT,
     RenderError,
@@ -433,7 +434,7 @@ def test_generated_models_stay_anchored(model_pool):
         assert not missing, missing
 
 
-def own_names(element: m.Element) -> list[str]:
+def own_names(element: Element) -> list[str]:
     """What an element's page must mention: a flow's or link's source and
     target, else the last segment of its display form."""
     if element.kind in ("flow", "link"):
