@@ -9,12 +9,15 @@ fields from one template and given each class's field names, so a record is
 built by the same bytecode as a named tuple. ``repr`` is the named tuple's
 text, and ``copy`` and ``pickle`` rebuild a record through ``__new__``.
 
-A record equals only a record of its own class, never a plain tuple;
-fields named in ``ignore`` take no part in equality or hashing; setting an
-attribute raises ``AttributeError``. A class that checks its arguments
-defines ``__new__``, and keeps it. No field defaults to a mutable value, so
-no two instances can share one. A class that caches values with
-``functools.cached_property`` keeps an instance dictionary for them.
+Field names follow ``namedtuple``'s rules: none starts with an underscore,
+so none can hide ``_fields``, and none is declared twice; a name that breaks
+them raises ``ValueError``. A record equals only a record of its own class,
+never a plain tuple; fields named in ``ignore`` take no part in equality or
+hashing; setting an attribute raises ``AttributeError``. A class that
+checks its arguments defines ``__new__``, and keeps it. No field defaults to
+a mutable value, so no two instances can share one. A class that caches
+values with ``functools.cached_property`` keeps an instance dictionary for
+them.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ def _new(name: str, fields: tuple[str, ...], defaults: tuple) -> FunctionType:
         args = "".join(f"_{i}, " for i in range(len(fields)))
         module = compile(f"lambda _cls, {args}: _tuple_new(_cls, ({args}))", "<record>", "eval")
         code = _NEW_CODE[len(fields)] = module.co_consts[0]
-    code = code.replace(co_varnames=("_cls",) + fields, co_name="__new__",
-                        co_qualname=f"{name}.__new__")
-    return FunctionType(code, _NEW_GLOBALS, "__new__", defaults or None)
+    code = code.replace(co_varnames=("_cls",) + fields, co_name="__new__")
+    new = FunctionType(code, _NEW_GLOBALS, "__new__", defaults or None)
+    new.__qualname__ = f"{name}.__new__"  # argument errors name it, as in ``namedtuple``
+    return new
 
 
 def record(cls=None, /, *, ignore: str = ""):
@@ -83,8 +87,8 @@ def record(cls=None, /, *, ignore: str = ""):
         if any(f not in body for f in own[len(own) - len(defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows a default")
         fields = base._fields + own
-        if len(set(fields)) < len(fields):
-            raise TypeError(f"{cls.__name__}: a field is declared twice")
+        if len(set(fields)) < len(fields) or any(f.startswith("_") for f in fields):
+            raise ValueError(f"{cls.__name__}: fields {fields} repeat a name or start with '_'")
         ignored = base._ignored | frozenset(ignore.split())
         namespace = {k: v for k, v in body.items() if k not in own + ("__dict__", "__weakref__")}
         if not any(isinstance(v, cached_property) for v in namespace.values()):

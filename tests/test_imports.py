@@ -28,7 +28,7 @@ NOT_FOR_HELP = ("a4c.parser", "a4c.resolver")
 # AST nodes of the a4c modules that ``check`` loads: a cold ``check``
 # compiles them all, and line counts do not track that cost. Lower it as
 # code leaves; raise it only for a reason recorded in CHANGES.md.
-CHECK_AST_BUDGET = 19_162
+CHECK_AST_BUDGET = 19_192
 
 # Sources that are not module files, compiled while ``check`` runs: the
 # code that ``@record`` compiles, once per number of fields. A record class

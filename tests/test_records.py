@@ -193,6 +193,30 @@ def test_wrong_arguments_raise_type_error(cls):
     assert cls(**dict(zip(cls._fields, values))) == cls(*values)
 
 
+def test_argument_errors_read_as_the_named_tuple_errors():
+    for cls in (m.CallNode, Token, Position):
+        named_tuple = collections.namedtuple(cls.__name__, cls._fields)
+        values = tuple(sample(cls))
+        for args, kwargs in ((values + (1,), {}), (values[:1], {}), (values, {"no_such_field": 1})):
+            with pytest.raises(TypeError) as ours:
+                cls(*args, **kwargs)
+            with pytest.raises(TypeError) as theirs:
+                named_tuple(*args, **kwargs)
+            assert str(ours.value) == str(theirs.value)
+            assert str(ours.value).startswith(f"{cls.__name__}.__new__() ")
+
+
+def test_field_names_follow_the_named_tuple_rules():
+    with pytest.raises(ValueError, match=r"Twice: fields \('id', 'span', 'id'\) repeat a name"):
+        @record
+        class Twice(m.ActivityNode):
+            id: str
+    with pytest.raises(ValueError, match=r"Hidden: fields \('_fields',\) repeat a name or start"):
+        @record
+        class Hidden:
+            _fields: tuple
+
+
 def test_subclass_fields_follow_the_base_fields():
     assert m.ActivityNode._fields == ("id", "span")
     for cls in (m.InitialNode, m.FinalNode, m.MergeNode, m.ForkNode, m.JoinNode):
