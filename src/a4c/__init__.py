@@ -33,9 +33,9 @@ _ORIGIN = {name: module for module, names in {
     "validate": ("RULES", "check", "is_valid"),
 }.items() for name in names}
 
-_SUBMODULES = frozenset({"analysis", "cli", "diagnostics", "elements", "flow", "formatter",
-                         "lexer", "model", "parallel", "parser", "records", "render",
-                         "resolver", "validate"})
+_SUBMODULES = frozenset({"analysis", "cli", "commands", "diagnostics", "elements", "flow",
+                         "formatter", "lexer", "model", "parallel", "parser", "records",
+                         "render", "resolver", "validate"})
 
 __all__ = sorted(_ORIGIN) + ["__version__"]
 

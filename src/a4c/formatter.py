@@ -237,7 +237,7 @@ def _endpoint(node_id: str, is_source: bool) -> str:
     return node_id
 
 
-_BAR_WORDS = {m.ForkNode: "fork", m.JoinNode: "join", m.MergeNode: "merge"}
+_BAR_WORDS = {node: word for word, node in m.BAR_NODES.items()}
 
 
 def _emit_statement(e: _Emitter, st: Union[m.ActivityNode, m.ActivityEdge]) -> None:

@@ -23,14 +23,16 @@ quadratic in the run's length. The columns come from ``map``
 and ``accumulate`` over the pieces: the ends from their lengths, the values
 by stripping the whitespace, the starts from both, and the types from one
 table of keywords and punctuation, then one of first characters that maps an
-ASCII letter to IDENT and anything else to SPECIAL. One forward pass then
+ASCII letter to IDENT and anything else to SPECIAL. A keyword's type is its
+own text (``model``, ``call``), so a token's kind lives in ``types`` alone;
+the other types are upper case and no keyword is. One forward pass then
 settles each SPECIAL entry in file order, so diagnostics come in file order:
 a string (its body unescaped, or P002 when it is unterminated), a comment, a
 stray character (P001), or a word (``\\w+``) that does not start with an
 ASCII letter, such as ``é``, ``_x``, ``1y`` or ``²b`` (one P001 per leading
 character that is not ``str.isalpha``, and the rest of the word, if any,
-kept in place). The entries that leave the token stream go in one
-``compress`` per column.
+kept in place and typed as any word is). The entries that leave the token
+stream go in one ``compress`` per column.
 
 A position is a 1-based line and a 1-based column counted in code points.
 Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
@@ -58,8 +60,7 @@ KEYWORDS = frozenset(
     }
 )
 
-# token types
-KW = "KW"
+# token types; a keyword's type is the keyword itself
 IDENT = "IDENT"
 STRING = "STRING"
 ARROW = "ARROW"
@@ -86,12 +87,12 @@ _WHITESPACE = " \t\r\n"
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r'\\(["\\])')
 
-# A piece's type: keywords and punctuation by their whole text, the EOF
-# entry by its empty text, other words that start with an ASCII letter by
-# that letter, and everything else SPECIAL, which ``tokenize`` settles one by
-# one in file order.
+# A piece's type: keywords (as themselves) and punctuation by their whole
+# text, the EOF entry by its empty text, other words that start with an
+# ASCII letter by that letter, and everything else SPECIAL, which
+# ``tokenize`` settles one by one in file order.
 _SPECIAL = "SPECIAL"
-_KIND = dict.fromkeys(KEYWORDS, KW)
+_KIND = {word: word for word in KEYWORDS}
 _KIND.update({"->": ARROW, "==": EQEQ, "=": EQ, "{": LBRACE, "}": RBRACE, "[": LBRACKET,
               "]": RBRACKET, ":": COLON, ",": COMMA, ".": DOT, "": EOF})
 _LEAD = dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", IDENT)
@@ -178,7 +179,7 @@ def tokenize(text: str, file: str) -> LexResult:
                                    lex.span(start + k, start + k + 1)))
                 k += 1
             if k < len(value):
-                types[i] = KW if value[k:] in KEYWORDS else IDENT
+                types[i] = value[k:] if value[k:] in KEYWORDS else IDENT
                 values[i] = value[k:]
                 starts[i] = start + k
                 continue

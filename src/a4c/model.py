@@ -186,6 +186,10 @@ class JoinNode(ActivityNode):
     pass
 
 
+# each bar node's body keyword, read by the parser and printed by the formatter
+BAR_NODES = {"fork": ForkNode, "join": JoinNode, "merge": MergeNode}
+
+
 @record(ignore="span")
 class StoreNode(ActivityNode):
     """Datastore endpoint materialized from ``name.read`` / ``name.write`` edges."""
@@ -270,10 +274,10 @@ class ActivityGraph:
         return control_facts(self)
 
     def node_by_id(self, node_id: str) -> Optional[ActivityNode]:
-        return self._by_id.get(node_id)
+        return self.by_id.get(node_id)
 
     @cached_property
-    def _by_id(self) -> dict[str, ActivityNode]:
+    def by_id(self) -> dict[str, ActivityNode]:
         return {n.id: n for n in reversed(self.nodes)}  # the first node with an id wins
 
 

@@ -10,12 +10,15 @@ independent mistakes; a file that ends inside blocks reports the missing
 The parser reads the lexer's token columns by index; a span is made from
 two offsets only where an element or a diagnostic needs one. Its cost
 follows items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
-the model's included: its loop looks up each item's leading keyword (IDENT
-for a plain word) in the block's table and calls the method listed there
-with the item's index. That method checks the fixed run of tokens after the
-keyword, such as ``IDENT = IDENT`` after ``call``, with one comparison of a
-slice of the type column against a ``_Run`` constant; optional parts are
-tested one token at a time, and a list ``a, b, c`` is one stepped slice.
+the model's included: its loop looks up the type of each item's leading
+token in the block's table and calls the method listed there with the
+item's index. A keyword's type is the keyword itself (IDENT marks a plain
+word), so the type column alone tells every keyword apart, and no code
+reads a token's text to find out which keyword it is. The item method
+checks the fixed run of tokens after the keyword, such as ``IDENT = IDENT``
+after ``call``, with one comparison of a slice of the type column against a
+``_Run`` constant; optional parts, keywords included, are tested one token
+type at a time, and a list ``a, b, c`` is one stepped slice.
 A wrong token is reported by ``expected``, which moves the cursor onto it
 and builds P001 ``expected <what>, found <token>``; after a failed run
 comparison, ``mismatch`` finds the run's first wrong token and what it wants
@@ -29,7 +32,7 @@ from typing import Callable, Optional
 from . import model as m
 from .diagnostics import Diagnostic, SourceSpan, error, line_of, sort_diagnostics
 from .lexer import (
-    ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KW, LBRACE, LBRACKET,
+    ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KEYWORDS, LBRACE, LBRACKET,
     RBRACE, RBRACKET, STRING, Comment, LexResult, tokenize,
 )
 from .records import record
@@ -55,7 +58,7 @@ class _ParseError(Exception):
 def _describe(ttype: str, value: str) -> str:
     if ttype == EOF:
         return "end of file"
-    if ttype == KW:
+    if ttype in KEYWORDS:
         return f"keyword '{value}'"
     if ttype == IDENT:
         return f"identifier '{value}'"
@@ -65,13 +68,12 @@ def _describe(ttype: str, value: str) -> str:
 
 
 class _Run(list):
-    """A fixed run of tokens: the list of their types, and in ``wants`` per
-    token the type or keyword wanted and what P001 names as expected there.
-    A keyword's place holds KW; the item method compares its text."""
+    """A fixed run of tokens: the list of their types (a keyword's type is
+    the keyword), and in ``wants`` per token what P001 names as expected there."""
 
     def __init__(self, *wants: tuple[str, str]):
-        super().__init__(KW if key.islower() else key for key, _ in wants)
-        self.wants = wants
+        super().__init__(ttype for ttype, _ in wants)
+        self.wants = [what for _, what in wants]
 
 
 _FLOW = _Run((IDENT, "flow source"), (ARROW, "'->'"), (IDENT, "flow target"))
@@ -87,7 +89,6 @@ _DECISION = _Run((IDENT, "decision binding name"), ("on", "'on'"), (IDENT, "arti
 _GUARD = _Run((IDENT, "artifact name"), (EQEQ, "'=='"), (IDENT, "guard literal"),
               (RBRACKET, "']'"))
 _ROW = _Run((IDENT, "prompt row name"), (EQ, "'='"), (STRING, "prompt template string"))
-_BARS = {"fork": m.ForkNode, "join": m.JoinNode, "merge": m.MergeNode}
 _ENDS = {"start": m.INITIAL_ID, "end": m.FINAL_ID}
 
 
@@ -117,7 +118,7 @@ class _Parser:
         that begins a line, or at its ``}`` (``skip_item``). An error at end
         of file, such as a missing ``}``, goes up to ``parse_model``
         unrecorded, so it is reported once."""
-        types, values = self.types, self.values
+        types = self.types
         if types[i] != LBRACE:
             raise self.expected(i, "'{'")
         self.i = i + 1
@@ -130,7 +131,7 @@ class _Parser:
                 return tuple(items)
             if ttype == EOF:
                 raise self.expected(i, "'}'")
-            parse = parsers.get(values[i] if ttype == KW else ttype)
+            parse = parsers.get(ttype)
             try:
                 if parse is None:
                     raise self.wrong_item(i, what, expected)
@@ -145,7 +146,7 @@ class _Parser:
         """Panic recovery after a broken item that began at token ``start``:
         move to the ``}`` that closes the block, or to the next token at the
         block's depth that can start one of its items and begins a line."""
-        types, values, starts, ends = self.types, self.values, self.starts, self.ends
+        types, starts, ends = self.types, self.starts, self.ends
         line_starts = self.line_starts
         depth = 0
         i = start
@@ -157,7 +158,7 @@ class _Parser:
                 if depth == 0:
                     break
                 depth -= 1
-            elif (depth == 0 and i > start and (values[i] if ttype == KW else ttype) in parsers
+            elif (depth == 0 and i > start and ttype in parsers
                   and line_of(line_starts, starts[i]) > line_of(line_starts, ends[i - 1])):
                 break
             i += 1
@@ -181,11 +182,11 @@ class _Parser:
 
     def mismatch(self, i: int, run: _Run) -> _ParseError:
         """``expected`` at the first token from ``i`` on that breaks ``run``."""
-        types, values, wants = self.types, self.values, run.wants
+        types = self.types
         k = 0
-        while (values[i + k] if types[i + k] == KW else types[i + k]) == wants[k][0]:
+        while types[i + k] == run[k]:
             k += 1
-        return self.expected(i + k, wants[k][1])
+        return self.expected(i + k, run.wants[k])
 
     def note(self, message: str, i: int) -> None:
         """Record P001 at token ``i`` and read on."""
@@ -195,7 +196,7 @@ class _Parser:
         """``keyword`` and then a ``ttype`` token, if token ``j`` is that
         keyword: the token's text, or None, and the index after them."""
         types = self.types
-        if types[j] != KW or self.values[j] != keyword:
+        if types[j] != keyword:
             return None, j
         if types[j + 1] != ttype:
             raise self.expected(j + 1, what)
@@ -229,7 +230,7 @@ class _Parser:
     def parse_model(self) -> Optional[m.Model]:
         types, values = self.types, self.values
         try:
-            if types[0] != KW or values[0] != "model":
+            if types[0] != "model":
                 raise self.wrong_item(0, "'model'", "'model'")
             if types[1] != STRING:
                 raise self.expected(1, "model name string")
@@ -273,8 +274,8 @@ class _Parser:
             raise self.expected(i + 1, "artifact name")
         element: Optional[str] = None
         j = i + 2
-        if types[j] == KW and values[j] == "collection":
-            if types[j + 1:j + 3] != _OF or values[j + 1] != "of":
+        if types[j] == "collection":
+            if types[j + 1:j + 3] != _OF:
                 raise self.mismatch(j + 1, _OF)
             element = values[j + 2]
             j += 3
@@ -286,7 +287,7 @@ class _Parser:
         if types[i + 1] != IDENT:
             raise self.expected(i + 1, "llm name")
         version, j = self.option(i + 2, "version", STRING, "version string")
-        default = types[j] == KW and values[j] == "default"
+        default = types[j] == "default"
         self.i = j + default
         return m.LlmDecl(values[i + 1], version, default, self.span_from(i))
 
@@ -294,7 +295,7 @@ class _Parser:
         types, values = self.types, self.values
         if types[i + 1] != IDENT:
             raise self.expected(i + 1, "tool name")
-        external = types[i + 2] == KW and values[i + 2] == "external"
+        external = types[i + 2] == "external"
         self.i = i + 2 + external
         return m.ToolDecl(values[i + 1], external, self.span_from(i))
 
@@ -306,13 +307,13 @@ class _Parser:
         types, values = self.types, self.values
         if types[i + 1] != IDENT:
             raise self.expected(i + 1, "node name")
-        external = types[i + 2] == KW and values[i + 2] == "external"
+        external = types[i + 2] == "external"
         j = i + 2 + external
         if types[j] != LBRACE:
             raise self.expected(j, "'{'")
         self.i = j + 1
         hosts = (self.identlist(j + 2, "hosted element name")
-                 if types[j + 1] == KW and values[j + 1] == "hosts" else ())
+                 if types[j + 1] == "hosts" else ())
         self.close(self.i)
         return m.DeploymentNode(values[i + 1], external, hosts, self.span_from(i))
 
@@ -347,20 +348,20 @@ class _Parser:
             raise self.mismatch(i + 1, _TASK)
         inputs, outputs = self.parse_io(i + 3)
         j = self.i
-        graph = self.parse_body(j) if types[j] == KW and values[j] == "body" else None
+        graph = self.parse_body(j) if types[j] == "body" else None
         j = self.i
-        prompt = self.parse_prompt(j) if types[j] == KW and values[j] == "prompt" else None
+        prompt = self.parse_prompt(j) if types[j] == "prompt" else None
         self.close(self.i)
         return m.Task(values[i + 1], inputs, outputs, graph, prompt, self.span_from(i))
 
     def parse_io(self, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The optional ``in`` and ``out`` lists from token ``i`` on."""
-        types, values = self.types, self.values
+        types = self.types
         inputs = outputs = ()
         self.i = i
-        if types[i] == KW and values[i] == "in":
+        if types[i] == "in":
             inputs = self.identlist(i + 1, "input artifact name")
-        if types[self.i] == KW and values[self.i] == "out":
+        if types[self.i] == "out":
             outputs = self.identlist(self.i + 1, "output artifact name")
         return inputs, outputs
 
@@ -397,26 +398,26 @@ class _Parser:
                             inputs, outputs)
 
     def parse_decision(self, i: int) -> m.DecisionNode:
-        values = self.values
-        if self.types[i + 1:i + 4] != _DECISION or values[i + 2] != "on":
+        if self.types[i + 1:i + 4] != _DECISION:
             raise self.mismatch(i + 1, _DECISION)
         self.i = i + 4
+        values = self.values
         return m.DecisionNode(values[i + 1], self.span_from(i), values[i + 3])
 
     def parse_bar(self, i: int) -> m.ActivityNode:
-        kind = self.values[i]
+        kind = self.types[i]
         if self.types[i + 1] != IDENT:
             raise self.expected(i + 1, f"{kind} binding name")
         self.i = i + 2
-        return _BARS[kind](self.values[i + 1], self.span_from(i))
+        return m.BAR_NODES[kind](self.values[i + 1], self.span_from(i))
 
     def parse_endpoint(self, i: int) -> tuple[str, Optional[str], int]:
         """The edge endpoint at token ``i``: (node id, datastore access, the
         index of the token after it)."""
         types, values = self.types, self.values
         if types[i] != IDENT:
-            if types[i] == KW and values[i] in _ENDS:
-                return _ENDS[values[i]], None, i + 1
+            if types[i] in _ENDS:
+                return _ENDS[types[i]], None, i + 1
             raise self.expected(i, "edge endpoint")
         if types[i + 1] != DOT:
             return values[i], None, i + 1
@@ -445,7 +446,7 @@ class _Parser:
 
     def parse_guard(self, i: int) -> m.Guard:
         types, values = self.types, self.values
-        if types[i + 1] == KW and values[i + 1] == "else":
+        if types[i + 1] == "else":
             if types[i + 2] != RBRACKET:
                 raise self.expected(i + 2, "']'")
             self.i = i + 3
@@ -463,8 +464,8 @@ class _Parser:
         if self.types[i + 1:i + 4] != _ROW:
             raise self.mismatch(i + 1, _ROW)
         self.i = i + 4
+        part = m.PromptPart.STATIC if self.types[i] == "static" else m.PromptPart.TASK_SPECIFIC
         values = self.values
-        part = m.PromptPart.STATIC if values[i] == "static" else m.PromptPart.TASK_SPECIFIC
         return m.PromptRow(part, values[i + 1], values[i + 3], self.span_from(i))
 
     # --- block items ----------------------------------------------------

@@ -2,7 +2,11 @@
 
 Namespaces are separate per element kind (artifacts, actors, llms, tools,
 agents, deployment nodes; datastores and tasks are agent-local). E001 flags
-a reference that binds to nothing, E002 a duplicate declaration. Two name
+a reference that binds to nothing, E002 a duplicate declaration. Every
+plain reference binds through ``_Resolver.bind``: one E001 ``unresolved
+<what> '<name>'`` per name that its table lacks, in the order the names are
+written. A context flow's endpoints bind against one table, the union of
+the actors, tools and llms. Two name
 classes are deliberately left to the validator so their diagnostics carry
 rule codes instead: the task named by a TaskCall on a known agent (V1) and
 the tool named by a ToolCall (V8).
@@ -72,13 +76,19 @@ class _Resolver:
     def __init__(self, model: m.Model):
         self.m = model
         self.diags: list[Diagnostic] = []
+        self.artifacts: dict[str, m.ArtifactType] = {}
+        self.agents: dict[str, m.Agent] = {}
 
     def err(self, message: str, span, related=()) -> None:
         """An E001 finding: a reference that does not bind as it must."""
         self.diags.append(error("E001", message, span, related))
 
-    def unresolved(self, what: str, name: str, span) -> None:
-        self.err(f"unresolved {what} '{name}'", span)
+    def bind(self, what: str, names, table, span) -> None:
+        """E001 at ``span`` for each of ``names``, in order, that ``table``
+        lacks; None stands for a reference left out, which binds."""
+        for name in names:
+            if name not in table and name is not None:
+                self.err(f"unresolved {what} '{name}'", span)
 
     def duplicate(self, kind: str, name: str, span, first_span) -> None:
         self.diags.append(error("E002", f"duplicate {kind} declaration '{name}'", span,
@@ -100,6 +110,7 @@ class _Resolver:
         llms = self.collect("llm", {}, model.llms)
         tools = self.collect("tool", {}, model.tools)
         agents = self.collect("agent", {}, model.agents)
+        self.artifacts, self.agents = artifacts, agents
         actors: dict[str, m.Actor] = {}
         if model.context:
             actors = self.collect("actor", {}, model.context.actors)
@@ -111,10 +122,9 @@ class _Resolver:
         for art in model.artifacts:
             if art.element_type is None:
                 continue
+            self.bind("artifact", (art.element_type,), artifacts, art.span)
             elem = artifacts.get(art.element_type)
-            if elem is None:
-                self.unresolved("artifact", art.element_type, art.span)
-            elif elem.is_collection:
+            if elem is not None and elem.is_collection:
                 self.err(
                     f"collection element type '{art.element_type}' must be a scalar artifact",
                     art.span,
@@ -130,13 +140,10 @@ class _Resolver:
                     self.duplicate("default llm", llm.name, llm.span, default_llm.span)
 
         if model.context:
+            endpoints = actors | tools | llms
             for flow in model.context.flows:
-                for endpoint in (flow.source, flow.target):
-                    if endpoint not in actors and endpoint not in tools and endpoint not in llms:
-                        self.unresolved("flow endpoint", endpoint, flow.span)
-                for art in flow.artifacts:
-                    if art not in artifacts:
-                        self.unresolved("artifact", art, flow.span)
+                self.bind("flow endpoint", (flow.source, flow.target), endpoints, flow.span)
+                self.bind("artifact", flow.artifacts, artifacts, flow.span)
 
         hosts: dict[str, list[str]] = {}
         if model.deployment:
@@ -150,18 +157,15 @@ class _Resolver:
                     else:
                         hosts.setdefault(hosted, []).append(node.name)
             for link in model.deployment.links:
-                for endpoint in (link.source, link.target):
-                    if endpoint not in nodes:
-                        self.unresolved("deployment node", endpoint, link.span)
-                for art in link.artifacts:
-                    if art not in artifacts:
-                        self.unresolved("artifact", art, link.span)
+                self.bind("deployment node", (link.source, link.target), nodes, link.span)
+                self.bind("artifact", link.artifacts, artifacts, link.span)
 
         tasks: dict[str, dict[str, m.Task]] = {}
         stores: dict[str, dict[str, m.Datastore]] = {}
         for agent in model.agents:
-            tasks[agent.name], stores[agent.name] = self.resolve_agent(
-                agent, artifacts, agents, llms)
+            if agent.llm is not None:
+                self.bind("llm", (agent.llm,), llms, agent.span)
+            tasks[agent.name], stores[agent.name] = self.resolve_agent(agent)
 
         diags = sort_diagnostics(self.diags)
         if has_errors(diags):
@@ -188,37 +192,19 @@ class _Resolver:
                 self.duplicate(kind, decl.name, decl.span, first.span)
         return table
 
-    def resolve_agent(
-        self,
-        agent: m.Agent,
-        artifacts: dict[str, m.ArtifactType],
-        agents: dict[str, m.Agent],
-        llms: dict[str, m.LlmDecl],
-    ) -> tuple[dict[str, m.Task], dict[str, m.Datastore]]:
-        """Check one agent; returns its task and datastore tables."""
-        if agent.llm is not None and agent.llm not in llms:
-            self.unresolved("llm", agent.llm, agent.span)
-
+    def resolve_agent(self, agent: m.Agent) -> tuple[dict[str, m.Task], dict[str, m.Datastore]]:
+        """Check one agent's members; returns its task and datastore tables."""
         stores = self.collect("datastore", {}, agent.datastores)
         for store in agent.datastores:
-            if store.artifact not in artifacts:
-                self.unresolved("artifact", store.artifact, store.span)
+            self.bind("artifact", (store.artifact,), self.artifacts, store.span)
         tasks = self.collect("task", {}, agent.tasks)
         for task in agent.tasks:
-            self.resolve_task(agent, task, artifacts, agents, stores)
+            self.resolve_task(task, stores)
         return tasks, stores
 
-    def resolve_task(
-        self,
-        agent: m.Agent,
-        task: m.Task,
-        artifacts: dict[str, m.ArtifactType],
-        agents: dict[str, m.Agent],
-        stores: dict[str, m.Datastore],
-    ) -> None:
-        for art in task.inputs + task.outputs:
-            if art not in artifacts:
-                self.unresolved("artifact", art, task.span)
+    def resolve_task(self, task: m.Task, stores: dict[str, m.Datastore]) -> None:
+        artifacts = self.artifacts
+        self.bind("artifact", task.inputs + task.outputs, artifacts, task.span)
 
         if task.prompt is not None:
             self.collect("prompt row", {}, task.prompt.rows)
@@ -236,36 +222,25 @@ class _Resolver:
         graph = task.graph
 
         for node in graph.nodes:
-            first = graph.node_by_id(node.id)
+            first = graph.by_id[node.id]
             if first is not node:
                 self.duplicate("body node", node.id, node.span, first.span)
             if isinstance(node, m.CallNode):
-                if node.agent is not None and node.agent not in agents:
-                    self.unresolved("agent", node.agent, node.span)
-                if node.each is not None and node.each not in artifacts:
-                    self.unresolved("artifact", node.each, node.span)
-                for art in node.inputs + node.outputs:
-                    if art not in artifacts:
-                        self.unresolved("artifact", art, node.span)
+                self.bind("agent", (node.agent,), self.agents, node.span)
+                self.bind("artifact", (node.each, *node.inputs, *node.outputs), artifacts,
+                          node.span)
             elif isinstance(node, m.InvokeNode):
                 # tool existence is validator rule V8 (E108)
-                for art in node.inputs + node.outputs:
-                    if art not in artifacts:
-                        self.unresolved("artifact", art, node.span)
+                self.bind("artifact", node.inputs + node.outputs, artifacts, node.span)
             elif isinstance(node, m.DecisionNode):
-                if node.subject not in artifacts:
-                    self.unresolved("artifact", node.subject, node.span)
+                self.bind("artifact", (node.subject,), artifacts, node.span)
             elif isinstance(node, m.StoreNode):
-                if node.store not in stores:
-                    self.unresolved("datastore", node.store, node.span)
+                self.bind("datastore", (node.store,), stores, node.span)
 
         for edge in graph.edges:
-            for endpoint in (edge.source, edge.target):
-                if graph.node_by_id(endpoint) is None:
-                    self.unresolved("edge endpoint", endpoint, edge.span)
-            if edge.guard is not None and not edge.guard.is_else:
-                if edge.guard.subject not in artifacts:
-                    self.unresolved("artifact", edge.guard.subject, edge.guard.span)
+            self.bind("edge endpoint", (edge.source, edge.target), graph.by_id, edge.span)
+            if edge.guard is not None:  # an else guard has no subject
+                self.bind("artifact", (edge.guard.subject,), artifacts, edge.guard.span)
 
 
 def resolve(model: m.Model) -> ResolveResult:

@@ -352,23 +352,19 @@ def _v10_deployment(rm: ResolvedModel, bodies: list[Body]):
         caller_node = unique_host(agent.name)
         if caller_node is None:
             continue
-        for call in task.graph.calls:
-            callee_agent = rm.callee_agent_name(agent, call)
-            callee_node = unique_host(callee_agent)
-            if callee_node is None or callee_node == caller_node:
+        # task calls first, then tool calls: (what, target kind, target, span)
+        targets = [("call", "agent", rm.callee_agent_name(agent, call), call.span)
+                   for call in task.graph.calls]
+        targets += [("tool call", "tool", invoke.tool, invoke.span)
+                    for invoke in task.graph.invokes]
+        for what, kind, target, span in targets:
+            target_node = unique_host(target)
+            if target_node is None or target_node == caller_node:
                 continue
-            if frozenset((caller_node, callee_node)) not in linked:
-                yield (f"call from agent '{agent.name}' (node '{caller_node}') to agent"
-                       f" '{callee_agent}' (node '{callee_node}') has no link between"
-                       " their nodes", call.span)
-        for invoke in task.graph.invokes:
-            tool_node = unique_host(invoke.tool)
-            if tool_node is None or tool_node == caller_node:
-                continue
-            if frozenset((caller_node, tool_node)) not in linked:
-                yield (f"tool call from agent '{agent.name}' (node '{caller_node}') to"
-                       f" tool '{invoke.tool}' (node '{tool_node}') has no link between"
-                       " their nodes", invoke.span)
+            if frozenset((caller_node, target_node)) not in linked:
+                yield (f"{what} from agent '{agent.name}' (node '{caller_node}') to {kind}"
+                       f" '{target}' (node '{target_node}') has no link between"
+                       " their nodes", span)
 
 
 # --- V11 -----------------------------------------------------------------------

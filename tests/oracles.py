@@ -492,7 +492,7 @@ def oracle_tokenize(text: str, file: str) -> tuple[list, list, list]:
                 j += 1
             word = text[i:j]
             advance_to(j)
-            kind = lx.KW if word in lx.KEYWORDS else lx.IDENT
+            kind = word if word in lx.KEYWORDS else lx.IDENT  # a keyword is its own type
             tokens.append((kind, word, SourceSpan(file, start, pos())))
             continue
         advance_to(i + 1)

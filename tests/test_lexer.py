@@ -18,7 +18,7 @@ import random
 import pytest
 
 from a4c.diagnostics import Position, SourceSpan
-from a4c.lexer import EOF, IDENT, KW, STRING, Token, tokenize
+from a4c.lexer import EOF, IDENT, KEYWORDS, STRING, Token, tokenize
 from conftest import CORPUS, corpus_text, load_shapes
 from genmodels import generate_body_model, generate_model
 from oracles import oracle_tokenize
@@ -31,7 +31,7 @@ def lexed(text: str) -> tuple[list, list, list]:
     """The lexer's result in the oracle's form."""
     lex = tokenize(text, FILE)
     for tok in lex.tokens:
-        if tok.type in (KW, IDENT):
+        if tok.type == IDENT or tok.type in KEYWORDS:
             assert text[tok.start:tok.end] == tok.value
         elif tok.type == STRING:
             assert text[tok.start] == text[tok.end - 1] == '"'
@@ -234,6 +234,23 @@ def test_word_starting_with_a_non_letter(text):
     at = text.index("²")
     assert codes(text) == [("P001", "unexpected character '²'", (1, at + 1), (1, at + 2))]
     assert kinds(text)[-2] == (IDENT, text[at + 1:], at + 1, len(text))
+    assert lexed(text) == oracle_tokenize(text, FILE)
+
+
+def test_every_keyword_is_its_own_token_type():
+    words = sorted(KEYWORDS)
+    text = " ".join(words)
+    lex = tokenize(text, FILE)
+    assert lex.types == words + [EOF] and lex.values == words + [""]
+    assert not lex.diagnostics
+    assert lexed(text) == oracle_tokenize(text, FILE)
+
+
+def test_keyword_after_stray_characters_keeps_its_type():
+    text = "²³model"
+    assert codes(text) == [("P001", "unexpected character '²'", (1, 1), (1, 2)),
+                           ("P001", "unexpected character '³'", (1, 2), (1, 3))]
+    assert kinds(text) == [("model", "model", 2, 7), (EOF, "", 7, 7)]
     assert lexed(text) == oracle_tokenize(text, FILE)
 
 

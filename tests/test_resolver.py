@@ -176,3 +176,25 @@ def test_call_graph_shape(testgen_rm):
 def test_call_graph_roots(testgen_rm):
     roots = call_graph_roots(testgen_rm)
     assert roots == [("GeneratorTeam", "generate"), ("TestRetriever", "retrieve")]
+
+
+def test_unresolved_names_at_one_span_keep_their_written_order():
+    rr = resolve_text('model "M" {\n'
+                      "  artifact A\n"
+                      "  agent Boss {\n"
+                      "    task run { in A body {\n"
+                      "      call c = go on Ghost each Phantom { in Nope, A out Gone, Lost }\n"
+                      "      start -> c\n"
+                      "      c -> end\n"
+                      "    } }\n"
+                      "  }\n"
+                      "}\n")
+    assert not rr.ok
+    assert [(d.code, d.message, d.span.start.line) for d in rr.diagnostics] == [
+        ("E001", "unresolved agent 'Ghost'", 5),
+        ("E001", "unresolved artifact 'Phantom'", 5),
+        ("E001", "unresolved artifact 'Nope'", 5),
+        ("E001", "unresolved artifact 'Gone'", 5),
+        ("E001", "unresolved artifact 'Lost'", 5),
+    ]
+    assert len({d.span for d in rr.diagnostics}) == 1

@@ -247,6 +247,26 @@ def test_v10_cross_node_call_without_link(testgen_text):
     assert any("no link" in d.message for d in diags)
 
 
+def test_v10_messages_for_task_calls_and_tool_calls(testgen_text):
+    # Developer on its own node and no link at all: two task calls and one
+    # tool call cross unlinked nodes
+    text = testgen_text.replace(
+        "hosts GeneratorTeam, Developer, TestPipeline, TestRetriever, ScriptKB",
+        "hosts GeneratorTeam, TestPipeline, TestRetriever, ScriptKB",
+    ).replace(
+        "    link GeneratorService -> JenkinsHost : \"HTTP\"",
+        "    node DevHost {\n      hosts Developer\n    }",
+    )
+    to_developer = ("call from agent 'GeneratorTeam' (node 'GeneratorService') to agent"
+                    " 'Developer' (node 'DevHost') has no link between their nodes")
+    assert [(d.code, d.message) for d in check_text(text)] == [
+        ("E110", to_developer),
+        ("E110", to_developer),
+        ("E110", "tool call from agent 'TestPipeline' (node 'GeneratorService') to tool"
+                 " 'JenkinsTool' (node 'JenkinsHost') has no link between their nodes"),
+    ]
+
+
 def test_v10_link_direction_is_ignored(testgen_text):
     flipped = testgen_text.replace('link GeneratorService -> JenkinsHost : "HTTP"',
                                    'link JenkinsHost -> GeneratorService : "HTTP"')
