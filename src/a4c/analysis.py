@@ -23,7 +23,10 @@ A query is a breadth-first walk over the index of its direction: the
 frontier is visited in sorted order, each vertex's neighbours in
 ``(name, label)`` order, and the first discovery of an element fixes its
 relation and its witness path, its discoverer's path plus itself. So every
-path reported is a shortest one.
+path reported is a shortest one. The walk and the report are all that a
+query pays for: nothing is rebuilt per query, and nothing is kept for the
+next one. The direction is a ``Direction`` or its value in any letter
+case; anything else, like an unknown seed, raises ``A001``.
 """
 
 from __future__ import annotations
@@ -226,60 +229,59 @@ def seed_table(rm: ResolvedModel) -> dict[str, str]:
     return dict(rm.relations.seeds)
 
 
+# a Direction, or its value, -> the Direction
+_DIRECTIONS = {key: d for d in Direction for key in (d, d.value)}
+
+
 def impact(rm: ResolvedModel, seed: str, direction: Direction | str) -> ImpactReport:
     """Transitive closure of elements affected by changing ``seed``."""
-    if isinstance(direction, str):
-        try:
-            direction = Direction(direction.lower())
-        except ValueError:
-            raise AnalysisError("A001", f"unknown direction '{direction}'") from None
+    try:
+        direction = _DIRECTIONS[direction.lower() if isinstance(direction, str) else direction]
+    except (KeyError, TypeError):
+        raise AnalysisError("A001", f"unknown direction '{direction}'") from None
     relations = rm.relations
     if seed not in relations.seeds:
         raise AnalysisError("A001", f"unknown seed element '{seed}'")
-    neighbours = getattr(relations, direction.value)
+    # ``_value_`` names the direction's index, and unlike ``value`` runs no code
+    neighbours = getattr(relations, direction._value_)
 
     # breadth-first, frontier sorted, neighbours in (name, label) order: the
     # first discovery of an element fixes its relation, and its path is its
-    # discoverer's path plus itself
-    path: dict[str, tuple[str, ...]] = {seed: ()}
-    relation: dict[str, str] = {}
+    # discoverer's path plus itself. ``found`` maps each element to its entry,
+    # built by ``tuple.__new__`` so that no ``__new__`` frame runs per entry;
+    # the seed's entry only starts the walk
+    found = {seed: Affected(seed, "", ())}
     frontier = [seed]
     while frontier:
-        next_frontier: list[str] = []
+        next_frontier = []
         for vertex in sorted(frontier):
-            base = path[vertex]
+            base = found[vertex].path
             for neighbour, label in neighbours.get(vertex, ()):
-                if neighbour not in path:
-                    path[neighbour] = base + (neighbour,)
-                    relation[neighbour] = label
+                if neighbour not in found:
+                    found[neighbour] = tuple.__new__(
+                        Affected, (neighbour, label, base + (neighbour,)))
                     next_frontier.append(neighbour)
         frontier = next_frontier
-    del path[seed]
+    del found[seed]
 
     # flows, nodes and links are affected through what they carry or host;
     # a carrier's path extends its least carried element's path as it stands
     # when the carrier comes up, which may be an earlier carrier's of the
     # same name (a node named like the agent it hosts)
-    reached = set(relation)
+    reached = set(found)
     for display, label, carried in relations.carriers:
-        hits = reached.intersection(carried)
-        if hits:
-            path[display] = path[min(hits)] + (display,)
-            relation[display] = label
+        if reached.isdisjoint(carried):
+            continue
+        base = found[min(reached.intersection(carried))].path
+        found[display] = tuple.__new__(Affected, (display, label, base + (display,)))
 
-    level_map = relations.levels
-    levels = {level_map[e] for e in relation if e in level_map}
+    levels = set(filter(None, map(relations.levels.get, found)))
     if seed in relations.touches_c1:
         levels.add("C1")
     if seed in relations.touches_c2:
         levels.add("C2")
-
-    return ImpactReport(
-        seed=seed,
-        direction=direction,
-        affected=tuple(Affected(e, relation[e], path[e]) for e in sorted(relation)),
-        levels_touched=tuple(sorted(levels)),
-    )
+    return tuple.__new__(ImpactReport, (
+        seed, direction, tuple(map(found.__getitem__, sorted(found))), tuple(sorted(levels))))
 
 
 # --- loops ---------------------------------------------------------------------

@@ -225,9 +225,17 @@ def test_impact_unknown_seed(testgen_rm):
 
 
 def test_impact_unknown_direction(testgen_rm):
-    with pytest.raises(AnalysisError) as exc:
-        impact(testgen_rm, "Report", "sideways")
-    assert exc.value.code == "A001"
+    for direction in ("sideways", "", None, 3, b"up", ["up"], "UP ", "Direction.UP"):
+        with pytest.raises(AnalysisError) as exc:
+            impact(testgen_rm, "Report", direction)
+        assert exc.value.code == "A001"
+        assert str(exc.value) == f"unknown direction '{direction}'"
+    for name in ("up", "down", "both"):
+        member = Direction(name)
+        reports = [impact(testgen_rm, "Report", d)
+                   for d in (member, name, name.upper(), name.capitalize())]
+        assert reports[0].direction is member
+        assert all(report == reports[0] for report in reports)
 
 
 def test_impact_monotone_under_added_flow(testgen_text):

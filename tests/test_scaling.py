@@ -9,7 +9,10 @@ parse, so no view that an earlier stage cached is left out of its count.
 Shapes: the benchmark's chain, fan-out and feedback loop
 (``bench/shapes.py``), and ``genmodels.many_bodies``, one body and one
 artifact per agent. Stages: parse, ``check``, the activity diagram of
-every body, ``docs_bundle`` and ``canonical_format``. Two more shapes test
+every body, ``docs_bundle``, ``canonical_format``, and ``impact`` up, down
+and both from the first agent's first task (``Root.run``, or ``A0.run`` in
+``many_bodies``), which builds the model's impact relation and then walks
+it three times. Two more shapes test
 what the chain leaves out: the chain with a comment on and above every
 line, and the chain with four parse errors in every agent. For them the
 stages are parse and ``check`` as ``a4c check`` runs it on one file, from
@@ -26,8 +29,8 @@ import re
 
 import pytest
 
-import a4c.analysis  # noqa: F401  docs pages import it on first use; no count may include that
 from a4c import cli, model as m
+from a4c.analysis import impact  # docs pages import it on first use; no count may include that
 from a4c.formatter import canonical_format
 from a4c.parser import parse
 from a4c.render import docs_bundle, render_activity
@@ -63,6 +66,10 @@ def _stage(stage: str, text: str):
         return lambda: check(rm)
     if stage == "docs":
         return lambda: docs_bundle(rm)
+    if stage == "impact":
+        agent = rm.model.agents[0]
+        seed = m.task_display(agent.name, agent.tasks[0].name)
+        return lambda: [impact(rm, seed, d) for d in ("up", "down", "both")]
     return lambda: _render_every_body(rm.model)
 
 
@@ -71,7 +78,7 @@ def _steps(stage: str, texts: list[str]) -> tuple[list[int], list[float]]:
     return counts, [round(b / a, 2) for a, b in zip(counts, counts[1:])]
 
 
-@pytest.mark.parametrize("stage", ["parse", "check", "render", "docs", "fmt"])
+@pytest.mark.parametrize("stage", ["parse", "check", "render", "docs", "fmt", "impact"])
 @pytest.mark.parametrize("shape", ["chain", "fan", "feedback", "many_bodies"])
 def test_work_grows_linearly(shape, stage):
     sizes = (100, 400, 1600) if shape == "many_bodies" and stage == "render" else (25, 100, 400)
