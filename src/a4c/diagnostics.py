@@ -4,7 +4,8 @@ A ``Position`` is a record: a 1-based line and column. A ``SourceSpan`` is
 not built by ``@record``, since a span that the lexer makes holds two
 offsets and its file's line table rather than two positions, but it is a
 ``Record`` and keeps a record's contract, except that spans are not
-ordered. ``line_of`` is the one line lookup behind every position.
+ordered. ``line_of`` is the one line lookup behind every position; a
+lexer's line table is empty until that lookup first reads it and fills it.
 
 ``CODES`` is the one catalogue of diagnostic codes: every code that a stage
 emits or raises is a key there, with its severity and what it means.
@@ -12,6 +13,7 @@ emits or raises is a key there, with its severity and what it means.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from enum import Enum
 from typing import Any
@@ -29,7 +31,11 @@ class Position:
 
 def line_of(line_starts: list[int], offset: int) -> int:
     """The 1-based line that holds character ``offset``, given the offset at
-    which each line starts: the one line lookup behind every position."""
+    which each line starts: the one line lookup behind every position. A
+    lexer's table starts empty; the first lookup fills it from its ``text``
+    in one assignment, so threads that race fill it alike."""
+    if not line_starts:
+        line_starts[:] = [0] + [m.end() for m in re.finditer("\n", line_starts.text)]
     return bisect_right(line_starts, offset)
 
 
@@ -55,7 +61,8 @@ class SourceSpan(Record):
     _compared = staticmethod(lambda s: (s[0], s.start, s.end))
 
     # stored as (file, start, end, line_starts): positions with line_starts
-    # None, or offsets into the file whose lines start at line_starts
+    # None, or offsets into the file whose lines start at line_starts, a
+    # table that line_of fills on the first position read
     def __new__(cls, file: str, start: Position, end: Position) -> SourceSpan:
         if end < start:
             raise ValueError(f"span end {end} precedes start {start}")

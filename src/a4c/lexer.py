@@ -1,16 +1,21 @@
 """Tokenizer for the description language.
 
-Tokens are stored as columns: ``LexResult`` holds four parallel lists,
-``types``, ``values``, ``starts`` and ``ends`` (the character offsets of a
-token's text), and token ``k`` is entry ``k`` of each. No object is built
-per token; the parser walks the columns by index. ``LexResult.tokens`` zips
-them into ``Token`` records for callers that want one value per token.
-``LexResult`` also keeps the offset at which each line starts.
-``LexResult.span`` turns two offsets into a ``SourceSpan``: the span keeps
-the offsets and that line table, and builds a ``Position`` only when its
-``start`` or ``end`` is read. The parser builds the same tuple in place, one
-span per element rather than one per token, and a parse that reports
-nothing builds no position at all.
+Tokens are stored as columns: ``LexResult`` holds three parallel lists,
+``types``, ``values`` and ``ends`` (the character offset past a token's
+text), and token ``k`` is entry ``k`` of each. No object is built per
+token; the parser walks the columns by index. A token's start is not
+stored: it is its end less the length of its value, except for a string,
+whose value is its unescaped body, so ``string_starts`` maps each string's
+end to its start (``LexResult.start``). ``LexResult.tokens`` zips the
+columns into ``Token`` records for callers that want one value per token.
+``LexResult.line_starts`` is the file's line table: it starts empty, and
+``diagnostics.line_of`` fills it on the first position read, so a run that
+reads no position never scans for newlines. ``LexResult.span`` turns two
+offsets into a ``SourceSpan``: the span keeps the offsets and that line
+table, and builds a ``Position`` only when its ``start`` or ``end`` is
+read. The parser builds the same tuple in place, one span per element
+rather than one per token, and a parse that reports nothing builds no
+position at all.
 
 The scan keeps its per-token work in C. One ``findall`` of a pattern with no
 group cuts the text into pieces, each a run of whitespace and then one
@@ -21,18 +26,20 @@ ends the text could match only by backtracking into it, and where that
 failed, ``findall`` would retry at each of its characters, which is
 quadratic in the run's length. The columns come from ``map``
 and ``accumulate`` over the pieces: the ends from their lengths, the values
-by stripping the whitespace, the starts from both, and the types from one
-table of keywords and punctuation, then one of first characters that maps an
-ASCII letter to IDENT and anything else to SPECIAL. A keyword's type is its
-own text (``model``, ``call``), so a token's kind lives in ``types`` alone;
-the other types are upper case and no keyword is. One forward pass then
-settles each SPECIAL entry in file order, so diagnostics come in file order:
-a string (its body unescaped, or P002 when it is unterminated), a comment, a
-stray character (P001), or a word (``\\w+``) that does not start with an
-ASCII letter, such as ``é``, ``_x``, ``1y`` or ``²b`` (one P001 per leading
+by stripping the whitespace, and the types through a table built once per
+file for each distinct value, from one table of keywords and punctuation,
+then one of first characters that maps an ASCII letter to IDENT and anything
+else to SPECIAL. A keyword's type is its own text (``model``, ``call``), so a
+token's kind lives in ``types`` alone; the other types are upper case and no
+keyword is. One forward pass then settles each SPECIAL entry in file order,
+so diagnostics come in file order: a string (its body unescaped and its
+start recorded, or P002 when it is unterminated), a comment, a stray
+character (P001), or a word (``\\w+``) that does not start with an ASCII
+letter, such as ``é``, ``_x``, ``1y`` or ``²b`` (one P001 per leading
 character that is not ``str.isalpha``, and the rest of the word, if any,
-kept in place and typed as any word is). The entries that leave the token
-stream go in one ``compress`` per column.
+kept in place and typed as any word is; its value is that rest, so its
+start still follows from its end). The entries that leave the token stream
+go in one ``compress`` per column.
 
 A position is a 1-based line and a 1-based column counted in code points.
 Only ``\\n`` breaks a line; ``\\r`` is whitespace within one.
@@ -45,7 +52,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, repeat
-from operator import itemgetter, sub
 
 from .diagnostics import Diagnostic, Position, SourceSpan, error, position_at
 from .records import record
@@ -84,7 +90,6 @@ _SCAN = re.compile(
     re.DOTALL)
 _STRING = re.compile(f'"({_STRING_BODY})')
 _WHITESPACE = " \t\r\n"
-_NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r'\\(["\\])')
 
 # A piece's type: keywords (as themselves) and punctuation by their whole
@@ -96,7 +101,6 @@ _KIND = {word: word for word in KEYWORDS}
 _KIND.update({"->": ARROW, "==": EQEQ, "=": EQ, "{": LBRACE, "}": RBRACE, "[": LBRACKET,
               "]": RBRACKET, ":": COLON, ",": COMMA, ".": DOT, "": EOF})
 _LEAD = dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", IDENT)
-_HEAD = itemgetter(slice(1))
 
 
 @record
@@ -115,15 +119,26 @@ class Comment:
 
 @record
 class LexResult:
-    # token columns, each ending with the EOF entry at len(text)
+    # token columns, each ending with the EOF entry at len(text); a token
+    # starts at its end less the length of its value, except a STRING,
+    # whose value is its unescaped body and whose start is in string_starts
     types: list[str]
     values: list[str]
-    starts: list[int]
     ends: list[int]
+    string_starts: dict[int, int]  # a string's end offset -> its start offset
     comments: list[Comment]
     diagnostics: list[Diagnostic]
     file: str
-    line_starts: list[int]  # offset of the first character of each line
+    line_starts: list[int]  # offset at which each line starts; empty until a position is read
+
+    def start(self, k):  # the offset of token k's first character
+        end = self.ends[k]
+        return self.string_starts[end] if self.types[k] == STRING else end - len(self.values[k])
+
+    @property
+    def starts(self) -> list[int]:
+        """Each token's start offset, worked out on each call."""
+        return list(map(self.start, range(len(self.ends))))
 
     @property
     def tokens(self) -> list[Token]:
@@ -143,31 +158,41 @@ class LexResult:
         return tuple.__new__(SourceSpan, (self.file, start, end, self.line_starts))
 
 
+class _Lines(list):
+    """A file's line table, empty until ``diagnostics.line_of`` first reads
+    it and fills it from ``text``."""
+
+    __slots__ = ("text",)
+
+
 def tokenize(text: str, file: str) -> LexResult:
-    line_starts = [0]
-    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
     pieces = _SCAN.findall(text)
     if len(pieces) > 1 and not pieces[-2].lstrip(_WHITESPACE):
         pieces.pop()  # the whitespace that ends the text is the EOF entry's piece
     ends = list(accumulate(map(len, pieces)))
     values = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
     del pieces  # freed before the other columns are built, to lower the memory peak
-    starts = list(map(sub, ends, map(len, values)))
-    types = list(map(_KIND.get, values, map(_LEAD.get, map(_HEAD, values), repeat(_SPECIAL))))
-    comments: list[Comment] = []
-    diags: list[Diagnostic] = []
-    lex = LexResult(types, values, starts, ends, comments, diags, file, line_starts)
+    kinds = {v: _KIND.get(v) or _LEAD.get(v[:1], _SPECIAL) for v in set(values)}
+    types = list(map(kinds.get, values))
+    strings = {}
+    comments = []
+    diags = []
+    lines = _Lines()
+    lines.text = text
+    lex = LexResult(types, values, ends, strings, comments, diags, file, lines)
 
     keep = None
     i = -1
     for _ in range(types.count(_SPECIAL)):
         i = types.index(_SPECIAL, i + 1)
-        value, start, end = values[i], starts[i], ends[i]
+        value, end = values[i], ends[i]
+        start = end - len(value)
         if value[0] == '"':
             body = _STRING.match(value)[1]
             if len(body) + 2 == len(value):
                 types[i] = STRING
                 values[i] = _ESCAPE.sub(r"\1", body) if "\\" in body else body
+                strings[end] = start
                 continue
             diags.append(error("P002", "unterminated string literal", lex.span(start, end)))
         elif value.startswith("//"):
@@ -178,16 +203,15 @@ def tokenize(text: str, file: str) -> LexResult:
                 diags.append(error("P001", f"unexpected character {value[k]!r}",
                                    lex.span(start + k, start + k + 1)))
                 k += 1
-            if k < len(value):
-                types[i] = value[k:] if value[k:] in KEYWORDS else IDENT
-                values[i] = value[k:]
-                starts[i] = start + k
+            if k < len(value):  # the rest is a word; its start moves past the P001s
+                values[i] = value = value[k:]
+                types[i] = _KIND.get(value, IDENT)
                 continue
         if keep is None:
             keep = [True] * len(types)
         keep[i] = False  # a comment, a P001 or a P002 leaves the token stream
     if keep is not None:
-        for column in (types, values, starts, ends):
+        for column in (types, values, ends):
             column[:] = compress(column, keep)
     return lex
 

@@ -346,9 +346,6 @@ class Agent:
     def task(self, name: str) -> Optional[Task]:
         return next((t for t in self.tasks if t.name == name), None)
 
-    def datastore(self, name: str) -> Optional[Datastore]:
-        return next((s for s in self.datastores if s.name == name), None)
-
 
 Section = Union[ContextSection, DeploymentSection, ArtifactType, LlmDecl, ToolDecl, Agent]
 

@@ -8,8 +8,9 @@ independent mistakes; a file that ends inside blocks reports the missing
 ``}`` once. A Model is only returned when no P-class error was recorded.
 
 The parser reads the lexer's token columns by index; a span is made from
-two offsets only where an element or a diagnostic needs one. Its cost
-follows items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
+two offsets only where an element or a diagnostic needs one, its start
+worked out from the token's end by ``LexResult.start``. Its cost follows
+items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
 the model's included: its loop looks up the type of each item's leading
 token in the block's table and calls the method listed there with the
 item's index. A keyword's type is the keyword itself (IDENT marks a plain
@@ -97,8 +98,8 @@ class _Parser:
         # token k is entry k of each column; self.i is the next token
         self.types = lex.types
         self.values = lex.values
-        self.starts = lex.starts
         self.ends = lex.ends
+        self.start = lex.start
         self.file = lex.file
         self.line_starts = lex.line_starts
         self.i = 0
@@ -146,8 +147,7 @@ class _Parser:
         """Panic recovery after a broken item that began at token ``start``:
         move to the ``}`` that closes the block, or to the next token at the
         block's depth that can start one of its items and begins a line."""
-        types, starts, ends = self.types, self.starts, self.ends
-        line_starts = self.line_starts
+        types, ends, line_starts = self.types, self.ends, self.line_starts
         depth = 0
         i = start
         while types[i] != EOF:
@@ -159,7 +159,7 @@ class _Parser:
                     break
                 depth -= 1
             elif (depth == 0 and i > start and ttype in parsers
-                  and line_of(line_starts, starts[i]) > line_of(line_starts, ends[i - 1])):
+                  and line_of(line_starts, self.start(i)) > line_of(line_starts, ends[i - 1])):
                 break
             i += 1
         self.i = i
@@ -216,13 +216,13 @@ class _Parser:
         return tuple(self.values[i:j:2])
 
     def token_span(self, i: int) -> SourceSpan:
-        return tuple.__new__(SourceSpan, (self.file, self.starts[i], self.ends[i],
+        return tuple.__new__(SourceSpan, (self.file, self.start(i), self.ends[i],
                                           self.line_starts))
 
     def span_from(self, start: int) -> SourceSpan:
         """From the start of token ``start`` to the end of the last consumed
         token, built in place as ``LexResult.span`` does."""
-        return tuple.__new__(SourceSpan, (self.file, self.starts[start], self.ends[self.i - 1],
+        return tuple.__new__(SourceSpan, (self.file, self.start(start), self.ends[self.i - 1],
                                           self.line_starts))
 
     # --- grammar --------------------------------------------------------

@@ -188,7 +188,7 @@ def render_activity(model: m.Model, agent: m.Agent, task: m.Task) -> DiagramText
         elif isinstance(node, m.DecisionNode):
             lines.append(f"  {nid} [shape=diamond, label={escape_string(node.subject + '?')}];")
         elif isinstance(node, m.StoreNode):
-            store = agent.datastore(node.store)
+            store = next((s for s in agent.datastores if s.name == node.store), None)
             label = node.store if store is None else f"{node.store} : {store.artifact}"
             lines.append(f"  {nid} [shape=cylinder, label={escape_string(label)}];")
     if object_lines:

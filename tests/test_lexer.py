@@ -19,6 +19,7 @@ import pytest
 
 from a4c.diagnostics import Position, SourceSpan
 from a4c.lexer import EOF, IDENT, KEYWORDS, STRING, Token, tokenize
+from a4c.parser import parse
 from conftest import CORPUS, corpus_text, load_shapes
 from genmodels import generate_body_model, generate_model
 from oracles import oracle_tokenize
@@ -227,6 +228,20 @@ def test_escaped_quote_at_end_of_line_is_unterminated():
 def test_escapes_inside_a_closed_string():
     text = '"q\\"r\\\\" "\\x"'
     assert kinds(text) == [(STRING, 'q"r\\', 0, 8), (STRING, "\\x", 9, 13), (EOF, "", 13, 13)]
+
+
+def test_a_string_that_ends_the_file_starts_at_its_quote():
+    """A string's value is its unescaped body, so its start is not its end
+    less its value's length; here it also shares its end with the EOF entry."""
+    text = 'model "M" { artifact _x "a\\"b\\\\"'
+    quote = text.rindex(' "') + 1
+    assert kinds(text)[-3:] == [(IDENT, "x", quote - 2, quote - 1),
+                                (STRING, 'a"b\\', quote, len(text)),
+                                (EOF, "", len(text), len(text))]
+    assert lexed(text) == oracle_tokenize(text, FILE)
+    found = [(d.code, d.span.start, d.span.end) for d in parse(text, FILE).diagnostics
+             if "found string literal" in d.message]
+    assert found == [("P001", Position(1, quote + 1), Position(1, len(text) + 1))]
 
 
 @pytest.mark.parametrize("text", ["²x", "x ²y"])

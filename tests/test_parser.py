@@ -518,17 +518,26 @@ def test_parse_never_reads_the_token_view(monkeypatch, testgen_text):
 
 def test_a_clean_run_never_works_out_a_position(monkeypatch):
     """A span holds two offsets and its file's line table; a position is
-    built only when one is read. Parsing, resolving, checking, docs and
-    formatting a model that has no findings and no comments read none."""
+    built only when one is read, and the table is filled only then. Parsing,
+    resolving, checking, docs and formatting a model that has no findings
+    and no comments read none, and leave each file's table empty."""
     def unread(line_starts, offset):
         raise AssertionError("a line was looked up")
 
+    lexed = []
+
+    def recorded(text, file):
+        lexed.append(tokenize(text, file))
+        return lexed[-1]
+
     for module in (diagnostics, parser):
         monkeypatch.setattr(module, "line_of", unread)
+    monkeypatch.setattr(parser, "tokenize", recorded)
     with pytest.raises(AssertionError, match="looked up"):
         tokenize("a\nb", "v.a4c").span(2, 3).start
     with pytest.raises(AssertionError, match="looked up"):
         parse('model "X" { artifact artifact A }', "v.a4c")
+    lexed.clear()
     for name in CORPUS:
         lines = corpus_text(name).split("\n")
         text = "\n".join(line for line in lines if not line.lstrip().startswith("//"))
@@ -539,3 +548,18 @@ def test_a_clean_run_never_works_out_a_position(monkeypatch):
         assert check(resolved.model) == []
         docs_bundle(resolved.model)
         canonical_format(text, f"{name}.a4c")
+        assert result.model.span[3] is lexed[-2].line_starts
+    assert len(lexed) == 2 * len(CORPUS)  # one parse and one fmt per model
+    assert not any(lex.line_starts for lex in lexed)
+
+
+def test_one_position_read_fills_the_whole_line_table():
+    """The first position read fills the file's table with the offset at
+    which each line starts, as the lexer once built it for every file; only
+    ``\\n`` breaks a line, so a text of lone ``\\r`` has one line."""
+    texts = ["", "a", "\r", "a\rb\r", "\n", "a\r\nb\n\nc", "x\n\r\n "]
+    for text in texts + [corpus_text(name) for name in CORPUS]:
+        lex = tokenize(text, "v.a4c")
+        assert lex.line_starts == []
+        assert lex.span(len(text), len(text)).start.line == text.count("\n") + 1
+        assert lex.line_starts == [0] + [k + 1 for k, c in enumerate(text) if c == "\n"]
