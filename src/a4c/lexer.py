@@ -3,14 +3,16 @@
 Tokens are stored as columns: ``LexResult`` holds three parallel lists,
 ``types``, ``values`` and ``ends`` (the character offset past a token's
 text), and token ``k`` is entry ``k`` of each. No object is built per
-token; the parser walks the columns by index. A token's start is not
-stored: it is its end less the length of its value, except for a string,
-whose value is its unescaped body, so ``string_starts`` maps each string's
-end to its start (``LexResult.start``). ``LexResult.tokens`` zips the
-columns into ``Token`` records for callers that want one value per token.
-``LexResult.line_starts`` is the file's line table: it starts empty, and
-``diagnostics.line_of`` fills it on the first position read, so a run that
-reads no position never scans for newlines. ``LexResult.span`` turns two
+token; the parser walks the columns by index. A token's value is its text
+as written, a string's quotes and escapes included, so every token, the
+EOF entry too, starts at its end less the length of its value
+(``LexResult.start``). ``string_value`` turns a string's text into the
+value it denotes, and the parser calls it where it reads one.
+``LexResult.tokens`` zips the columns into ``Token`` records for callers
+that want one value per token. ``LexResult.line_starts`` is the file's
+line table: it starts empty, and ``diagnostics.line_of`` fills it on the
+first position read, so a run that reads no position never scans for
+newlines. ``LexResult.span`` turns two
 offsets into a ``SourceSpan``: the span keeps the offsets and that line
 table, and builds a ``Position`` only when its ``start`` or ``end`` is
 read. The parser builds the same tuple in place, one span per element
@@ -32,13 +34,13 @@ then one of first characters that maps an ASCII letter to IDENT and anything
 else to SPECIAL. A keyword's type is its own text (``model``, ``call``), so a
 token's kind lives in ``types`` alone; the other types are upper case and no
 keyword is. One forward pass then settles each SPECIAL entry in file order,
-so diagnostics come in file order: a string (its body unescaped and its
-start recorded, or P002 when it is unterminated), a comment, a stray
-character (P001), or a word (``\\w+``) that does not start with an ASCII
-letter, such as ``é``, ``_x``, ``1y`` or ``²b`` (one P001 per leading
-character that is not ``str.isalpha``, and the rest of the word, if any,
-kept in place and typed as any word is; its value is that rest, so its
-start still follows from its end). The entries that leave the token stream
+so diagnostics come in file order: a string (typed STRING, or P002 when it
+is unterminated), a comment, a stray character (P001), or a word
+(``\\w+``) that does not start with an ASCII letter, such as ``é``,
+``_x``, ``1y`` or ``²b`` (one P001 per leading character that is not
+``str.isalpha``, and the rest of the word, if any, kept in place and typed
+as any word is; its value is that rest, so its start still follows from
+its end). The entries that leave the token stream
 go in one ``compress`` per column.
 
 A position is a 1-based line and a 1-based column counted in code points.
@@ -88,7 +90,7 @@ _STRING_BODY = r'[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*'
 _SCAN = re.compile(
     rf'[ \t\r\n]*(?:\w+|[{{}}\[\]:,.]|->|==?|"{_STRING_BODY}"?|//[^\n]*|.)?',
     re.DOTALL)
-_STRING = re.compile(f'"({_STRING_BODY})')
+_STRING = re.compile(f'"{_STRING_BODY}')  # a string's opening quote and body
 _WHITESPACE = " \t\r\n"
 _ESCAPE = re.compile(r'\\(["\\])')
 
@@ -119,21 +121,18 @@ class Comment:
 
 @record
 class LexResult:
-    # token columns, each ending with the EOF entry at len(text); a token
-    # starts at its end less the length of its value, except a STRING,
-    # whose value is its unescaped body and whose start is in string_starts
+    # token columns, each ending with the EOF entry at len(text); a token's
+    # value is its text, so it starts at its end less the length of its value
     types: list[str]
     values: list[str]
     ends: list[int]
-    string_starts: dict[int, int]  # a string's end offset -> its start offset
     comments: list[Comment]
     diagnostics: list[Diagnostic]
     file: str
     line_starts: list[int]  # offset at which each line starts; empty until a position is read
 
     def start(self, k):  # the offset of token k's first character
-        end = self.ends[k]
-        return self.string_starts[end] if self.types[k] == STRING else end - len(self.values[k])
+        return self.ends[k] - len(self.values[k])
 
     @property
     def starts(self) -> list[int]:
@@ -174,12 +173,11 @@ def tokenize(text: str, file: str) -> LexResult:
     del pieces  # freed before the other columns are built, to lower the memory peak
     kinds = {v: _KIND.get(v) or _LEAD.get(v[:1], _SPECIAL) for v in set(values)}
     types = list(map(kinds.get, values))
-    strings = {}
     comments = []
     diags = []
     lines = _Lines()
     lines.text = text
-    lex = LexResult(types, values, ends, strings, comments, diags, file, lines)
+    lex = LexResult(types, values, ends, comments, diags, file, lines)
 
     keep = None
     i = -1
@@ -188,11 +186,8 @@ def tokenize(text: str, file: str) -> LexResult:
         value, end = values[i], ends[i]
         start = end - len(value)
         if value[0] == '"':
-            body = _STRING.match(value)[1]
-            if len(body) + 2 == len(value):
+            if _STRING.match(value).end() < len(value):  # the closing quote is there
                 types[i] = STRING
-                values[i] = _ESCAPE.sub(r"\1", body) if "\\" in body else body
-                strings[end] = start
                 continue
             diags.append(error("P002", "unterminated string literal", lex.span(start, end)))
         elif value.startswith("//"):
@@ -219,3 +214,10 @@ def tokenize(text: str, file: str) -> LexResult:
 def escape_string(value: str) -> str:
     """Re-quote a string value for source emission."""
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def string_value(text: str) -> str:
+    """The value that a STRING token's text denotes: the text between its
+    quotes, with ``\\"`` and ``\\\\`` unescaped; any other backslash stays."""
+    body = text[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body

@@ -7,7 +7,10 @@ whose derived views are computed once; a parsed model is safe to share across
 threads without locking. Equality ignores spans and tells types apart.
 
 Declaration order is preserved (``sections``, ``members``, ``items``,
-``statements``) so the formatter can reprint files without reordering.
+``statements``) so the formatter can reprint files without reordering. The
+typed views of one of these fields, such as ``Model.agents``,
+``Agent.tasks`` or ``ActivityGraph.calls``, keep its entries of one type in
+that order; each is declared by one ``_kind`` line.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ if TYPE_CHECKING:
 INITIAL_ID = "start"
 FINAL_ID = "end"
 STORE_ID_PREFIX = "store:"
+
+
+def _kind(field: str, cls: type) -> cached_property:
+    """A view cached on first read: the entries of the record's ``field``
+    that are ``cls`` instances, as a tuple in their order."""
+    return cached_property(lambda self: tuple(x for x in getattr(self, field)
+                                              if isinstance(x, cls)))
 
 
 class ActorKind(Enum):
@@ -58,13 +68,8 @@ class ContextSection:
     items: tuple[Union[Actor, ContextFlow], ...]
     span: SourceSpan
 
-    @cached_property
-    def actors(self) -> tuple[Actor, ...]:
-        return tuple(i for i in self.items if isinstance(i, Actor))
-
-    @cached_property
-    def flows(self) -> tuple[ContextFlow, ...]:
-        return tuple(i for i in self.items if isinstance(i, ContextFlow))
+    actors = _kind("items", Actor)
+    flows = _kind("items", ContextFlow)
 
 
 @record(ignore="span")
@@ -116,13 +121,8 @@ class DeploymentSection:
     items: tuple[Union[DeploymentNode, DeploymentLink], ...]
     span: SourceSpan
 
-    @cached_property
-    def nodes(self) -> tuple[DeploymentNode, ...]:
-        return tuple(i for i in self.items if isinstance(i, DeploymentNode))
-
-    @cached_property
-    def links(self) -> tuple[DeploymentLink, ...]:
-        return tuple(i for i in self.items if isinstance(i, DeploymentLink))
+    nodes = _kind("items", DeploymentNode)
+    links = _kind("items", DeploymentLink)
 
 
 @record(ignore="span")
@@ -258,13 +258,8 @@ class ActivityGraph:
             return (ActivityEdge(INITIAL_ID, FINAL_ID, None, EdgeKind.CONTROL, self.span),)
         return tuple(st for st in self.statements if isinstance(st, ActivityEdge))
 
-    @cached_property
-    def calls(self) -> tuple[CallNode, ...]:
-        return tuple(n for n in self.statements if isinstance(n, CallNode))
-
-    @cached_property
-    def invokes(self) -> tuple[InvokeNode, ...]:
-        return tuple(n for n in self.statements if isinstance(n, InvokeNode))
+    calls = _kind("statements", CallNode)
+    invokes = _kind("statements", InvokeNode)
 
     @cached_property
     def control(self) -> ControlFacts:
@@ -272,9 +267,6 @@ class ActivityGraph:
         from .flow import control_facts
 
         return control_facts(self)
-
-    def node_by_id(self, node_id: str) -> Optional[ActivityNode]:
-        return self.by_id.get(node_id)
 
     @cached_property
     def by_id(self) -> dict[str, ActivityNode]:
@@ -335,13 +327,8 @@ class Agent:
     members: tuple[Union[Datastore, Task], ...]
     span: SourceSpan
 
-    @cached_property
-    def datastores(self) -> tuple[Datastore, ...]:
-        return tuple(m for m in self.members if isinstance(m, Datastore))
-
-    @cached_property
-    def tasks(self) -> tuple[Task, ...]:
-        return tuple(m for m in self.members if isinstance(m, Task))
+    datastores = _kind("members", Datastore)
+    tasks = _kind("members", Task)
 
     def task(self, name: str) -> Optional[Task]:
         return next((t for t in self.tasks if t.name == name), None)
@@ -380,9 +367,7 @@ class Model:
     def deployment(self) -> Optional[DeploymentSection]:
         return next((s for s in self.sections if isinstance(s, DeploymentSection)), None)
 
-    @cached_property
-    def artifacts(self) -> tuple[ArtifactType, ...]:
-        return tuple(s for s in self.sections if isinstance(s, ArtifactType))
+    artifacts = _kind("sections", ArtifactType)
 
     @cached_property
     def artifact_table(self) -> dict[str, ArtifactType]:
@@ -392,17 +377,9 @@ class Model:
             table.setdefault(art.name, art)
         return table
 
-    @cached_property
-    def llms(self) -> tuple[LlmDecl, ...]:
-        return tuple(s for s in self.sections if isinstance(s, LlmDecl))
-
-    @cached_property
-    def tools(self) -> tuple[ToolDecl, ...]:
-        return tuple(s for s in self.sections if isinstance(s, ToolDecl))
-
-    @cached_property
-    def agents(self) -> tuple[Agent, ...]:
-        return tuple(s for s in self.sections if isinstance(s, Agent))
+    llms = _kind("sections", LlmDecl)
+    tools = _kind("sections", ToolDecl)
+    agents = _kind("sections", Agent)
 
     def agent(self, name: str) -> Optional[Agent]:
         return next((a for a in self.agents if a.name == name), None)

@@ -9,8 +9,11 @@ independent mistakes; a file that ends inside blocks reports the missing
 
 The parser reads the lexer's token columns by index; a span is made from
 two offsets only where an element or a diagnostic needs one, its start
-worked out from the token's end by ``LexResult.start``. Its cost follows
-items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
+worked out from the token's end by ``LexResult.start``. A string token's
+value is its text, quotes and escapes included; the four items that read
+one (the model name, an llm's version, a link's protocol and a prompt row's
+template) keep the string it denotes, from ``lexer.string_value``. Its cost
+follows items, not tokens. ``_Parser.block`` reads every ``{ ... }`` block,
 the model's included: its loop looks up the type of each item's leading
 token in the block's table and calls the method listed there with the
 item's index. A keyword's type is the keyword itself (IDENT marks a plain
@@ -34,7 +37,7 @@ from . import model as m
 from .diagnostics import Diagnostic, SourceSpan, error, line_of, sort_diagnostics
 from .lexer import (
     ARROW, COLON, COMMA, DOT, EOF, EQ, EQEQ, IDENT, KEYWORDS, LBRACE, LBRACKET,
-    RBRACE, RBRACKET, STRING, Comment, LexResult, tokenize,
+    RBRACE, RBRACKET, STRING, Comment, LexResult, string_value, tokenize,
 )
 from .records import record
 
@@ -240,7 +243,7 @@ class _Parser:
         except _ParseError as e:
             self.diags.append(e.diag)
             return None
-        return m.Model(name=values[1], file=self.file, sections=sections,
+        return m.Model(name=string_value(values[1]), file=self.file, sections=sections,
                        span=self.span_from(0))
 
     def parse_context(self, i: int) -> m.ContextSection:
@@ -289,7 +292,8 @@ class _Parser:
         version, j = self.option(i + 2, "version", STRING, "version string")
         default = types[j] == "default"
         self.i = j + default
-        return m.LlmDecl(values[i + 1], version, default, self.span_from(i))
+        return m.LlmDecl(values[i + 1], version and string_value(version), default,
+                         self.span_from(i))
 
     def parse_tool(self, i: int) -> m.ToolDecl:
         types, values = self.types, self.values
@@ -326,7 +330,8 @@ class _Parser:
         arts = self.identlist(i + 7, "artifact name") if types[i + 6] == COLON else ()
         occ = self._link_counts.get((src, dst), 0)
         self._link_counts[(src, dst)] = occ + 1
-        return m.DeploymentLink(src, dst, values[i + 5], arts, self.span_from(i), occ)
+        return m.DeploymentLink(src, dst, string_value(values[i + 5]), arts, self.span_from(i),
+                                occ)
 
     def parse_agent(self, i: int) -> m.Agent:
         types, values = self.types, self.values
@@ -466,7 +471,7 @@ class _Parser:
         self.i = i + 4
         part = m.PromptPart.STATIC if self.types[i] == "static" else m.PromptPart.TASK_SPECIFIC
         values = self.values
-        return m.PromptRow(part, values[i + 1], values[i + 3], self.span_from(i))
+        return m.PromptRow(part, values[i + 1], string_value(values[i + 3]), self.span_from(i))
 
     # --- block items ----------------------------------------------------
     # Each table maps an item's leading keyword, or IDENT for a plain word,

@@ -208,9 +208,10 @@ class _Resolver:
 
         if task.prompt is not None:
             self.collect("prompt row", {}, task.prompt.rows)
+            inputs = set(task.inputs)
             for row in task.prompt.rows:
                 for placeholder in PLACEHOLDER_RE.findall(row.template):
-                    if placeholder not in task.inputs:
+                    if placeholder not in inputs:
                         self.err(
                             f"prompt placeholder '{{{placeholder}}}' does not name an input"
                             f" of task '{task.name}'",

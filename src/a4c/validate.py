@@ -128,6 +128,7 @@ def _consumptions(node: m.ActivityNode) -> tuple[str, ...]:
 def _v4_consumption(rm: ResolvedModel, bodies: list[Body]):
     for agent, task, facts in bodies:
         graph = task.graph
+        inputs = set(task.inputs)
         stores = rm.stores[agent.name]
         store_reads: dict[str, set[str]] = {}
         for edge in graph.edges:
@@ -147,7 +148,7 @@ def _v4_consumption(rm: ResolvedModel, bodies: list[Body]):
             if node.id not in facts.from_start:
                 continue  # unreachable nodes are V6's finding, not V4's
             for art in _consumptions(node):
-                if art in task.inputs:
+                if art in inputs:
                     continue
                 if art in store_reads.get(node.id, ()):
                     continue
@@ -196,14 +197,12 @@ def _v5_outputs_on_final_paths(bodies: list[Body]):
             continue
         if m.FINAL_ID not in facts.from_start:
             continue  # unreachable end is reported under V6
+        # what the calls and tool calls on a path from start to end produce
+        produced = {art for node in task.graph.calls + task.graph.invokes
+                    if node.id in facts.from_start and node.id in facts.reaches_end
+                    for art in node.outputs}
         for art in task.outputs:
-            ok = False
-            for node in task.graph.nodes:
-                if isinstance(node, (m.CallNode, m.InvokeNode)) and art in node.outputs:
-                    if node.id in facts.from_start and node.id in facts.reaches_end:
-                        ok = True
-                        break
-            if not ok:
+            if art not in produced:
                 yield (f"declared output '{art}' of task"
                        f" '{m.task_display(agent.name, task.name)}' is produced on no"
                        " path from start to end", task.span)
@@ -418,7 +417,6 @@ def _v13_unguarded_cycles(bodies: list[Body]):
     for agent, task, facts in bodies:
         for cycle in unguarded_circuits(facts):
             cycle_text = " -> ".join(cycle + (cycle[0],))
-            anchor = task.graph.node_by_id(cycle[0])
-            span = anchor.span if anchor is not None else task.span
             yield (f"control-flow cycle {cycle_text} in task"
-                   f" '{m.task_display(agent.name, task.name)}' has no guarded exit", span)
+                   f" '{m.task_display(agent.name, task.name)}' has no guarded exit",
+                   task.graph.by_id[cycle[0]].span)

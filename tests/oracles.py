@@ -460,31 +460,29 @@ def oracle_tokenize(text: str, file: str) -> tuple[list, list, list]:
             advance_to(i + 1)
             tokens.append((punct[ch], ch, SourceSpan(file, start, pos())))
             continue
-        if ch == '"':
+        if ch == '"':  # a string's value is its text, quotes and escapes included
             j = i + 1
-            buf: list[str] = []
             closed = False
             while j < n:
                 c = text[j]
                 if c == "\n":
                     break
                 if c == "\\" and j + 1 < n and text[j + 1] in '"\\':
-                    buf.append(text[j + 1])
                     j += 2
                     continue
                 if c == '"':
                     j += 1
                     closed = True
                     break
-                buf.append(c)
                 j += 1
+            literal = text[i:j]
             advance_to(j)
             if not closed:
                 diags.append(
                     error("P002", "unterminated string literal", SourceSpan(file, start, pos()))
                 )
                 continue
-            tokens.append((lx.STRING, "".join(buf), SourceSpan(file, start, pos())))
+            tokens.append((lx.STRING, literal, SourceSpan(file, start, pos())))
             continue
         if ch.isalpha():
             j = i + 1

@@ -3,8 +3,10 @@
 Token types, values and line/column spans, comments and diagnostics must be
 identical to ``oracles.oracle_tokenize`` on the corpus, the messy fixture,
 generated models and bodies, the benchmark's synthetic shapes, random
-strings, line mutants and inputs of about 10**5 characters. The traps of a
-one-pattern lexer are pinned one by one below.
+strings, line mutants and inputs of about 10**5 characters, and every
+token's value must be its text, which ``tokenize`` below checks on every
+input lexed here. The traps of a one-pattern lexer are pinned one by one
+below.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import random
 
 import pytest
 
+from a4c import lexer
 from a4c.diagnostics import Position, SourceSpan
-from a4c.lexer import EOF, IDENT, KEYWORDS, STRING, Token, tokenize
+from a4c.lexer import EOF, IDENT, KEYWORDS, STRING, Token, string_value
 from a4c.parser import parse
 from conftest import CORPUS, corpus_text, load_shapes
 from genmodels import generate_body_model, generate_model
@@ -28,14 +31,18 @@ HERE = pathlib.Path(__file__).parent
 FILE = "lex.a4c"
 
 
+def tokenize(text: str, file: str) -> lexer.LexResult:
+    """``lexer.tokenize``, which every test here calls through this check:
+    each token's value, a string's and the EOF entry's included, is its
+    text, from its start to its end."""
+    lex = lexer.tokenize(text, file)
+    assert [text[start:end] for start, end in zip(lex.starts, lex.ends)] == lex.values, text[:200]
+    return lex
+
+
 def lexed(text: str) -> tuple[list, list, list]:
     """The lexer's result in the oracle's form."""
     lex = tokenize(text, FILE)
-    for tok in lex.tokens:
-        if tok.type == IDENT or tok.type in KEYWORDS:
-            assert text[tok.start:tok.end] == tok.value
-        elif tok.type == STRING:
-            assert text[tok.start] == text[tok.end - 1] == '"'
     return (
         [(t.type, t.value, lex.span(t.start, t.end)) for t in lex.tokens],
         [(c.text, c.span) for c in lex.comments],
@@ -227,16 +234,17 @@ def test_escaped_quote_at_end_of_line_is_unterminated():
 
 def test_escapes_inside_a_closed_string():
     text = '"q\\"r\\\\" "\\x"'
-    assert kinds(text) == [(STRING, 'q"r\\', 0, 8), (STRING, "\\x", 9, 13), (EOF, "", 13, 13)]
+    assert kinds(text) == [(STRING, text[:8], 0, 8), (STRING, text[9:], 9, 13), (EOF, "", 13, 13)]
+    assert [string_value(text[:8]), string_value(text[9:])] == ['q"r\\', "\\x"]
 
 
 def test_a_string_that_ends_the_file_starts_at_its_quote():
-    """A string's value is its unescaped body, so its start is not its end
-    less its value's length; here it also shares its end with the EOF entry."""
+    """A string's value is its text, so it starts at its end less its value's
+    length, as every token does; here it also shares its end with the EOF entry."""
     text = 'model "M" { artifact _x "a\\"b\\\\"'
     quote = text.rindex(' "') + 1
     assert kinds(text)[-3:] == [(IDENT, "x", quote - 2, quote - 1),
-                                (STRING, 'a"b\\', quote, len(text)),
+                                (STRING, text[quote:], quote, len(text)),
                                 (EOF, "", len(text), len(text))]
     assert lexed(text) == oracle_tokenize(text, FILE)
     found = [(d.code, d.span.start, d.span.end) for d in parse(text, FILE).diagnostics

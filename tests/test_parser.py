@@ -89,10 +89,10 @@ def test_body_statement_kinds(testgen_text):
     graph = model.agent("GeneratorTeam").task("generate").graph
     kinds = {type(n).__name__ for n in graph.nodes}
     assert {"InitialNode", "FinalNode", "CallNode", "DecisionNode", "StoreNode"} <= kinds
-    call = graph.node_by_id("gen")
+    call = graph.by_id["gen"]
     assert isinstance(call, CallNode)
     assert call.agent == "Developer" and call.task == "generate"
-    assert graph.node_by_id("chk").subject == "Report"
+    assert graph.by_id["chk"].subject == "Report"
     store_nodes = [n for n in graph.nodes if isinstance(n, StoreNode)]
     assert [n.store for n in store_nodes] == ["codeStore"]
 
@@ -155,6 +155,33 @@ def test_fork_join_and_invoke(resell_text):
     execute = model.agent("EbayResearcher").task("search").graph
     invoke = next(n for n in execute.nodes if isinstance(n, InvokeNode))
     assert invoke.tool == "EbaySearchAPI" and invoke.operation == "findItems"
+
+
+def test_strings_parse_to_their_unescaped_values():
+    """A string token's value is its text; the model keeps the string it denotes:
+    ``\\"`` and ``\\\\`` unescaped, any other backslash kept."""
+    text = r'''model "M \"1\" \\ x" {
+  llm L version "v\\2 \"b\"" default
+  deployment {
+    node N { }
+    node P { }
+    link N -> P : "h\"t\\p\x"
+  }
+  agent G {
+    task t {
+      prompt {
+        static role = "say \"{A}\" \\ \n"
+      }
+    }
+  }
+}
+'''
+    model = parse(text, "s.a4c").model
+    assert model.name == 'M "1" \\ x'
+    assert model.llms[0].version == 'v\\2 "b"'
+    assert model.deployment.links[0].protocol == 'h"t\\p\\x'
+    assert model.agent("G").task("t").prompt.rows[0].template == 'say "{A}" \\ \\n'
+    assert parse(canonical_format(text, "s.a4c"), "s.a4c").model == model
 
 
 def test_p001_unexpected_token():

@@ -1,13 +1,14 @@
-"""Metered work per stage grows linearly with the model.
+"""Cost per stage grows linearly with the model.
 
-The north star asks that a 4x larger model cost about 4x the work, and at
-most 5x. Wall time on a shared host moves by tens of percent, so these
-tests count work with ``meter.work`` instead: the count is the same on
-every run and under every ``PYTHONHASHSEED``. Each stage runs on a fresh
-parse, so no view that an earlier stage cached is left out of its count.
-Parsing is also bounded under ``meter.peak_bytes``, the allocation peak,
+The north star asks that a 4x larger model cost about 4x, and at most 5x.
+Wall time on a shared host moves by tens of percent, so these tests count
+cost with two meters instead (``meter.py``): ``work``, the calls a stage
+makes, which is the same on every run and under every
+``PYTHONHASHSEED``, and ``peak_bytes``, the most memory it holds at once,
 whose ratios are the same under every ``PYTHONHASHSEED`` though its bytes
-may differ a little.
+may differ a little. Every case that is not an xfail is bounded under
+both. Each stage runs on a fresh parse, so no view that an earlier stage
+cached is left out of its count.
 
 Shapes: the benchmark's chain, fan-out and feedback loop
 (``bench/shapes.py``), and ``genmodels.many_bodies``, one body and one
@@ -15,23 +16,30 @@ artifact per agent. Stages: parse, ``check``, the activity diagram of
 every body, ``docs_bundle``, ``canonical_format``, and ``impact`` up, down
 and both from the first agent's first task (``Root.run``, or ``A0.run`` in
 ``many_bodies``), which builds the model's impact relation and then walks
-it three times. Two more shapes test
-what the chain leaves out: the chain with a comment on and above every
-line, and the chain with four parse errors in every agent. For them the
-stages are parse and ``check`` as ``a4c check`` runs it on one file, from
-reading it to its sorted diagnostics.
+it three times. More shapes test what the chain leaves out: the chain with
+a comment on and above every line, and the chain with four parse errors in
+every agent, for parse and ``check`` as ``a4c check`` runs it on one file,
+from reading it to its sorted diagnostics; and one task with n inputs and
+n outputs, for ``resolve`` and ``check``.
 
-The call meter counts one C call as one unit of work (see ``meter.py``),
-so a stage whose cost hides in one C call, such as a regular expression,
-is bounded by it only as far as the shapes' sizes are. The allocation peak
-sees the C calls that build what they cost, such as the lexer's columns or
-a path copied per element; the impact walk on a delegation chain is one
-(ROADMAP item 4), and is held here as a strict xfail until it is mended.
+The call meter counts one C call as one unit of work, so a stage whose
+cost hides in one C call, such as a regular expression or a scan along a
+tuple, is bounded by it only as far as the shapes' sizes are; the wide
+task's inputs compare in Python code so that their scans are counted. The
+allocation peak sees the C calls that build what they cost, such as the
+lexer's columns or a path copied per element. Three cases are strict
+xfails until the ROADMAP item that mends them lands: the impact walk on a
+delegation chain (item 4), ``check`` on the guardless ladder (item 3) and
+``check``'s output on a loop of fork diamonds (item 13).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
+from functools import partial
+from typing import Callable
 
 import pytest
 
@@ -40,6 +48,7 @@ from a4c.analysis import impact  # docs pages import it on first use; no count m
 from a4c.formatter import canonical_format
 from a4c.parser import parse
 from a4c.render import docs_bundle, render_activity
+from a4c.resolver import resolve
 from a4c.validate import check
 
 from conftest import load_resolved, load_shapes
@@ -79,19 +88,20 @@ def _stage(stage: str, text: str):
     return lambda: _render_every_body(rm.model)
 
 
-def _steps(stage: str, texts: list[str], meter=work) -> tuple[list[int], list[float]]:
-    counts = [meter(_stage(stage, text)) for text in texts]
-    return counts, [round(b / a, 2) for a, b in zip(counts, counts[1:])]
+def assert_linear(setups: list[Callable[[], Callable]], meters=(work, peak_bytes)) -> None:
+    """Under each meter, the count of each call that ``setups`` set up, one
+    fresh call per meter, is at most ``BOUND`` times the count before it."""
+    for meter in meters:
+        counts = [meter(setup()) for setup in setups]
+        steps = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
+        assert max(steps) <= BOUND, (meter.__name__, counts, steps)
 
 
 @pytest.mark.parametrize("stage", ["parse", "check", "render", "docs", "fmt", "impact"])
 @pytest.mark.parametrize("shape", ["chain", "fan", "feedback", "many_bodies"])
 def test_work_grows_linearly(shape, stage):
     sizes = (100, 400, 1600) if shape == "many_bodies" and stage == "render" else (25, 100, 400)
-    texts = [_shape(shape, n) for n in sizes]
-    for meter in (work, peak_bytes) if stage == "parse" else (work,):
-        counts, steps = _steps(stage, texts, meter)
-        assert max(steps) <= BOUND, (meter.__name__, counts, steps)
+    assert_linear([partial(_stage, stage, _shape(shape, n)) for n in sizes])
 
 
 def commented(n: int) -> str:
@@ -118,17 +128,57 @@ def test_comments_and_errors_cost_linear_work(tmp_path, shape, stage):
     texts = [shape(n) for n in (25, 100, 400)]
     assert (parse(texts[0], "x.a4c").model is None) == (shape is broken)
     if stage == "parse":
-        for meter in (work, peak_bytes):
-            counts, steps = _steps(stage, texts, meter)
-            assert max(steps) <= BOUND, (meter.__name__, counts, steps)
+        assert_linear([partial(_stage, stage, text) for text in texts])
         return
     paths = []
     for k, text in enumerate(texts):
         paths.append(tmp_path / f"{k}.a4c")
         paths[-1].write_text(text, encoding="utf-8")
-    counts = [work(lambda path=str(path): cli._check_file(path)) for path in paths]
-    steps = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
-    assert max(steps) <= BOUND, (counts, steps)
+    assert_linear([lambda path=str(path): partial(cli._check_file, path) for path in paths])
+
+
+class Noisy(str):
+    """A name whose ``==`` runs Python code, so that the call meter counts
+    each comparison, those of a scan along a tuple of names included."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return str.__eq__(self, other)
+
+
+def wide_task(n: int) -> str:
+    """Task ``A.run`` with inputs ``I0`` to ``I<n-1>`` and outputs ``O0`` to
+    ``O<n-1>``, the i-th of each consumed and made by the i-th of a chain
+    of n tool calls (V4 and V5 look up each), and task ``A.ask`` with the
+    same inputs and one prompt row naming each (the resolver looks up each)."""
+    ins = ", ".join(f"I{i}" for i in range(n))
+    lines = ['model "Wide" {'] + [f"  artifact {k}{i}" for k in "IO" for i in range(n)]
+    lines += ["  llm L default", "  tool T", "  agent A {", "    task run {", f"      in {ins}",
+              f"      out {', '.join(f'O{i}' for i in range(n))}", "      body {"]
+    lines += [f"        invoke t{i} = T.op {{ in I{i} out O{i} }}" for i in range(n)]
+    lines += ["        start -> t0"] + [f"        t{i} -> t{i + 1}" for i in range(n - 1)]
+    lines += [f"        t{n - 1} -> end", "      }", "    }", "    task ask {", f"      in {ins}",
+              "      prompt {"] + [f'        static r{i} = "use {{I{i}}}"' for i in range(n)]
+    return "\n".join(lines + ["      }", "    }", "  }", "}"]) + "\n"
+
+
+def _wide_stage(stage: str, n: int):
+    """``resolve`` or ``check`` of ``wide_task(n)`` with ``Noisy`` task
+    inputs, set up unmetered."""
+    model = parse(wide_task(n), "wide.a4c").model
+    agent = model.sections[-1]
+    tasks = tuple(m.Task(t.name, tuple(map(Noisy, t.inputs)), *t[2:]) for t in agent.tasks)
+    agent = m.Agent(agent.name, agent.llm, tasks, agent.span)
+    model = m.Model(model.name, model.file, model.sections[:-1] + (agent,))
+    if stage == "resolve":
+        return partial(resolve, model)
+    return partial(check, resolve(model).model)
+
+
+@pytest.mark.parametrize("stage", ["resolve", "check"])
+def test_a_task_with_many_inputs_and_outputs_costs_linear_work(stage):
+    assert_linear([partial(_wide_stage, stage, n) for n in (25, 100, 400)])
 
 
 def guardless_ladder(k: int) -> str:
@@ -140,8 +190,49 @@ def guardless_ladder(k: int) -> str:
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: V13 enumerates every circuit"
                                        " of a loop whose guarded exits stay in its SCC")
 def test_check_on_the_guardless_ladder_grows_linearly():
-    counts, steps = _steps("check", [guardless_ladder(k) for k in (2, 8)])
-    assert max(steps) <= BOUND, (counts, steps)
+    assert_linear([partial(_stage, "check", guardless_ladder(k)) for k in (2, 8)], (work,))
+
+
+def fork_diamonds(k: int) -> str:
+    """The loop ``c0 -> f1 -> (a1 | b1) -> j1 -> ... -> jk -> chk -> c0`` of
+    k fork/join diamonds, left by the unguarded ``chk -> end``: none of its
+    2**k circuits has a guarded exit."""
+    lines = ['model "Diamonds" {', "  artifact R", "  llm L default", "  agent A {",
+             "    task run {", "      in R", "      out R", "      body {",
+             "        call c0 = step { in R out R }"]
+    for i in range(1, k + 1):
+        lines += [f"        fork f{i}", f"        call a{i} = step {{ in R out R }}",
+                  f"        call b{i} = step {{ in R out R }}", f"        join j{i}"]
+    lines += ["        decision chk on R", "        start -> c0", "        c0 -> f1"]
+    for i in range(1, k + 1):
+        lines += [f"        f{i} -> a{i}", f"        f{i} -> b{i}", f"        a{i} -> j{i}",
+                  f"        b{i} -> j{i}", f"        j{i} -> {f'f{i + 1}' if i < k else 'chk'}"]
+    lines += ["        chk -> c0 [R == Bad]", "        chk -> end", "      }", "    }",
+              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def stdout_bytes(fn: Callable[[], str]) -> int:
+    """The size of what ``fn`` returns, its printed output, in UTF-8 bytes."""
+    return len(fn().encode())
+
+
+def _cli_check(path: str) -> str:
+    """What ``a4c check path`` prints to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["check", path])
+    return out.getvalue()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: V13 prints one W113 per"
+                                       " unguarded circuit, 2**k of them")
+def test_check_on_fork_diamonds_prints_and_works_linearly(tmp_path):
+    paths = [tmp_path / f"diamonds{k}.a4c" for k in (2, 8)]
+    for k, path in zip((2, 8), paths):
+        path.write_text(fork_diamonds(k), encoding="utf-8")
+    assert_linear([lambda path=str(path): partial(_cli_check, path) for path in paths],
+                  (stdout_bytes, work))
 
 
 def delegation(n: int) -> str:
@@ -165,6 +256,5 @@ def test_impact_on_a_delegation_chain_holds_linear_memory():
     models = [load_resolved(delegation(n), "delegation.a4c") for n in (125, 500, 2000)]
     for rm in models:
         rm.relations  # built before the walk is metered
-    peaks = [peak_bytes(lambda rm=rm: impact(rm, "G0.work", "down")) for rm in models]
-    steps = [round(b / a, 2) for a, b in zip(peaks, peaks[1:])]
-    assert max(steps) <= BOUND, (peaks, steps)
+    assert_linear([lambda rm=rm: partial(impact, rm, "G0.work", "down") for rm in models],
+                  (peak_bytes,))
