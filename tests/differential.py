@@ -1,6 +1,7 @@
-"""Differential run: the working tree's ``src/a4c`` against a git revision's.
+"""Differential run: the working tree's ``src/a4c`` against a git revision's,
+under this interpreter and others.
 
-    python tests/differential.py REV [--count N] [--expect OBS ...]
+    python tests/differential.py REV [--count N] [--expect OBS ...] [--python PY ...]
 
 It extracts ``git archive REV src/a4c`` to a temporary directory and builds
 one fixed set of inputs: the corpus, ``messy.a4c``, a corpus model with
@@ -12,21 +13,28 @@ one body each (``genmodels.many_bodies``), ``--count``
 ``mutate`` mutants of each corpus model, and each corpus model with one of
 its tokens cut out (``make_goldens.token_deletions``). Then it runs one
 observer per side in a subprocess with that side's ``PYTHONPATH``, so no
-module is imported under two names, and compares their records.
+module is imported under two names, and compares each side's records with
+the reference side's. The reference side is REV under the running
+interpreter; the working tree under it is one side, and each
+``--python PY`` adds the working tree under PY. Every side runs with
+``PYTHONHASHSEED=0`` and no bytecode written; since 3.10 and 3.11 order
+sets differently under the same seed, no observable digests an unsorted set.
 
 An observer records, per input, the token columns and comments, the parse
 diagnostics, the model's ``fingerprint``, ``Model.elements`` with spans, the
-resolve and check diagnostics, ``classify`` of every composite task, the
-impact report of every seed in every direction, the ``docs_bundle`` files
-and anchors, each ``render_*`` text and ``canonical_format``; and the stdout,
-stderr, exit code and written files of a fixed table of CLI commands.
+resolve and check diagnostics, ``classify`` of every composite task, one
+digest of the impact reports of every seed in every direction, the
+``docs_bundle`` files and anchors, each ``render_*`` text and
+``canonical_format``; and the stdout and stderr bytes, exit code and
+written files of a fixed table of CLI commands.
 
-It prints how many inputs agree and differ per observable, the first inputs
-that differ, and for the diagnostic observables the codes lost and gained.
-It exits 1 on a difference in an observable that no ``--expect OBS`` names,
-and 2 when REV cannot be read. It needs git and the standard library only;
-the driver imports the working tree's lexer to cut tokens out.
-Pytest does not collect it: its name has no ``test_`` prefix.
+It prints, per side, how many inputs agree and differ per observable, the
+first inputs that differ, and for the diagnostic observables the codes lost
+and gained. It exits 1 on a difference in an observable that no
+``--expect OBS`` names, and 2 when REV cannot be read or a side's observer
+cannot run. It needs git and the standard library only; building the
+inputs imports the working tree's lexer to cut tokens out. Pytest does
+not collect it: its name has no ``test_`` prefix.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import io
 import json
 import os
 import pathlib
+import platform
 import random
 import shutil
 import subprocess
@@ -62,11 +71,12 @@ WARNED = ("testgen", "chk -> end [Report == IO]", "chk -> end")
 # with a file of each kind of failure among them
 FORKED = ["large-chain.a4c", "missing.a4c", "warned.a4c", "latin1.a4c", "broken.a4c",
           "large-fan.a4c", "unresolved.a4c", "messy.a4c"]
+CORPUS = ("testgen.a4c", "recovery.a4c", "resell.a4c")
 # argv of each CLI command, run in a directory that holds the input files
 # named here; ``out/`` is emptied before each command
 CLI_TABLE = (
-    ["check", "testgen.a4c", "recovery.a4c", "resell.a4c"],
-    ["check", "--format", "json", "testgen.a4c", "recovery.a4c", "resell.a4c"],
+    ["check", *CORPUS],
+    ["check", "--format", "json", *CORPUS],
     ["check", "--fail-on-warning", "messy.a4c"],
     ["check", "broken.a4c"],
     ["check", "--format", "json", "broken.a4c"],
@@ -75,19 +85,20 @@ CLI_TABLE = (
     ["check", *FORKED],
     ["check", "--format", "json", *FORKED],
     ["check", "--fail-on-warning", "large-chain.a4c", "warned.a4c", "large-fan.a4c"],
-    ["render", "--out", "out", "testgen.a4c"],
+    *(["render", "--out", "out", file] for file in CORPUS),
     ["render", "--level", "c2", "--out", "out", "recovery.a4c"],
-    ["docs", "--out", "out", "resell.a4c"],
+    *(["docs", "--out", "out", file] for file in CORPUS),
     ["docs", "--out", "out", "broken.a4c"],
     ["render", "--out", "out", "unresolved.a4c"],
     ["docs", "--out", "out", "unresolved.a4c"],
     ["classify", "unresolved.a4c"],
     ["impact", "--seed", "TestSpec", "unresolved.a4c"],
-    ["classify", "testgen.a4c"],
+    *(["classify", file] for file in CORPUS),
     ["classify", "--format", "json", "resell.a4c"],
     ["impact", "--seed", "TestSpec", "testgen.a4c"],
     ["impact", "--seed", "TestCode", "--direction", "up", "--format", "json", "testgen.a4c"],
     ["impact", "--seed", "Nope", "testgen.a4c"],
+    ["fmt", "--stdout", *CORPUS],
     ["fmt", "--stdout", "messy.a4c", "resell.a4c"],
     ["fmt", "--stdout", "broken.a4c"],
     ["--help"],
@@ -204,15 +215,28 @@ def observe_text(text: str, file: str) -> dict:
     _attempt(rec, "check", lambda: validate.check(rm), _diagnostics)
     _attempt(rec, "classify", lambda: [(a.name, t.name, _plain(analysis.classify(rm, a, t)))
                                        for a, t in m.iter_tasks(model) if t.is_composite])
-    _attempt(rec, "impact", lambda: [_plain(analysis.impact(rm, seed, d))
-                                     for seed in sorted(analysis.seed_table(rm))
-                                     for d in ("down", "up", "both")])
+    _attempt(rec, "impact", lambda: _impact_digest(analysis, rm), str)
     bundle = _attempt(rec, "docs", lambda: render.docs_bundle(rm),
                       lambda b: _digest(sorted(b.files.items())))
     if bundle is not None:
         _attempt(rec, "anchors", lambda: sorted(bundle.anchors.items()))
     _attempt(rec, "render", lambda: _render_texts(render, m, model))
     return rec
+
+
+def _impact_digest(analysis, rm) -> str:
+    """The impact report of every seed in every direction, streamed into one
+    sha256: per report its seed, direction and levels, then per entry its
+    element, relation and path as one joined string."""
+    sha = hashlib.sha256()
+    for seed in sorted(analysis.seed_table(rm)):
+        for d in ("down", "up", "both"):
+            report = analysis.impact(rm, seed, d)
+            sha.update("\0".join((report.seed, report.direction.value, *report.levels_touched,
+                                  "\x1e")).encode())
+            for a in report.affected:
+                sha.update("\0".join((a.element, a.relation, *a.path, "\n")).encode())
+    return sha.hexdigest()[:16]
 
 
 def _render_texts(render, m, model) -> list:
@@ -238,16 +262,20 @@ def observe_cli(inputs: dict[str, str], workdir: pathlib.Path) -> dict:
     records = {}
     for argv in CLI_TABLE:
         shutil.rmtree(out, ignore_errors=True)
+        # bytes, not text: universal newlines would hide a ``\r\n``
         proc = subprocess.run([sys.executable, "-m", "a4c.cli", *argv], cwd=workdir,
-                              capture_output=True, text=True, timeout=120,
+                              capture_output=True, timeout=120,
                               env=dict(os.environ, A4C_COLOR="never"))
         written = sorted((str(p.relative_to(workdir)), _digest(p.read_bytes()))
                          for p in out.rglob("*") if p.is_file())
-        records[" ".join(argv)] = [proc.returncode, proc.stdout, proc.stderr, written]
+        records[" ".join(argv)] = [proc.returncode, _digest(proc.stdout), _digest(proc.stderr),
+                                   written]
     return records
 
 
-def observer_main(inputs_path: str, output_path: str, workdir: str) -> None:
+def observer_main(inputs_path: str, output_path: str, workdir: str | None = None) -> None:
+    """Records of each input in ``inputs_path``, and of the CLI table when
+    ``workdir`` is given, written to ``output_path``."""
     import a4c
 
     inputs = json.loads(pathlib.Path(inputs_path).read_text(encoding="utf-8"))
@@ -255,9 +283,11 @@ def observer_main(inputs_path: str, output_path: str, workdir: str) -> None:
     for name, text in inputs.items():
         for obs, value in observe_text(text, name).items():
             records[obs][name] = value
-    records["cli"] = observe_cli(inputs, pathlib.Path(workdir))
-    pathlib.Path(output_path).write_text(
-        json.dumps({"a4c": a4c.__file__, "records": records}), encoding="utf-8")
+    if workdir is not None:
+        records["cli"] = observe_cli(inputs, pathlib.Path(workdir))
+    pathlib.Path(output_path).write_text(json.dumps({
+        "a4c": a4c.__file__, "python": platform.python_version(), "records": records,
+    }), encoding="utf-8")
 
 
 # --- driver -------------------------------------------------------------------------
@@ -274,18 +304,29 @@ def extract(rev: str, dest: pathlib.Path) -> pathlib.Path:
     return dest / "src"
 
 
-def run_side(src: pathlib.Path, inputs_path: pathlib.Path, tmp: pathlib.Path, label: str) -> dict:
-    workdir = tmp / f"cli-{label}"
-    workdir.mkdir()
+def run_side(python: str, src: pathlib.Path, inputs_path: pathlib.Path, tmp: pathlib.Path,
+             label: str, cli: bool = True) -> tuple[str, dict]:
+    """The Python version and the records of ``src``'s observer under
+    ``python``, with the CLI table when ``cli``; RuntimeError when the
+    observer cannot run or imports another a4c."""
     output = tmp / f"{label}.json"
-    # one hash seed for both sides: the repr of a set, and so its digest, depends on it
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-    subprocess.run([sys.executable, __file__, "--observe", str(inputs_path), str(output),
-                    str(workdir)], env=env, check=True)
+    argv = [python, __file__, "--observe", str(inputs_path), str(output)]
+    if cli:
+        (tmp / f"cli-{label}").mkdir()
+        argv.append(str(tmp / f"cli-{label}"))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot start {python}: {exc}") from None
+    if proc.returncode:
+        raise RuntimeError(f"the {label} observer under {python} exited {proc.returncode}:\n"
+                           + proc.stderr.strip())
     result = json.loads(output.read_text(encoding="utf-8"))
     if not pathlib.Path(result["a4c"]).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"the {label} observer imported {result['a4c']}, not {src}")
-    return result["records"]
+    return result["python"], result["records"]
 
 
 def _codes(diags) -> collections.Counter:
@@ -317,7 +358,11 @@ def main(argv: list[str] | None = None) -> int:
                     help="generated models of each kind, and mutants per corpus model")
     ap.add_argument("--expect", action="append", default=[], choices=OBSERVABLES,
                     metavar="OBS", help="an observable allowed to differ (repeatable)")
+    ap.add_argument("--python", action="append", default=[], metavar="PY",
+                    help="an interpreter to run the working tree under, as one more side "
+                         "(repeatable)")
     args = ap.parse_args(argv)
+    pythons = [sys.executable, *args.python]
 
     with tempfile.TemporaryDirectory(prefix="a4c-differential-") as name:
         tmp = pathlib.Path(name)
@@ -325,25 +370,31 @@ def main(argv: list[str] | None = None) -> int:
         inputs = build_inputs(args.count)
         inputs_path = tmp / "inputs.json"
         inputs_path.write_text(json.dumps(inputs), encoding="utf-8")
-        old = run_side(old_src, inputs_path, tmp, "rev")
-        new = run_side(REPO / "src", inputs_path, tmp, "tree")
+        try:
+            version, old = run_side(sys.executable, old_src, inputs_path, tmp, "rev")
+            sides = [run_side(python, REPO / "src", inputs_path, tmp, f"tree{k}")
+                     for k, python in enumerate(pythons)]
+        except RuntimeError as exc:
+            print(f"differential: {exc}", file=sys.stderr)
+            return 2
 
-    report = compare(old, new)
-    print(f"{len(inputs)} inputs and {len(CLI_TABLE)} CLI commands: {args.rev} against the "
-          "working tree")
-    print(f"{'observable':<12} {'same':>6} {'differ':>6}")
+    print(f"{len(inputs)} inputs and {len(CLI_TABLE)} CLI commands: {args.rev} under "
+          f"Python {version} against the working tree")
     unexpected = []
-    for obs, row in report.items():
-        line = f"{obs:<12} {row['same']:>6} {len(row['differ']):>6}"
-        if row["differ"]:
-            line += "  e.g. " + ", ".join(row["differ"][:3])
-            if obs not in args.expect:
-                unexpected.append(obs)
-        print(line)
-        for word in ("lost", "gained"):
-            if row[word]:
-                print(f"{'':<12} {word} " + ", ".join(
-                    f"{code}x{n}" for code, n in sorted(row[word].items())))
+    for python, (side_version, new) in zip(pythons, sides):
+        print(f"\nunder Python {side_version} ({python})")
+        print(f"{'observable':<12} {'same':>6} {'differ':>6}")
+        for obs, row in compare(old, new).items():
+            line = f"{obs:<12} {row['same']:>6} {len(row['differ']):>6}"
+            if row["differ"]:
+                line += "  e.g. " + ", ".join(row["differ"][:3])
+                if obs not in args.expect:
+                    unexpected.append(f"{obs} (Python {side_version})")
+            print(line)
+            for word in ("lost", "gained"):
+                if row[word]:
+                    print(f"{'':<12} {word} " + ", ".join(
+                        f"{code}x{n}" for code, n in sorted(row[word].items())))
     if unexpected:
         print(f"unexpected differences: {', '.join(unexpected)}")
         return 1
@@ -353,6 +404,6 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--observe"]:
-        observer_main(*sys.argv[2:5])
+        observer_main(*sys.argv[2:])
     else:
         sys.exit(main())

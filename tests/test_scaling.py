@@ -27,10 +27,12 @@ cost hides in one C call, such as a regular expression or a scan along a
 tuple, is bounded by it only as far as the shapes' sizes are; the wide
 task's inputs compare in Python code so that their scans are counted. The
 allocation peak sees the C calls that build what they cost, such as the
-lexer's columns or a path copied per element. Three cases are strict
+lexer's columns or a path copied per element. Five cases are strict
 xfails until the ROADMAP item that mends them lands: the impact walk on a
-delegation chain (item 4), ``check`` on the guardless ladder (item 3) and
-``check``'s output on a loop of fork diamonds (item 13).
+delegation chain (item 4), ``check`` on the guardless ladder and
+``classify`` on a loop that shares its merge with a ladder of merges (item
+3), and ``check``'s output on a loop of fork diamonds and its search on a
+chain of calls linked both ways (item 13).
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from typing import Callable
 import pytest
 
 from a4c import cli, model as m
-from a4c.analysis import impact  # docs pages import it on first use; no count may include that
+# docs pages import analysis on first use; no count may include that
+from a4c.analysis import classify, impact
 from a4c.formatter import canonical_format
 from a4c.parser import parse
 from a4c.render import docs_bundle, render_activity
@@ -191,6 +194,62 @@ def guardless_ladder(k: int) -> str:
                                        " of a loop whose guarded exits stay in its SCC")
 def test_check_on_the_guardless_ladder_grows_linearly():
     assert_linear([partial(_stage, "check", guardless_ladder(k)) for k in (2, 8)], (work,))
+
+
+def shared_merge_ladder(k: int) -> str:
+    """The loop ``c0 -> c1 -> x -> c0`` of two calls, and the ladder
+    ``x -> d1 -> (a1 | b1) -> m1 -> ... -> mk -> chk -> x`` of k diamonds of
+    merges that shares its merge ``x``: the SCC holds calls and decisions,
+    but none of its 2**k + 1 circuits holds both."""
+    lines = ['model "Merges" {', "  artifact R", "  llm L default", "  agent A {",
+             "    task run {", "      in R", "      out R", "      body {",
+             "        call c0 = step { in R out R }", "        call c1 = step { in R out R }",
+             "        merge x"]
+    for i in range(1, k + 1):
+        lines += [f"        decision d{i} on R", f"        merge a{i}", f"        merge b{i}",
+                  f"        merge m{i}"]
+    lines += ["        decision chk on R", "        start -> c0", "        c0 -> c1",
+              "        c1 -> x", "        x -> c0", "        x -> d1"]
+    for i in range(1, k + 1):
+        lines += [f"        d{i} -> a{i} [R == Left]", f"        d{i} -> b{i} [R == Right]",
+                  f"        a{i} -> m{i}", f"        b{i} -> m{i}",
+                  f"        m{i} -> {f'd{i + 1}' if i < k else 'chk'}"]
+    lines += ["        chk -> x [R == Bad]", "        chk -> end [R == Good]", "      }", "    }",
+              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _classify_run(text: str):
+    """``classify`` of ``A.run`` in ``text``, set up unmetered."""
+    rm = load_resolved(text, "merges.a4c")
+    agent = rm.model.agents[0]
+    return partial(classify, rm, agent, agent.tasks[0])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: classify enumerates every circuit"
+                                       " of an SCC with a call and a decision on no one circuit")
+def test_classify_on_the_shared_merge_ladder_grows_linearly():
+    assert_linear([partial(_classify_run, shared_merge_ladder(k)) for k in (2, 8)], (work,))
+
+
+def both_ways_chain(n: int) -> str:
+    """Calls ``c0`` to ``c<n-1>`` with ``c<i> -> c<i+1>`` and
+    ``c<i+1> -> c<i>``, no guard: n - 1 unguarded loops of two calls."""
+    lines = ['model "BothWays" {', "  artifact R", "  llm L default", "  agent A {",
+             "    task run {", "      in R", "      out R", "      body {"]
+    lines += [f"        call c{i} = step {{ in R out R }}" for i in range(n)]
+    lines += ["        start -> c0"]
+    for i in range(n - 1):
+        lines += [f"        c{i} -> c{i + 1}", f"        c{i + 1} -> c{i}"]
+    lines += [f"        c{n - 1} -> end", "      }", "    }",
+              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: V13 recomputes the SCCs of what is"
+                                       " left of a loop after each root, quadratic in the body")
+def test_check_on_the_both_ways_chain_grows_linearly():
+    assert_linear([partial(_stage, "check", both_ways_chain(n)) for n in (25, 100)], (work,))
 
 
 def fork_diamonds(k: int) -> str:
