@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import importlib.resources as ir
 import importlib.util
+import os
 import pathlib
 
 import pytest
 
+import a4c
 from a4c.cli import main as cli_main
 from a4c.parser import parse
 from a4c.resolver import ResolvedModel, resolve
@@ -13,8 +15,20 @@ from a4c.resolver import ResolvedModel, resolve
 CORPUS = ("testgen", "recovery", "resell")
 
 
+def corpus_path(name: str) -> str:
+    return str(ir.files("a4c") / "corpus" / f"{name}.a4c")
+
+
 def corpus_text(name: str) -> str:
     return (ir.files("a4c") / "corpus" / f"{name}.a4c").read_text(encoding="utf-8")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment, with ``extra`` set, for a child interpreter that
+    imports this same a4c."""
+    src = str(pathlib.Path(a4c.__file__).resolve().parents[1])
+    path = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, *path]), **extra}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -42,6 +56,12 @@ def load_resolved(text: str, file: str = "<test>") -> ResolvedModel:
     resolved = resolve(result.model)
     assert resolved.model is not None, resolved.diagnostics
     return resolved.model
+
+
+def find_task(rm: ResolvedModel, agent_name: str, task_name: str):
+    """The agent named ``agent_name`` and its task named ``task_name``."""
+    agent = next(a for a in rm.model.agents if a.name == agent_name)
+    return agent, next(t for t in agent.tasks if t.name == task_name)
 
 
 @pytest.fixture(scope="session")

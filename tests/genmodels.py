@@ -5,6 +5,10 @@ validates with zero errors. Used for the randomized impact-oracle and
 formatter-law suites, so generation is independent of both the formatter
 (hand-rolled emission with optional whitespace noise) and the analyses.
 ``mutate`` breaks a model text at random lines, for the fuzz suites.
+
+The loop shapes at the end are the one home of the tests' task bodies with
+loops: each is a body wrapped by ``body_model``, and the ladders are built
+from ``diamonds``.
 """
 
 from __future__ import annotations
@@ -408,3 +412,118 @@ def mutate(text: str, rng: random.Random) -> str:
                 words + ["->", "{", "}", "[", "]", "==", '"x"', ""])
             lines[i] = " ".join(toks)
     return "\n".join(lines)
+
+
+# --- loop shapes --------------------------------------------------------------------
+
+CALL = "step on Worker { in R out R }"
+
+
+def body_model(body: list[str]) -> str:
+    """A model whose task ``Root.run`` (in R, out R) has the lines of
+    ``body`` as its body, beside ``Worker.step`` (in R, out R, with a
+    prompt) for the body's calls, each ``call <id> = `` and then ``CALL``."""
+    lines = ['model "Loop" {', "  artifact R", "  llm M default", "  agent Root {",
+             "    task run {", "      in R", "      out R", "      body {",
+             *(f"        {line}" for line in body),
+             "      }", "    }", "  }", "  agent Worker {", "    task step {", "      in R",
+             "      out R", "      prompt {", '        dynamic r = "{R}"', "      }", "    }",
+             "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def diamonds(k: int, entry: str, split: str = "decision", arm: str = "call") -> list[str]:
+    """Body lines for ``entry -> s1`` and k diamonds ``s<i> -> (a<i> | b<i>)
+    -> m<i>``, each closing into the next and the last into the decision
+    ``chk``, whose edges out the caller adds. ``split`` is ``decision``, with
+    arms guarded ``[R == Left]`` and ``[R == Right]`` and closed by a
+    ``merge``, or ``fork``, closed by a ``join``; ``arm`` is ``call`` or
+    ``merge``. A split or close node's id is its kind's initial and i."""
+    rest = {"decision": " on R", "call": f" = {CALL}"}
+    close = "merge" if split == "decision" else "join"
+    s, m = split[0], close[0]
+    left, right = (" [R == Left]", " [R == Right]") if split == "decision" else ("", "")
+    lines = ["decision chk on R", f"{entry} -> {s}1"]
+    for i in range(1, k + 1):
+        lines += [f"{kind} {x}{i}{rest.get(kind, '')}"
+                  for kind, x in ((split, s), (arm, "a"), (arm, "b"), (close, m))]
+        lines += [f"{s}{i} -> a{i}{left}", f"{s}{i} -> b{i}{right}", f"a{i} -> {m}{i}",
+                  f"b{i} -> {m}{i}", f"{m}{i} -> {f'{s}{i + 1}' if i < k else 'chk'}"]
+    return lines
+
+
+def feedback_loop(length: int) -> str:
+    """``c1 -> ... -> c<length> -> chk -> c1``, left by the guarded ``chk -> end``."""
+    body = [f"call c{i} = {CALL}" for i in range(1, length + 1)]
+    body += ["decision chk on R", "start -> c1"] + [f"c{i} -> c{i + 1}" for i in range(1, length)]
+    body += [f"c{length} -> chk", "chk -> end [R == Good]", "chk -> c1 [R == Bad]"]
+    return body_model(body)
+
+
+def diamond_ladder(k: int) -> str:
+    """A loop through k decision/merge diamonds: 2**k circuits, one guarded exit."""
+    return body_model([f"call c0 = {CALL}", "start -> c0", *diamonds(k, "c0"),
+                       "chk -> end [R == Good]", "chk -> c0 [R == Bad]"])
+
+
+def call_loop_beside_ladder(k: int) -> str:
+    """A loop of two calls with no decision, and apart from it a loop
+    through k decision/merge diamonds with no call: 2**k circuits, none of
+    which holds both a call and a decision."""
+    return body_model([f"call c0 = {CALL}", f"call c1 = {CALL}", "start -> c0", "c0 -> c1",
+                       "c1 -> c0", *diamonds(k, "c1", arm="merge"), "chk -> end [R == Good]",
+                       "chk -> d1 [R == Bad]"])
+
+
+def shared_merge_ladder(k: int) -> str:
+    """The loop ``c0 -> c1 -> x -> c0`` of two calls, and the ladder
+    ``x -> d1 -> (a1 | b1) -> m1 -> ... -> mk -> chk -> x`` of k diamonds of
+    merges that shares its merge ``x``: the SCC holds calls and decisions,
+    but none of its 2**k + 1 circuits holds both."""
+    return body_model([f"call c0 = {CALL}", f"call c1 = {CALL}", "merge x", "start -> c0",
+                       "c0 -> c1", "c1 -> x", "x -> c0", *diamonds(k, "x", arm="merge"),
+                       "chk -> x [R == Bad]", "chk -> end [R == Good]"])
+
+
+def both_ways_chain(n: int) -> str:
+    """Calls ``c0`` to ``c<n-1>`` with ``c<i> -> c<i+1>`` and
+    ``c<i+1> -> c<i>``, no guard: n - 1 unguarded loops of two calls."""
+    body = [f"call c{i} = {CALL}" for i in range(n)] + ["start -> c0"]
+    for i in range(n - 1):
+        body += [f"c{i} -> c{i + 1}", f"c{i + 1} -> c{i}"]
+    return body_model(body + [f"c{n - 1} -> end"])
+
+
+def fork_diamonds(k: int) -> str:
+    """The loop ``c0 -> f1 -> (a1 | b1) -> j1 -> ... -> jk -> chk -> c0`` of
+    k fork/join diamonds, left by the unguarded ``chk -> end``: none of its
+    2**k circuits has a guarded exit."""
+    return body_model([f"call c0 = {CALL}", "start -> c0",
+                       *diamonds(k, "c0", split="fork"),
+                       "chk -> c0 [R == Bad]", "chk -> end"])
+
+
+def loop_soup(seed: int, dense: bool = False) -> str:
+    """Calls ``c0`` to ``c<n-1>`` joined by random edges, some guarded: a
+    body that is shape-invalid on purpose, so that cycles of every kind
+    appear. ``dense`` adds up to 24 more edges between the calls, some of
+    them parallel, so that some SCCs hold more circuits than the docs list."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    names = [f"c{i}" for i in range(n)]
+    edges: set[tuple[str, str]] = set()
+    want = rng.randint(n, min(3 * n, 26))
+    while len(edges) < want:
+        u = rng.choice(["start", *names])
+        v = rng.choice([*names, "end"])
+        if u != v:
+            edges.add((u, v))
+    body = [f"call {name} = {CALL}" for name in names]
+    for u, v in sorted(edges):
+        guard = " " + rng.choice(["[R == X]", "[R == Y]", "[else]"]) if rng.random() < 0.3 else ""
+        body.append(f"{u} -> {v}{guard}")
+    if dense:
+        more = random.Random(seed)
+        body += [f"{more.choice(names)} -> {more.choice(names)}"
+                 for _ in range(more.randint(0, 24))]
+    return body_model(body)

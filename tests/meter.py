@@ -1,7 +1,9 @@
 """Two cost meters for a callable that do not depend on the host's speed:
 ``work``, the number of function calls it makes, counted under
 ``sys.setprofile``, and ``peak_bytes``, the most memory it holds at once,
-traced by ``tracemalloc``.
+traced by ``tracemalloc``; a third, ``stdout_bytes``, sizes what it prints.
+``assert_linear`` bounds the growth of a cost under each meter it is given,
+the one growth bound of the tests.
 
 Wall time on a shared host moves by tens of percent from run to run, so a
 test cannot pin "at most about 5x the work for a 4x larger input" on it. A
@@ -24,6 +26,8 @@ import gc
 import sys
 import tracemalloc
 from typing import Callable
+
+BOUND = 5  # most cost allowed for a 4x step
 
 
 def work(fn: Callable[[], object]) -> int:
@@ -76,3 +80,17 @@ def peak_bytes(fn: Callable[[], object]) -> int:
             tracemalloc.stop()
         if collecting:
             gc.enable()
+
+
+def stdout_bytes(fn: Callable[[], str]) -> int:
+    """The size of what ``fn`` returns, its printed output, in UTF-8 bytes."""
+    return len(fn().encode())
+
+
+def assert_linear(setups: list[Callable[[], Callable]], meters=(work, peak_bytes)) -> None:
+    """Under each meter, the count of each call that ``setups`` set up, one
+    fresh call per meter, is at most ``BOUND`` times the count before it."""
+    for meter in meters:
+        counts = [meter(setup()) for setup in setups]
+        steps = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
+        assert max(steps) <= BOUND, (meter.__name__, counts, steps)

@@ -4,15 +4,12 @@ Run with `pytest tests/test_acceptance.py -s` to see the report lines.
 """
 from __future__ import annotations
 
-import importlib.resources as ir
 import json
-import os
 import pathlib
 import random
 import subprocess
 import sys
 
-import a4c
 from a4c.analysis import Pattern, classify, impact, loop_facts, seed_table
 from a4c.formatter import canonical_format
 from a4c.model import fingerprint
@@ -21,24 +18,13 @@ from a4c.resolver import resolve
 from a4c.validate import check
 
 import oracles
-from conftest import CORPUS, corpus_text, load_resolved
-from test_analysis import composite_patterns, find_task
+from conftest import CORPUS, child_env, corpus_path, corpus_text, find_task, load_resolved
+from test_analysis import composite_patterns
 from test_render import anchor_misses, anchor_union, read_tree
 from test_validate import all_codes, mutations
 from util import alpha_rename
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
-
-
-def child_env() -> dict[str, str]:
-    """The environment for a child interpreter that imports this same a4c."""
-    src = str(pathlib.Path(a4c.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
-def corpus_path(name: str) -> str:
-    return str(ir.files("a4c") / "corpus" / f"{name}.a4c")
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -19,15 +19,11 @@ from a4c.analysis import (
 from a4c.validate import check
 
 import oracles
-from conftest import CORPUS, corpus_text, load_resolved
+from conftest import CORPUS, corpus_text, find_task, load_resolved
+from genmodels import loop_soup
 from util import alpha_rename
 
 RELATIONS = {"Produces", "Consumes", "Calls", "CalledBy", "Hosts", "FlowsOver", "Gates"}
-
-
-def find_task(rm, agent_name: str, task_name: str):
-    agent = next(a for a in rm.model.agents if a.name == agent_name)
-    return agent, next(t for t in agent.tasks if t.name == task_name)
 
 
 def composite_patterns(rm) -> list[Pattern]:
@@ -64,13 +60,23 @@ def test_feedback_evidence(testgen_rm):
     assert set(evidence["cycle-through-decision"]) == {"tst", "chk", "fx"}
 
 
-def test_orchestration_evidence(resell_rm):
+def test_orchestration_evidence(resell_rm, resell_text):
     agent, task = find_task(resell_rm, "MarketSearchConductor", "estimate")
     pc = classify(resell_rm, agent, task)
     evidence = dict(pc.evidence)
     assert evidence["self-call"] == ("cq", "intf")
     assert evidence["delegates-to"] == ("AmazonResearcher", "EbayResearcher")
     assert evidence["parallel-delegation"] == ("fk",)
+    # without its fork and join, estimate calls the researchers in turn
+    fork = ("        cq -> fk\n        fk -> eb\n        fk -> az\n        eb -> jn\n"
+            "        az -> jn\n        jn -> intf\n")
+    rm = load_resolved(resell_text.replace("        fork fk\n", "").replace("        join jn\n", "")
+                       .replace(fork, "        cq -> eb\n        eb -> az\n        az -> intf\n"))
+    assert check(rm) == []
+    agent, task = find_task(rm, "MarketSearchConductor", "estimate")
+    assert classify(rm, agent, task).evidence == (
+        ("self-call", ("cq", "intf")), ("delegates-to", ("AmazonResearcher", "EbayResearcher")),
+        ("sequential-delegation", ("eb", "az")))
 
 
 def test_fan_out_evidence(recovery_rm):
@@ -497,54 +503,6 @@ def test_loop_facts_acyclic_pipeline(testgen_rm):
 def test_loop_facts_leaf_is_empty(testgen_rm):
     _agent, task = find_task(testgen_rm, "Developer", "fix")
     assert loop_facts(task) == []
-
-
-def loop_soup(seed: int) -> str:
-    """Random control-flow graph wrapped in a resolvable model; the graph is
-    deliberately shape-invalid so cycles of every kind appear."""
-    rng = random.Random(seed)
-    n = rng.randint(3, 12)
-    names = [f"c{i}" for i in range(n)]
-    calls = [f"        call {nm} = work on Helper {{ in A out A }}" for nm in names]
-    edges: set[tuple[str, str]] = set()
-    want = rng.randint(n, min(3 * n, 26))
-    while len(edges) < want:
-        u = rng.choice(["start", *names])
-        v = rng.choice([*names, "end"])
-        if u != v:
-            edges.add((u, v))
-    lines = []
-    for u, v in sorted(edges):
-        guard = ""
-        if rng.random() < 0.3:
-            guard = " " + rng.choice(["[A == X]", "[A == Y]", "[else]"])
-        lines.append(f"        {u} -> {v}{guard}")
-    body = "\n".join(calls + lines)
-    return (
-        'model "LoopSoup" {\n'
-        "  artifact A\n"
-        "  llm M default\n"
-        "  agent Root {\n"
-        "    task run {\n"
-        "      in A\n"
-        "      out A\n"
-        "      body {\n"
-        f"{body}\n"
-        "      }\n"
-        "    }\n"
-        "  }\n"
-        "  agent Helper {\n"
-        "    task work {\n"
-        "      in A\n"
-        "      out A\n"
-        '      prompt {\n'
-        '        static role = "echo"\n'
-        '        dynamic a = "{A}"\n'
-        "      }\n"
-        "    }\n"
-        "  }\n"
-        "}\n"
-    )
 
 
 def test_loop_facts_oracle_equivalence():

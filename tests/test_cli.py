@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import importlib.resources as ir
 import json
 import os
 import pathlib
@@ -14,11 +13,7 @@ import pytest
 
 from a4c import cli
 
-from conftest import corpus_text, load_shapes, run_cli
-
-
-def corpus_path(name: str) -> str:
-    return str(ir.files("a4c") / "corpus" / f"{name}.a4c")
+from conftest import child_env, corpus_path, load_shapes, run_cli
 
 
 @pytest.fixture()
@@ -219,28 +214,26 @@ def test_run_freezes_once_and_keeps_the_exit_code(capsys, freezes, argv, code):
 
 
 def test_python_dash_m_ends_through_run_and_keeps_atexit(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     script = ("import atexit, gc, runpy, sys\n"
               "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
               f"sys.argv = ['a4c', 'check', {corpus_path('testgen')!r}]\n"
               "runpy.run_module('a4c.cli', run_name='__main__', alter_sys=True)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                          env=child_env(), timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen True\n", "")
-    pyproject = pathlib.Path(src).parent / "pyproject.toml"
+    pyproject = pathlib.Path(cli.__file__).parents[2] / "pyproject.toml"
     assert 'a4c = "a4c.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
 
 
 def test_python_dash_m_compiles_the_cli_once():
     """``python -m a4c.cli`` runs cli.py as ``__main__``; a command in
     ``commands`` must use that module, not import cli.py a second time."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     script = ("import atexit, runpy, sys\n"
               "atexit.register(lambda: print(sys.modules['a4c.cli'].__name__))\n"
               f"sys.argv = ['a4c', 'classify', {corpus_path('recovery')!r}]\n"
               "runpy.run_module('a4c.cli', run_name='__main__', alter_sys=True)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                          env=child_env(), timeout=120)
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "__main__")
 
 
@@ -291,10 +284,8 @@ def run_child(tmp_path, argv: list[str], setup: str = "") -> tuple[int, str, str
     ``python -m a4c.cli``; it fails if a child process outlives the run."""
     report = tmp_path / "report.txt"
     script = CHILD_RUN.format(setup=setup, argv=argv, report=str(report))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src, A4C_COLOR="never"),
-                          timeout=120)
+                          env=child_env(A4C_COLOR="never"), timeout=120)
     [line] = report.read_text(encoding="utf-8").splitlines()
     forks, left = line.split(" ", 1)
     assert left == "none left"
@@ -485,7 +476,7 @@ def test_classify_json_shape(capsys):
 
 # --- impact -------------------------------------------------------------------------
 
-def test_impact_text(capsys):
+def test_impact_text(capsys, mutant):
     rc, out, _ = run_cli(capsys, "impact", corpus_path("testgen"),
                          "--seed", "Report", "--direction", "up")
     assert rc == 0
@@ -493,6 +484,9 @@ def test_impact_text(capsys):
     assert lines[0] == "impact of Report (up):"
     assert any(line.startswith("  TestPipeline.test [Produces] via ") for line in lines)
     assert lines[-1].startswith("levels: ")
+    orphan = mutant("orphan.a4c", "  artifact Report\n", "  artifact Report\n  artifact Orphan\n")
+    assert run_cli(capsys, "impact", orphan, "--seed", "Orphan")[:2] == (
+        0, "impact of Orphan (both):\n  no affected elements\nlevels: none\n")
 
 
 def test_impact_json_shape(capsys):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 import re
 import sys
-import time
 from collections import Counter
+from functools import partial
 
 import oracles
 from a4c import flow, model as m
@@ -24,8 +24,9 @@ from a4c.resolver import resolve
 from a4c.validate import check
 
 from conftest import CORPUS, corpus_text, load_resolved, load_shapes
-from genmodels import generate_body_model, generate_model
-from meter import work
+from genmodels import (call_loop_beside_ladder, diamond_ladder, feedback_loop, generate_body_model,
+                       generate_model)
+from meter import assert_linear, work
 from test_validate import mutations
 
 _E104 = re.compile(r"^'(.+)' is consumed by '(.+)' but ")
@@ -122,63 +123,6 @@ def test_strongly_connected_matches_the_oracle():
 
 # --- long loops ---------------------------------------------------------------------
 
-def _loop_model(body: list[str]) -> str:
-    lines = [
-        'model "Loop" {',
-        "  artifact R",
-        "  llm M default",
-        "  agent Root {",
-        "    task run {",
-        "      in R",
-        "      out R",
-        "      body {",
-        *(f"        {line}" for line in body),
-        "      }",
-        "    }",
-        "  }",
-        "  agent Worker {",
-        "    task step {",
-        "      in R",
-        "      out R",
-        "      prompt {",
-        '        dynamic r = "{R}"',
-        "      }",
-        "    }",
-        "  }",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def feedback_loop(length: int) -> str:
-    """``c1 -> ... -> c<length> -> chk -> c1``, left by the guarded ``chk -> end``."""
-    body = [f"call c{i} = step on Worker {{ in R out R }}" for i in range(1, length + 1)]
-    body += ["decision chk on R", "start -> c1"]
-    body += [f"c{i} -> c{i + 1}" for i in range(1, length)]
-    body += [f"c{length} -> chk", "chk -> end [R == Good]", "chk -> c1 [R == Bad]"]
-    return _loop_model(body)
-
-
-def diamond_ladder(k: int) -> str:
-    """A loop through k decision/merge diamonds: 2**k circuits, one guarded exit."""
-    body = ["call c0 = step on Worker { in R out R }", "decision chk on R",
-            "start -> c0", "c0 -> d1"]
-    for i in range(1, k + 1):
-        body += [
-            f"decision d{i} on R",
-            f"call a{i} = step on Worker {{ in R out R }}",
-            f"call b{i} = step on Worker {{ in R out R }}",
-            f"merge m{i}",
-            f"d{i} -> a{i} [R == Left]",
-            f"d{i} -> b{i} [R == Right]",
-            f"a{i} -> m{i}",
-            f"b{i} -> m{i}",
-            f"m{i} -> {f'd{i + 1}' if i < k else 'chk'}",
-        ]
-    body += ["chk -> end [R == Good]", "chk -> c0 [R == Bad]"]
-    return _loop_model(body)
-
-
 def test_loop_longer_than_the_recursion_limit():
     length = int(1.2 * sys.getrecursionlimit())
     rm = load_resolved(feedback_loop(length), "long-loop.a4c")
@@ -208,59 +152,49 @@ def doubled_feedback_loop(length: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checking(text: str):
+    """``check`` on a fresh parse of ``text``, set up unmetered."""
+    return partial(check, load_resolved(text))
+
+
 def test_parallel_edges_make_one_loop():
     # in this order, so that a search that multiplies circuits by their
     # choices of parallel edges fails at once instead of running for ages
-    metered = {}
     for length in (8, 16, 64):
         rm = load_resolved(doubled_feedback_loop(length), "doubled.a4c")
-        diags = []
-        metered[length] = work(lambda: diags.extend(check(rm)))
-        assert [d.code for d in diags].count("W113") == 1, length
+        assert [d.code for d in check(rm)].count("W113") == 1, length
         page = docs_bundle(rm).files["agents/Root.md"]
         assert page.count("\n- loop ") == 1, length
         assert "- loops through" not in page, length
     # linear in the loop's length: about 4x the work for 4x the calls
-    assert metered[64] <= 5 * metered[16], metered
+    assert_linear([partial(_checking, doubled_feedback_loop(n)) for n in (16, 64)])
 
+
+# Ladders of k = 16 diamonds at most, so that a search that lists all 2**k
+# circuits fails within seconds instead of running for minutes.
 
 def test_diamond_ladder_check_is_not_exponential():
-    rm = load_resolved(diamond_ladder(24), "ladder.a4c")
-    began = time.perf_counter()
-    diags = check(rm)
-    assert time.perf_counter() - began < 2.0
-    assert diags == []
+    setups = [partial(_checking, diamond_ladder(k)) for k in (4, 16)]
+    assert_linear(setups)
+    assert setups[-1]()() == []
 
 
-def call_loop_beside_ladder(k: int) -> str:
-    """A loop of two calls with no decision, and apart from it a loop
-    through k decision/merge diamonds with no call: 2**k circuits, none of
-    which holds both a call and a decision."""
-    body = ["call c0 = step on Worker { in R out R }", "call c1 = step on Worker { in R out R }",
-            "decision chk on R", "start -> c0", "c0 -> c1", "c1 -> c0", "c1 -> d1"]
-    for i in range(1, k + 1):
-        body += [
-            f"decision d{i} on R",
-            f"merge a{i}",
-            f"merge b{i}",
-            f"merge m{i}",
-            f"d{i} -> a{i} [R == Left]",
-            f"d{i} -> b{i} [R == Right]",
-            f"a{i} -> m{i}",
-            f"b{i} -> m{i}",
-            f"m{i} -> {f'd{i + 1}' if i < k else 'chk'}",
-        ]
-    body += ["chk -> end [R == Good]", "chk -> d1 [R == Bad]"]
-    return _loop_model(body)
+def _classifying(k: int, docs: bool = False):
+    """``classify`` of ``Root.run`` on a fresh parse of
+    ``call_loop_beside_ladder(k)``, followed with ``docs`` by its docs
+    pages, set up unmetered."""
+    rm = load_resolved(call_loop_beside_ladder(k), "split.a4c")
+    agent = rm.agents["Root"]
+    pattern = partial(classify, rm, agent, agent.task("run"))
+    return (lambda: (pattern(), docs_bundle(rm))) if docs else pattern
 
 
 def test_classify_and_docs_without_a_feedback_witness_are_not_exponential():
-    rm = load_resolved(call_loop_beside_ladder(20), "split.a4c")
-    agent = rm.agents["Root"]
-    began = time.perf_counter()
-    assert classify(rm, agent, agent.task("run")).value is Pattern.UNCLASSIFIED
-    page = docs_bundle(rm).files["agents/Root.md"]
-    assert time.perf_counter() - began < 2.0
+    assert_linear([partial(_classifying, k) for k in (4, 16)])
+    assert_linear([partial(_classifying, k, True) for k in (4, 16)], (work,))
+    pattern, bundle = _classifying(16, True)()
+    assert pattern.value is Pattern.UNCLASSIFIED
+    page = bundle.files["agents/Root.md"]
     assert "- loop c0 -> c1: no guarded exit" in page
     assert "more than 64 circuits, exits via chk -> end [R == Good]" in page
 

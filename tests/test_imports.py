@@ -6,14 +6,13 @@ from __future__ import annotations
 import ast
 import importlib.resources as ir
 import importlib.util
-import os
 import pkgutil
 import subprocess
 import sys
 
 import a4c
 
-from conftest import CORPUS
+from conftest import CORPUS, child_env
 
 # every module in the package directory, so a new one cannot be left out
 SUBMODULES = tuple(info.name for info in pkgutil.iter_modules(a4c.__path__))
@@ -40,11 +39,8 @@ CHECK_GENERATED_COMPILES = 16
 def _run_fresh(code: str, result: str):
     """The value of the expression ``result`` after running ``code`` in a
     fresh interpreter that sees this package."""
-    src = os.path.dirname(os.path.dirname(a4c.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     script = f"import sys\n{code}\nprint(repr({result}))"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 

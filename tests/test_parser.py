@@ -258,6 +258,7 @@ BLOCK_DIAGNOSTICS = {
     ("body", "word"): [("P001", "5:15", "expected '->', found identifier 'B'")],
     ("body", "punct"): [("P001", "5:9", "expected a body statement, found '='")],
     ("body", "eof"): [("P001", "6:1", "expected '}', found end of file")],
+    ("body", "else"): [("P001", "5:22", "expected ']', found identifier 'B'")],
     ("prompt", "word"): [
         ("P003", "5:9", "unknown keyword 'bogus' (expected 'static' or 'dynamic')")],
     ("prompt", "punct"): [("P001", "5:9", "expected a prompt row, found '='")],
@@ -267,7 +268,8 @@ BLOCK_DIAGNOSTICS = {
 
 def block_case(block: str, case: str) -> str:
     template, ends_inside = BLOCKS[block]
-    return {"word": template % "bogus B", "punct": template % "= B", "eof": ends_inside}[case]
+    return {"word": template % "bogus B", "punct": template % "= B", "eof": ends_inside,
+            "else": template % "a -> b [else B]"}[case]
 
 
 def located(diags) -> list[tuple[str, str, str]]:

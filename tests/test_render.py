@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import importlib.resources as ir
 import pathlib
-import random
 import re
 
 import pytest
@@ -12,6 +10,7 @@ from a4c.analysis import impact, loop_facts
 from a4c.cli import main as cli_main
 from a4c.diagnostics import SYNTHETIC as S
 from a4c.elements import Element
+from a4c.parser import parse
 from a4c.render import (
     LOOP_LISTING_LIMIT,
     RenderError,
@@ -23,15 +22,10 @@ from a4c.render import (
 )
 
 import oracles
-from conftest import CORPUS, corpus_text, load_resolved
-from test_analysis import loop_soup
-from test_control_facts import diamond_ladder
+from conftest import CORPUS, corpus_path, corpus_text, find_task, load_resolved
+from genmodels import diamond_ladder, loop_soup
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "render"
-
-
-def corpus_path(name: str) -> str:
-    return str(ir.files("a4c") / "corpus" / f"{name}.a4c")
 
 
 def read_tree(root: pathlib.Path) -> dict[str, bytes]:
@@ -46,11 +40,6 @@ def render_tree(name: str, out: pathlib.Path) -> dict[str, bytes]:
     assert cli_main(["render", corpus_path(name), "--out", str(out), "--level", "all"]) == 0
     assert cli_main(["docs", corpus_path(name), "--out", str(out)]) == 0
     return read_tree(out)
-
-
-def find_task(rm, agent_name: str, task_name: str):
-    agent = next(a for a in rm.model.agents if a.name == agent_name)
-    return agent, next(t for t in agent.tasks if t.name == task_name)
 
 
 # --- determinism and goldens ------------------------------------------------------
@@ -92,7 +81,7 @@ def test_context_diagram_shape(testgen_rm):
     assert "#" not in d.text.replace("skinparam", "")
 
 
-def test_deployment_diagram_shape(testgen_rm):
+def test_deployment_diagram_shape(testgen_rm, testgen_text):
     d = render_deployment(testgen_rm.model)
     assert d.kind == "c2"
     assert 'node "GeneratorService" as GeneratorService <<node>> {' in d.text
@@ -100,6 +89,9 @@ def test_deployment_diagram_shape(testgen_rm):
     assert '  component "JenkinsTool" as JenkinsTool <<tool>>' in d.text
     assert 'node "JenkinsHost" as JenkinsHost <<node>> <<external>> {' in d.text
     assert "GeneratorService --> JenkinsHost : HTTP" in d.text
+    # a parsed model that hosts an undeclared name, which only the library renders
+    model = parse(testgen_text.replace("hosts JenkinsTool", "hosts JenkinsTool, Ledger"), "t.a4c")
+    assert '  component "Ledger" as Ledger <<component>>' in render_deployment(model.model).text
 
 
 def test_deployment_missing_raises_r001(recovery_rm):
@@ -321,6 +313,12 @@ def test_docs_agent_page_content(testgen_rm):
     assert "Signature: (in TestSpec, CodeExamples; out TestCode, Report) [C3]" in page
 
 
+def test_docs_leaf_page_marks_a_task_with_no_body_and_no_prompt(testgen_text):
+    rm = load_resolved(testgen_text.replace("    task fix {", "    task idle {\n      in TestCode\n"
+                                            "    }\n    task fix {"))
+    assert "## Developer.idle\n\n- no body and no prompt\n" in docs_bundle(rm).files["c4.md"]
+
+
 # --- bounded loop listing ----------------------------------------------------------
 
 def _exit_text(exits) -> str:
@@ -383,23 +381,11 @@ def test_docs_loop_listing_stays_small_as_the_ladder_grows():
     assert sizes[16] <= 2.5 * sizes[8]
 
 
-def dense_soup(seed: int) -> str:
-    """``loop_soup`` with up to 24 more edges between its calls, some of them
-    parallel, so that some SCCs hold more circuits than the listing limit."""
-    rng = random.Random(seed)
-    text = loop_soup(seed)
-    calls = sorted({int(c) for c in re.findall(r"call c(\d+) =", text)})
-    extra = "".join(f"        c{rng.choice(calls)} -> c{rng.choice(calls)}\n"
-                    for _ in range(rng.randint(0, 24)))
-    return text.replace("      }\n    }\n  }\n  agent Helper", extra + "      }\n    }\n  }\n"
-                        "  agent Helper", 1)
-
-
 def test_docs_loop_listing_matches_the_exhaustive_listing():
     # random bodies: several SCCs per body, some with more circuits than the limit
     crowded = 0
     for seed in range(150):
-        rm = load_resolved(dense_soup(seed), f"soup-{seed}")
+        rm = load_resolved(loop_soup(seed, dense=True), f"soup-{seed}")
         task = rm.model.agents[0].tasks[0]
         lines = page_loop_lines(docs_bundle(rm).files["agents/Root.md"])
         assert lines == reference_loop_lines(task), seed

@@ -10,11 +10,15 @@ may differ a little. Every case that is not an xfail is bounded under
 both. Each stage runs on a fresh parse, so no view that an earlier stage
 cached is left out of its count.
 
-Shapes: the benchmark's chain, fan-out and feedback loop
+Every metered bound, here and in the other test modules, goes through
+``meter.assert_linear``: at most ``meter.BOUND`` times the cost for each
+step of sizes. Shapes: the benchmark's chain, fan-out and feedback loop
 (``bench/shapes.py``), and ``genmodels.many_bodies``, one body and one
-artifact per agent. Stages: parse, ``check``, the activity diagram of
-every body, ``docs_bundle``, ``canonical_format``, and ``impact`` up, down
-and both from the first agent's first task (``Root.run``, or ``A0.run`` in
+artifact per agent; the loop shapes of the xfails are built in
+``genmodels`` on ``body_model`` and ``diamonds``. Stages: parse,
+``check``, the activity diagram of every body, ``docs_bundle``,
+``canonical_format``, and ``impact`` up, down and both from the first
+agent's first task (``Root.run``, or ``A0.run`` in
 ``many_bodies``), which builds the model's impact relation and then walks
 it three times. More shapes test what the chain leaves out: the chain with
 a comment on and above every line, and the chain with four parse errors in
@@ -41,7 +45,6 @@ import contextlib
 import io
 import re
 from functools import partial
-from typing import Callable
 
 import pytest
 
@@ -55,10 +58,9 @@ from a4c.resolver import resolve
 from a4c.validate import check
 
 from conftest import load_resolved, load_shapes
-from genmodels import many_bodies
-from meter import peak_bytes, work
+from genmodels import both_ways_chain, fork_diamonds, many_bodies, shared_merge_ladder
+from meter import assert_linear, peak_bytes, stdout_bytes, work
 
-BOUND = 5  # most work allowed for a 4x step
 SHAPES = load_shapes()
 
 
@@ -89,15 +91,6 @@ def _stage(stage: str, text: str):
         seed = m.task_display(agent.name, agent.tasks[0].name)
         return lambda: [impact(rm, seed, d) for d in ("up", "down", "both")]
     return lambda: _render_every_body(rm.model)
-
-
-def assert_linear(setups: list[Callable[[], Callable]], meters=(work, peak_bytes)) -> None:
-    """Under each meter, the count of each call that ``setups`` set up, one
-    fresh call per meter, is at most ``BOUND`` times the count before it."""
-    for meter in meters:
-        counts = [meter(setup()) for setup in setups]
-        steps = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
-        assert max(steps) <= BOUND, (meter.__name__, counts, steps)
 
 
 @pytest.mark.parametrize("stage", ["parse", "check", "render", "docs", "fmt", "impact"])
@@ -196,31 +189,8 @@ def test_check_on_the_guardless_ladder_grows_linearly():
     assert_linear([partial(_stage, "check", guardless_ladder(k)) for k in (2, 8)], (work,))
 
 
-def shared_merge_ladder(k: int) -> str:
-    """The loop ``c0 -> c1 -> x -> c0`` of two calls, and the ladder
-    ``x -> d1 -> (a1 | b1) -> m1 -> ... -> mk -> chk -> x`` of k diamonds of
-    merges that shares its merge ``x``: the SCC holds calls and decisions,
-    but none of its 2**k + 1 circuits holds both."""
-    lines = ['model "Merges" {', "  artifact R", "  llm L default", "  agent A {",
-             "    task run {", "      in R", "      out R", "      body {",
-             "        call c0 = step { in R out R }", "        call c1 = step { in R out R }",
-             "        merge x"]
-    for i in range(1, k + 1):
-        lines += [f"        decision d{i} on R", f"        merge a{i}", f"        merge b{i}",
-                  f"        merge m{i}"]
-    lines += ["        decision chk on R", "        start -> c0", "        c0 -> c1",
-              "        c1 -> x", "        x -> c0", "        x -> d1"]
-    for i in range(1, k + 1):
-        lines += [f"        d{i} -> a{i} [R == Left]", f"        d{i} -> b{i} [R == Right]",
-                  f"        a{i} -> m{i}", f"        b{i} -> m{i}",
-                  f"        m{i} -> {f'd{i + 1}' if i < k else 'chk'}"]
-    lines += ["        chk -> x [R == Bad]", "        chk -> end [R == Good]", "      }", "    }",
-              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
-    return "\n".join(lines) + "\n"
-
-
 def _classify_run(text: str):
-    """``classify`` of ``A.run`` in ``text``, set up unmetered."""
+    """``classify`` of ``Root.run`` in ``text``, set up unmetered."""
     rm = load_resolved(text, "merges.a4c")
     agent = rm.model.agents[0]
     return partial(classify, rm, agent, agent.tasks[0])
@@ -232,48 +202,10 @@ def test_classify_on_the_shared_merge_ladder_grows_linearly():
     assert_linear([partial(_classify_run, shared_merge_ladder(k)) for k in (2, 8)], (work,))
 
 
-def both_ways_chain(n: int) -> str:
-    """Calls ``c0`` to ``c<n-1>`` with ``c<i> -> c<i+1>`` and
-    ``c<i+1> -> c<i>``, no guard: n - 1 unguarded loops of two calls."""
-    lines = ['model "BothWays" {', "  artifact R", "  llm L default", "  agent A {",
-             "    task run {", "      in R", "      out R", "      body {"]
-    lines += [f"        call c{i} = step {{ in R out R }}" for i in range(n)]
-    lines += ["        start -> c0"]
-    for i in range(n - 1):
-        lines += [f"        c{i} -> c{i + 1}", f"        c{i + 1} -> c{i}"]
-    lines += [f"        c{n - 1} -> end", "      }", "    }",
-              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: V13 recomputes the SCCs of what is"
                                        " left of a loop after each root, quadratic in the body")
 def test_check_on_the_both_ways_chain_grows_linearly():
     assert_linear([partial(_stage, "check", both_ways_chain(n)) for n in (25, 100)], (work,))
-
-
-def fork_diamonds(k: int) -> str:
-    """The loop ``c0 -> f1 -> (a1 | b1) -> j1 -> ... -> jk -> chk -> c0`` of
-    k fork/join diamonds, left by the unguarded ``chk -> end``: none of its
-    2**k circuits has a guarded exit."""
-    lines = ['model "Diamonds" {', "  artifact R", "  llm L default", "  agent A {",
-             "    task run {", "      in R", "      out R", "      body {",
-             "        call c0 = step { in R out R }"]
-    for i in range(1, k + 1):
-        lines += [f"        fork f{i}", f"        call a{i} = step {{ in R out R }}",
-                  f"        call b{i} = step {{ in R out R }}", f"        join j{i}"]
-    lines += ["        decision chk on R", "        start -> c0", "        c0 -> f1"]
-    for i in range(1, k + 1):
-        lines += [f"        f{i} -> a{i}", f"        f{i} -> b{i}", f"        a{i} -> j{i}",
-                  f"        b{i} -> j{i}", f"        j{i} -> {f'f{i + 1}' if i < k else 'chk'}"]
-    lines += ["        chk -> c0 [R == Bad]", "        chk -> end", "      }", "    }",
-              '    task step { in R out R prompt { static role = "step" } }', "  }", "}"]
-    return "\n".join(lines) + "\n"
-
-
-def stdout_bytes(fn: Callable[[], str]) -> int:
-    """The size of what ``fn`` returns, its printed output, in UTF-8 bytes."""
-    return len(fn().encode())
 
 
 def _cli_check(path: str) -> str:

@@ -285,6 +285,31 @@ def test_v10_skipped_without_deployment(recovery_rm):
     assert check(recovery_rm) == []
 
 
+# Edits of testgen and every diagnostic each gives, as (code, message).
+EDITS = [
+    # V5 takes a prompt beside a body to make what the body does not
+    ("prompt beside an empty body", "      in TestCode, Report\n      out TestCode\n      prompt {",
+     "      in TestCode, Report\n      out TestCode\n      body { }\n      prompt {", []),
+    # V10 passes over the calls of an agent with no one host
+    ("agent and tool on two nodes", '    link GeneratorService -> JenkinsHost : "HTTP"',
+     '    node Spare {\n      hosts GeneratorTeam, ScriptKB\n    }\n'
+     '    link GeneratorService -> JenkinsHost : "HTTP"',
+     [("E110", "tool 'ScriptKB' is hosted by 2 deployment nodes; exactly one is required"),
+      ("E110", "agent 'GeneratorTeam' is hosted by 2 deployment nodes; exactly one is required")]),
+    # V12 passes over a bodyless task of an agent with a datastore
+    ("bodyless task beside a datastore", "    store codeStore : TestCode\n",
+     "    store codeStore : TestCode\n"
+     '    task note {\n      in TestSpec\n      prompt { static role = "note" }\n    }\n', []),
+]
+
+
+@pytest.mark.parametrize("what, old, new, expected", EDITS, ids=[row[0] for row in EDITS])
+def test_edits_give_exactly_their_diagnostics(testgen_text, what, old, new, expected):
+    text = testgen_text.replace(old, new)
+    assert text != testgen_text
+    assert [(d.code, d.message) for d in check_text(text)] == expected
+
+
 def test_v12_message_names_the_gap(testgen_text):
     diags = check_text(testgen_text.replace(
         "    store codeStore : TestCode",
