@@ -8,7 +8,7 @@
   induces, for ``control_facts``, rule V2, V13's pruning and
   ``iter_circuits``. It costs time linear in the out-edges of the subset.
 * iter_circuits: the elementary circuits one at a time, in sorted order,
-  so a caller that needs the first few (``classify``'s witness, the docs
+  so a caller that needs the first few (``classify``'s witness, the loop
   listing) stops the search there. Pending components wait in a heap keyed
   by their least vertex, and Johnson's search (1975) runs from that vertex
   over each vertex's successors in sorted order. The root is the least
@@ -16,10 +16,11 @@
   lexicographic order. A circuit is its vertex sequence: parallel edges
   make one circuit. Each next circuit costs time linear in the size of
   the body.
-* guarded_exits and unguarded_circuits: the guarded edges that leave a
-  circuit, and the circuits that no guarded edge leaves (rule V13). The
-  exits of a circuit cost one sort of its guarded sources and a pass over
-  their edges, which ``control_facts`` keeps sorted by target.
+* guarded_exits and loop_listing: the guarded edges that leave a circuit,
+  and the one listing of loops (rule V13, agent pages), which stops at the
+  first circuit past ``LOOP_LISTING_LIMIT`` per SCC. The exits of a circuit
+  cost one sort of its guarded sources and a pass over their edges, which
+  ``control_facts`` keeps sorted by target.
 
 This module holds no impact or classify code, so ``check`` runs without
 loading ``analysis``.
@@ -28,11 +29,14 @@ loading ``analysis``.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import model as m
 from .records import record
+
+LOOP_LISTING_LIMIT = 64  # circuits listed per SCC; k diamonds in a loop make 2**k
 
 
 @record
@@ -219,25 +223,29 @@ def guarded_exits(facts: ControlFacts, members: Iterable[str]) -> tuple[m.Activi
                   if e.target not in inside])
 
 
-def unguarded_circuits(facts: ControlFacts) -> list[tuple[str, ...]]:
-    """The elementary circuits with no guarded exit, in sorted order.
-
-    A node with a guarded CONTROL edge to a target outside its own SCC, or
-    to a node already pruned, is pruned first: that edge is a guarded exit
-    of every circuit through the node. SCCs are recomputed until no such
-    node is left, and only the circuits of what remains are enumerated.
+def loop_listing(facts: ControlFacts, unguarded: bool = False
+                 ) -> Iterator[tuple[list[str], list[tuple[str, ...]], bool]]:
+    """Per cyclic SCC, in sorted order: its sorted vertices, its first
+    ``LOOP_LISTING_LIMIT`` elementary circuits in sorted order, and whether
+    it holds more. With ``unguarded``, only circuits with no guarded exit
+    count (rule V13), and a node with a guarded CONTROL edge to a target
+    outside its own SCC, or to a node already pruned, is pruned first: that
+    edge is a guarded exit of every circuit through the node. SCCs are
+    recomputed until no such node is left, and only what remains is searched.
     """
     sccs = facts.cyclic
-    while sccs:
+    while unguarded and sccs:
         scc_of = {v: i for i, scc in enumerate(sccs) for v in scc}
-        leaving = {
-            v
-            for v, i in scc_of.items()
-            if any(scc_of.get(e.target) != i for e in facts.guarded.get(v, ()))
-        }
+        leaving = {v for v, i in scc_of.items()
+                   if any(scc_of.get(e.target) != i for e in facts.guarded.get(v, ()))}
         if not leaving:
             break
-        remaining = sorted(v for v in scc_of if v not in leaving)
+        remaining = sorted(scc_of.keys() - leaving)
         sccs = [scc for scc in strongly_connected(remaining, facts.succ)
                 if _is_cyclic(scc, facts.succ)]
-    return [c for c in iter_circuits(facts.succ, sccs) if not guarded_exits(facts, c)]
+    for scc in sorted(map(sorted, sccs)):
+        circuits = iter_circuits(facts.succ, [scc])
+        if unguarded:
+            circuits = (c for c in circuits if not guarded_exits(facts, c))
+        circuits = list(islice(circuits, LOOP_LISTING_LIMIT + 1))
+        yield scc, circuits[:LOOP_LISTING_LIMIT], len(circuits) > LOOP_LISTING_LIMIT

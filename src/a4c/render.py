@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 from . import model as m
@@ -28,11 +27,6 @@ from .resolver import ResolvedModel, call_graph
 
 if TYPE_CHECKING:
     from .flow import ControlFacts
-
-
-# circuits listed per SCC on an agent page; a loop through k decision
-# diamonds has 2**k of them
-LOOP_LISTING_LIMIT = 64
 
 
 class RenderError(Exception):
@@ -408,16 +402,9 @@ def _loop_lines(facts: ControlFacts) -> list[str]:
     """One line per elementary circuit of the body with its guarded exits, at
     most ``LOOP_LISTING_LIMIT`` per SCC in sorted order, then one line for
     each SCC that holds more."""
-    from .flow import guarded_exits, iter_circuits
+    from .flow import LOOP_LISTING_LIMIT, guarded_exits, loop_listing
 
-    listed: list[list[tuple[str, ...]]] = []
-    crowded: list[list[str]] = []
-    for scc in sorted(sorted(scc) for scc in facts.cyclic):
-        circuits = list(islice(iter_circuits(facts.succ, [scc]), LOOP_LISTING_LIMIT + 1))
-        if len(circuits) > LOOP_LISTING_LIMIT:
-            circuits.pop()
-            crowded.append(scc)
-        listed.append(circuits)
+    listing = list(loop_listing(facts))
     # each guarded edge that can leave a loop, by identity: one exit leaves many loops
     exit_texts = {id(x): f"{x.source} -> {x.target} {x.guard.display()}"
                   for scc in facts.cyclic for v in scc for x in facts.guarded.get(v, ())}
@@ -429,7 +416,7 @@ def _loop_lines(facts: ControlFacts) -> list[str]:
         return "exits via " + "; ".join([exit_texts[id(x)] for x in exits])
 
     lines = [f"- loop {' -> '.join(cycle)}: {exits_text(cycle)}"
-             for cycle in heapq.merge(*listed)]
+             for cycle in heapq.merge(*[circuits for _, circuits, _ in listing])]
     lines += [f"- loops through {', '.join(scc)}: more than {LOOP_LISTING_LIMIT} circuits,"
-              f" {exits_text(scc)}" for scc in crowded]
+              f" {exits_text(scc)}" for scc, _, more in listing if more]
     return lines

@@ -20,7 +20,7 @@ from collections import deque
 
 from . import model as m
 from .diagnostics import CODES, Diagnostic, Severity, has_errors, sort_diagnostics
-from .flow import ControlFacts, reachable, strongly_connected, unguarded_circuits
+from .flow import LOOP_LISTING_LIMIT, ControlFacts, loop_listing, reachable, strongly_connected
 from .records import record
 from .resolver import ResolvedModel, call_graph, call_graph_roots
 
@@ -415,8 +415,12 @@ def _v12_datastores(rm: ResolvedModel):
 
 def _v13_unguarded_cycles(bodies: list[Body]):
     for agent, task, facts in bodies:
-        for cycle in unguarded_circuits(facts):
-            cycle_text = " -> ".join(cycle + (cycle[0],))
-            yield (f"control-flow cycle {cycle_text} in task"
-                   f" '{m.task_display(agent.name, task.name)}' has no guarded exit",
-                   task.graph.by_id[cycle[0]].span)
+        where = f"in task '{m.task_display(agent.name, task.name)}'"
+        for scc, cycles, more in loop_listing(facts, unguarded=True):
+            for cycle in cycles:
+                yield (f"control-flow cycle {' -> '.join(cycle + cycle[:1])} {where} has no"
+                       " guarded exit", task.graph.by_id[cycle[0]].span)
+            if more:
+                yield (f"more than {LOOP_LISTING_LIMIT} control-flow cycles through"
+                       f" {', '.join(scc)} {where} have no guarded exit",
+                       task.graph.by_id[scc[0]].span)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from a4c import analysis, flow, model as m
+from a4c import analysis, flow
 from a4c.analysis import (
     Affected,
     AnalysisError,

@@ -2,13 +2,15 @@
 long-loop regressions, and one build of each body's control facts.
 
 V4 runs as a bitset dataflow and V13 prunes nodes with a guarded exit from
-their SCC before it enumerates circuits; both are compared here with the
-literal searches in ``oracles.py`` on the corpus, generated models, the
-rule mutations and random task bodies.
+their SCC before it lists at most ``LOOP_LISTING_LIMIT`` circuits per SCC;
+both are compared here with the literal searches in ``oracles.py`` on the
+corpus, generated models, the rule mutations, random task bodies and a loop
+with more unguarded circuits than the listing holds.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import sys
@@ -18,14 +20,16 @@ from functools import partial
 import oracles
 from a4c import flow, model as m
 from a4c.analysis import Pattern, classify, loop_facts
+from a4c.diagnostics import CODES
+from a4c.flow import LOOP_LISTING_LIMIT
 from a4c.parser import parse
 from a4c.render import docs_bundle
 from a4c.resolver import resolve
 from a4c.validate import check
 
-from conftest import CORPUS, corpus_text, load_resolved, load_shapes
-from genmodels import (call_loop_beside_ladder, diamond_ladder, feedback_loop, generate_body_model,
-                       generate_model)
+from conftest import CORPUS, corpus_text, load_resolved, load_shapes, run_cli
+from genmodels import (call_loop_beside_ladder, diamond_ladder, feedback_loop, fork_diamonds,
+                       generate_body_model, generate_model)
 from meter import assert_linear, work
 from test_validate import mutations
 
@@ -119,6 +123,35 @@ def test_strongly_connected_matches_the_oracle():
         seen["subset"] += len(subset) < n
         seen["cyclic"] += any(len(scc) > 1 for scc in sccs)
     assert min(seen.values()) > 50, seen
+
+
+def test_v13_lists_the_first_loops_of_a_crowded_scc(tmp_path, capsys):
+    # 2**7 unguarded circuits in one SCC: the first LOOP_LISTING_LIMIT in
+    # sorted order, then one W113 for the SCC at its least node
+    text = fork_diamonds(7)
+    rm = load_resolved(text, "diamonds.a4c")
+    graph = rm.agents["Root"].task("run").graph
+    want = sorted(c for c in oracles.oracle_cycles(graph)
+                  if not oracles.oracle_guarded_exits(graph, c))
+    assert len(want) == 2 ** 7
+    diags = check(rm)
+    assert {d.code for d in diags} == {"W113"}
+    matches = [_W113.match(d.message) for d in diags]
+    listed = [tuple(match.group(1).split(" -> ")[:-1]) for match in matches if match]
+    assert sorted(listed) == want[:LOOP_LISTING_LIMIT]
+    scc = sorted({v for cycle in want for v in cycle})
+    summaries = [d for d, match in zip(diags, matches) if not match]
+    assert [(d.message, d.span) for d in summaries] == [
+        (f"more than {LOOP_LISTING_LIMIT} control-flow cycles through {', '.join(scc)}"
+         " in task 'Root.run' have no guarded exit", graph.by_id[scc[0]].span)]
+
+    path = tmp_path / "diamonds.a4c"
+    path.write_text(text, encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "check", "--format", "json", str(path))
+    payload = json.loads(out)
+    assert rc == 0 and len(payload) == LOOP_LISTING_LIMIT + 1
+    assert {entry["code"] for entry in payload} <= CODES.keys()
+    assert run_cli(capsys, "check", "--fail-on-warning", str(path))[0] == 1
 
 
 # --- long loops ---------------------------------------------------------------------

@@ -10,7 +10,6 @@ from a4c.formatter import canonical_format
 from a4c.lexer import LexResult, tokenize
 from a4c.model import (
     CallNode,
-    DecisionNode,
     EdgeKind,
     ForkNode,
     InitialNode,

@@ -10,9 +10,9 @@ from a4c.analysis import impact, loop_facts
 from a4c.cli import main as cli_main
 from a4c.diagnostics import SYNTHETIC as S
 from a4c.elements import Element
+from a4c.flow import LOOP_LISTING_LIMIT
 from a4c.parser import parse
 from a4c.render import (
-    LOOP_LISTING_LIMIT,
     RenderError,
     docs_bundle,
     render_activity,

@@ -31,12 +31,12 @@ cost hides in one C call, such as a regular expression or a scan along a
 tuple, is bounded by it only as far as the shapes' sizes are; the wide
 task's inputs compare in Python code so that their scans are counted. The
 allocation peak sees the C calls that build what they cost, such as the
-lexer's columns or a path copied per element. Five cases are strict
+lexer's columns or a path copied per element. Four cases are strict
 xfails until the ROADMAP item that mends them lands: the impact walk on a
 delegation chain (item 4), ``check`` on the guardless ladder and
 ``classify`` on a loop that shares its merge with a ladder of merges (item
-3), and ``check``'s output on a loop of fork diamonds and its search on a
-chain of calls linked both ways (item 13).
+3), and ``check``'s search on a chain of calls linked both ways, below the
+cap on the loops listed per SCC (item 13).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import pytest
 from a4c import cli, model as m
 # docs pages import analysis on first use; no count may include that
 from a4c.analysis import classify, impact
+from a4c.flow import LOOP_LISTING_LIMIT
 from a4c.formatter import canonical_format
 from a4c.parser import parse
 from a4c.render import docs_bundle, render_activity
@@ -202,10 +203,17 @@ def test_classify_on_the_shared_merge_ladder_grows_linearly():
     assert_linear([partial(_classify_run, shared_merge_ladder(k)) for k in (2, 8)], (work,))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: V13 recomputes the SCCs of what is"
-                                       " left of a loop after each root, quadratic in the body")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: below the listing cap, Johnson's"
+                                       " search costs O(n + e) per circuit, so listing the"
+                                       " chain's n - 1 loops is quadratic")
 def test_check_on_the_both_ways_chain_grows_linearly():
     assert_linear([partial(_stage, "check", both_ways_chain(n)) for n in (25, 100)], (work,))
+
+
+def test_check_on_the_both_ways_chain_past_the_listing_cap_grows_linearly():
+    # at n = 100 and 400 the chain's one SCC holds more loops than V13
+    # lists, so each run searches for the first LOOP_LISTING_LIMIT + 1 only
+    assert_linear([partial(_stage, "check", both_ways_chain(n)) for n in (100, 400)])
 
 
 def _cli_check(path: str) -> str:
@@ -216,12 +224,15 @@ def _cli_check(path: str) -> str:
     return out.getvalue()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: V13 prints one W113 per"
-                                       " unguarded circuit, 2**k of them")
 def test_check_on_fork_diamonds_prints_and_works_linearly(tmp_path):
-    paths = [tmp_path / f"diamonds{k}.a4c" for k in (2, 8)]
-    for k, path in zip((2, 8), paths):
+    # k = 8 and 32, both past the listing cap: from k = 2, with 4 loops, to
+    # k = 8, with 2**8, the output grows from 4 lines to the cap's 65
+    paths = [tmp_path / f"diamonds{k}.a4c" for k in (8, 32)]
+    for k, path in zip((8, 32), paths):
         path.write_text(fork_diamonds(k), encoding="utf-8")
+    # 64 W113, one summary and the count line; first, so that a V13 that
+    # lists every circuit fails here instead of trying all 2**32
+    assert len(_cli_check(str(paths[0])).splitlines()) <= LOOP_LISTING_LIMIT + 2
     assert_linear([lambda path=str(path): partial(_cli_check, path) for path in paths],
                   (stdout_bytes, work))
 
